@@ -178,8 +178,7 @@ def _compatible_pair(sol_a: SchrodingerSolution, sol_b: SchrodingerSolution):
 
 
 def stability_ingredients(sol_a: SchrodingerSolution,
-                          sol_b: SchrodingerSolution,
-                          cg_tol: float = 1e-10) -> StabilityIngredients:
+                          sol_b: SchrodingerSolution) -> StabilityIngredients:
     _compatible_pair(sol_a, sol_b)
     require_converged(sol_a)
     require_converged(sol_b)
@@ -194,10 +193,10 @@ def stability_ingredients(sol_a: SchrodingerSolution,
         st_a=sol_a.schrodinger_cost(), st_b=sol_b.schrodinger_cost(),
         h_mu_a=sol_a.h_mu, h_nu_a=sol_a.h_nu,
         h_mu_b=sol_b.h_mu, h_nu_b=sol_b.h_nu,
-        norm_mu=h_minus_one_norm(difference(mu, mu_b), mu, cg_tol),
-        norm_nu=h_minus_one_norm(difference(nu, nu_b), nu, cg_tol),
-        norm_mu_bar=h_minus_one_norm(difference(mu_b, mu), mu_b, cg_tol),
-        norm_nu_bar=h_minus_one_norm(difference(nu_b, nu), nu_b, cg_tol),
+        norm_mu=h_minus_one_norm(difference(mu, mu_b), mu),
+        norm_nu=h_minus_one_norm(difference(nu, nu_b), nu),
+        norm_mu_bar=h_minus_one_norm(difference(mu_b, mu), mu_b),
+        norm_nu_bar=h_minus_one_norm(difference(nu_b, nu), nu_b),
         fisher_mu=fisher_information(mu, ref),
         fisher_nu=fisher_information(nu, ref),
         fisher_mu_bar=fisher_information(mu_b, ref),
@@ -216,12 +215,10 @@ def _corrector_roots(ing: StabilityIngredients) -> dict[str, float]:
 
 
 def plan_stability_check(sol_a: SchrodingerSolution,
-                         sol_b: SchrodingerSolution,
-                         cg_tol: float = 1e-10,
-                         ingredients: StabilityIngredients | None = None
+                         sol_b: SchrodingerSolution
                          ) -> tuple[InequalityReport, InequalityReport]:
     """H^sym of the two bridge plans against the two stability bounds."""
-    ing = ingredients or stability_ingredients(sol_a, sol_b, cg_tol)
+    ing = stability_ingredients(sol_a, sol_b)
     se = math.sqrt(ing.e_factor)
     roots = _corrector_roots(ing)
     lhs = ing.hsym_plans
@@ -269,12 +266,10 @@ def plan_stability_check(sol_a: SchrodingerSolution,
 
 
 def cost_stability_check(sol_a: SchrodingerSolution,
-                         sol_b: SchrodingerSolution,
-                         cg_tol: float = 1e-10,
-                         ingredients: StabilityIngredients | None = None
+                         sol_b: SchrodingerSolution
                          ) -> tuple[InequalityReport, InequalityReport]:
     """|ΔS_T| and |ΔC_T| against their stability bounds."""
-    ing = ingredients or stability_ingredients(sol_a, sol_b, cg_tol)
+    ing = stability_ingredients(sol_a, sol_b)
     T = sol_a.T
     se = math.sqrt(ing.e_factor)
     roots = _corrector_roots(ing)
@@ -320,8 +315,7 @@ def cost_stability_check(sol_a: SchrodingerSolution,
 # quadratic EOT stability in the κ-free (κ → 0) form
 # ---------------------------------------------------------------------------
 
-def quadratic_eot_stability_check(eot_a: EOTSolution, eot_b: EOTSolution,
-                                  cg_tol: float = 1e-10
+def quadratic_eot_stability_check(eot_a: EOTSolution, eot_b: EOTSolution
                                   ) -> tuple[InequalityReport,
                                              InequalityReport]:
     """Value and plan stability for S^ε with C_ε = (dε/2)·log(4πε).
@@ -345,10 +339,10 @@ def quadratic_eot_stability_check(eot_a: EOTSolution, eot_b: EOTSolution,
     mu_b, nu_b = eot_b.mu, eot_b.nu
     hsym_mu = symmetric_entropy(mu, mu_b)
     hsym_nu = symmetric_entropy(nu, nu_b)
-    n_mu = h_minus_one_norm(difference(mu, mu_b), mu, cg_tol)
-    n_nu = h_minus_one_norm(difference(nu, nu_b), nu, cg_tol)
-    n_mu_bar = h_minus_one_norm(difference(mu_b, mu), mu_b, cg_tol)
-    n_nu_bar = h_minus_one_norm(difference(nu_b, nu), nu_b, cg_tol)
+    n_mu = h_minus_one_norm(difference(mu, mu_b), mu)
+    n_nu = h_minus_one_norm(difference(nu, nu_b), nu)
+    n_mu_bar = h_minus_one_norm(difference(mu_b, mu), mu_b)
+    n_nu_bar = h_minus_one_norm(difference(nu_b, nu), nu_b)
 
     s_a, s_b = eot_a.cost, eot_b.cost
     guard = 1e-8 * max(1.0, abs(s_a), abs(s_b), abs(c_eps))

@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 import bridgestab as bs
 from bridgestab.sobolev import (
     WeightedPoissonProblem,
     dirichlet_energy,
+    edge_weights,
     h_minus_one_norm,
     w2_atoms,
+    weighted_laplacian,
 )
 
 
@@ -78,6 +82,67 @@ def test_disconnected_support_infinite():
     rho[0] = 0.1
     rho[15] = -0.1  # net mass must cross the zero-weight gap
     assert h_minus_one_norm(bs.SignedMeasure(g, rho), mu) == math.inf
+
+
+def _flux_norm(rho, mu):
+    """1D closed form: ||rho||^2 = sum_e F_e^2 / w_e with F = cumsum(rho)."""
+    _, _, w = edge_weights(mu.grid, mu)
+    flux = np.cumsum(rho.weights)[:-1]
+    return math.sqrt(float(np.sum(flux ** 2 / w)))
+
+
+def _dense_pinv_norm(rho, mu):
+    """rho^T L_c^+ rho summed over the components of the dense Laplacian."""
+    lap = weighted_laplacian(mu.grid, mu).toarray()
+    _, labels = connected_components(sp.csr_matrix(lap != 0.0),
+                                     directed=False)
+    val = 0.0
+    for comp in np.unique(labels):
+        cells = np.flatnonzero(labels == comp)
+        b = rho.weights[cells]
+        val += float(b @ np.linalg.pinv(lap[np.ix_(cells, cells)]) @ b)
+    return math.sqrt(val)
+
+
+def _battery_1d_case():
+    # stability-battery marginal: n=256 on [-6, 6], perturbation eps=0.2
+    g = bs.Grid.regular([(-6.0, 6.0)], [256])
+    mu = bs.gaussian_measure(g, [-0.8], 1.15)
+    h = bs.smooth_zero_mean_field(g, mu, np.random.default_rng(0))
+    rho = bs.difference(mu, bs.perturbed_measure(mu, h, 0.2))
+    return rho, mu, _flux_norm(rho, mu)
+
+
+def _grid_2d_case():
+    g = bs.Grid.regular([(-3.0, 3.0), (-3.0, 3.0)], [12, 12])
+    mu = bs.gaussian_measure(g, [0.4, -0.3], [1.0, 0.8])
+    h = bs.smooth_zero_mean_field(g, mu, np.random.default_rng(1))
+    rho = bs.difference(mu, bs.perturbed_measure(mu, h, 0.3))
+    return rho, mu, _dense_pinv_norm(rho, mu)
+
+
+def _two_components_case():
+    g = bs.Grid.regular([(0.0, 4.0)], [16])
+    w = np.zeros(16)
+    w[:4] = np.array([0.1, 0.15, 0.2, 0.05])
+    w[12:] = np.array([0.2, 0.1, 0.1, 0.1])
+    mu = bs.DiscreteMeasure.from_weights(g, w)
+    rho = np.zeros(16)
+    rho[[0, 3]] = [0.1, -0.1]
+    rho[[12, 15]] = [-0.05, 0.05]  # zero net mass on each component
+    rho = bs.SignedMeasure(g, rho)
+    return rho, mu, _dense_pinv_norm(rho, mu)
+
+
+@pytest.mark.parametrize("case", [_battery_1d_case, _grid_2d_case,
+                                  _two_components_case],
+                         ids=["battery-1d-flux", "grid-2d-pinv",
+                              "two-components-pinv"])
+def test_norm_matches_dense_oracle(case):
+    rho, mu, expected = case()
+    got = h_minus_one_norm(rho, mu)
+    assert math.isfinite(got) and expected > 0.0
+    assert abs(got - expected) <= 1e-9 * expected
 
 
 def test_nonzero_total_mass_rejected(gauss_pair):
