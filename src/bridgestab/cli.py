@@ -393,17 +393,18 @@ def _run_solve(cfg, rng) -> ScenarioResult:
     return res
 
 
-def _perturbation_battery(cfg, rng, check) -> ScenarioResult:
-    """Shared driver for the stability batteries (SP plan / SP cost)."""
+def _perturbation_battery(cfg, rng, solve_pair, check) -> ScenarioResult:
+    """Shared driver for the stability batteries: solve the base pair, then
+    ``n_seeds`` perturbation draws at each ε and ``check`` every converged
+    perturbed solution against the base.  ``solve_pair(mu, nu)`` returns a
+    solution carrying ``converged``, ``n_iter`` and ``marginal_residual``."""
     res = ScenarioResult()
     grid = _grid(cfg)
     mu = _measure(grid, cfg["marginals"]["mu"], rng)
     nu = _measure(grid, cfg["marginals"]["nu"], rng)
-    ker = _kernel(grid, cfg["kernel"])
-    sv = cfg["solver"]
     pert = cfg["perturbation"]
     n_modes = pert.get("n_modes", 3)
-    base = solve(mu, nu, ker, tol=sv["tol"], max_iter=sv["max_iter"])
+    base = solve_pair(mu, nu)
     if not base.converged:
         res.nonconverged = True
         res.notes.append("base problem did not converge; battery skipped")
@@ -414,9 +415,8 @@ def _perturbation_battery(cfg, rng, check) -> ScenarioResult:
         k = smooth_zero_mean_field(grid, nu, rng, n_modes=n_modes)
         for eps in pert["epsilons"]:
             tag = {"eps": float(eps), "draw": s}
-            pert_sol = solve(perturbed_measure(mu, h, eps),
-                             perturbed_measure(nu, k, eps),
-                             ker, tol=sv["tol"], max_iter=sv["max_iter"])
+            pert_sol = solve_pair(perturbed_measure(mu, h, eps),
+                                  perturbed_measure(nu, k, eps))
             if not pert_sol.converged:
                 res.nonconverged = True
                 res.notes.append(
@@ -432,52 +432,29 @@ def _perturbation_battery(cfg, rng, check) -> ScenarioResult:
     return res
 
 
+def _sp_battery(cfg, rng, check) -> ScenarioResult:
+    ker = _kernel(_grid(cfg), cfg["kernel"])
+    sv = cfg["solver"]
+    return _perturbation_battery(
+        cfg, rng, lambda mu, nu: solve(mu, nu, ker, tol=sv["tol"],
+                                       max_iter=sv["max_iter"]), check)
+
+
 def _run_stability(cfg, rng) -> ScenarioResult:
-    return _perturbation_battery(cfg, rng, plan_stability_check)
+    return _sp_battery(cfg, rng, plan_stability_check)
 
 
 def _run_cost_stability(cfg, rng) -> ScenarioResult:
-    return _perturbation_battery(cfg, rng, cost_stability_check)
+    return _sp_battery(cfg, rng, cost_stability_check)
 
 
 def _run_eot_stability(cfg, rng) -> ScenarioResult:
-    res = ScenarioResult()
-    grid = _grid(cfg)
-    mu = _measure(grid, cfg["marginals"]["mu"], rng)
-    nu = _measure(grid, cfg["marginals"]["nu"], rng)
-    sv = cfg["solver"]
     eps_reg = cfg["kernel"]["epsilon"]
-    pert = cfg["perturbation"]
-    n_modes = pert.get("n_modes", 3)
-    base = eot_quadratic_direct(mu, nu, eps_reg, tol=sv["tol"],
-                                max_iter=sv["max_iter"])
-    if not base.converged:
-        res.nonconverged = True
-        res.notes.append("base problem did not converge; battery skipped")
-        return res
-    rows = []
-    for s in range(pert["n_seeds"]):
-        h = smooth_zero_mean_field(grid, mu, rng, n_modes=n_modes)
-        k = smooth_zero_mean_field(grid, nu, rng, n_modes=n_modes)
-        for eps in pert["epsilons"]:
-            tag = {"eps": float(eps), "draw": s}
-            other = eot_quadratic_direct(
-                perturbed_measure(mu, h, eps),
-                perturbed_measure(nu, k, eps),
-                eps_reg, tol=sv["tol"], max_iter=sv["max_iter"])
-            if not other.converged:
-                res.nonconverged = True
-                res.notes.append(
-                    f"eps={eps} draw={s}: residual "
-                    f"{other.marginal_residual:.3e} after "
-                    f"{other.n_iter} iterations")
-                continue
-            for r in quadratic_eot_stability_check(base, other):
-                res.reports.append(r)
-                rows.append(_battery_row(tag, r))
-    res.tables.append(Table("battery", ["eps", "draw", *_BATTERY_HEADER],
-                            rows))
-    return res
+    sv = cfg["solver"]
+    return _perturbation_battery(
+        cfg, rng, lambda mu, nu: eot_quadratic_direct(
+            mu, nu, eps_reg, tol=sv["tol"], max_iter=sv["max_iter"]),
+        quadratic_eot_stability_check)
 
 
 def _run_corrector(cfg, rng) -> ScenarioResult:

@@ -214,6 +214,28 @@ def _corrector_roots(ing: StabilityIngredients) -> dict[str, float]:
     }
 
 
+def _fisher_rhs(ing: StabilityIngredients, roots: dict[str, float],
+                label: str) -> float:
+    """Σ (√I + √(C_T - H)) · ‖·‖_{Ḣ⁻¹} / √E over the four marginals: the
+    Fisher-form bound shared by the plan and the C_T stability checks."""
+    se = math.sqrt(ing.e_factor)
+    fr = {k: math.sqrt(v) for k, v in (
+        ("mu", ing.fisher_mu), ("nu", ing.fisher_nu),
+        ("mu_bar", ing.fisher_mu_bar), ("nu_bar", ing.fisher_nu_bar))}
+    rhs = (_term(fr["mu"] + roots["mu"], ing.norm_mu)
+           + _term(fr["mu_bar"] + roots["mu_bar"], ing.norm_mu_bar)
+           + _term(fr["nu"] + roots["nu"], ing.norm_nu)
+           + _term(fr["nu_bar"] + roots["nu_bar"], ing.norm_nu_bar)) / se
+    return cross_check_rhs(rhs, {
+        "mu_term": _term((fr["mu"] + roots["mu"]) / se, ing.norm_mu),
+        "mu_bar_term": _term((fr["mu_bar"] + roots["mu_bar"]) / se,
+                             ing.norm_mu_bar),
+        "nu_term": _term((fr["nu"] + roots["nu"]) / se, ing.norm_nu),
+        "nu_bar_term": _term((fr["nu_bar"] + roots["nu_bar"]) / se,
+                             ing.norm_nu_bar),
+    }, label)
+
+
 def plan_stability_check(sol_a: SchrodingerSolution,
                          sol_b: SchrodingerSolution
                          ) -> tuple[InequalityReport, InequalityReport]:
@@ -236,21 +258,7 @@ def plan_stability_check(sol_a: SchrodingerSolution,
         "nu_bar_term": _term(roots["nu_bar"] / se, ing.norm_nu_bar),
     }, "stab_plans")
 
-    fr = {k: math.sqrt(v) for k, v in (
-        ("mu", ing.fisher_mu), ("nu", ing.fisher_nu),
-        ("mu_bar", ing.fisher_mu_bar), ("nu_bar", ing.fisher_nu_bar))}
-    rhs_fisher = (_term(fr["mu"] + roots["mu"], ing.norm_mu)
-                  + _term(fr["mu_bar"] + roots["mu_bar"], ing.norm_mu_bar)
-                  + _term(fr["nu"] + roots["nu"], ing.norm_nu)
-                  + _term(fr["nu_bar"] + roots["nu_bar"], ing.norm_nu_bar)) / se
-    rhs_fisher = cross_check_rhs(rhs_fisher, {
-        "mu_term": _term((fr["mu"] + roots["mu"]) / se, ing.norm_mu),
-        "mu_bar_term": _term((fr["mu_bar"] + roots["mu_bar"]) / se,
-                             ing.norm_mu_bar),
-        "nu_term": _term((fr["nu"] + roots["nu"]) / se, ing.norm_nu),
-        "nu_bar_term": _term((fr["nu_bar"] + roots["nu_bar"]) / se,
-                             ing.norm_nu_bar),
-    }, "stab_plans_fisher")
+    rhs_fisher = _fisher_rhs(ing, roots, "stab_plans_fisher")
 
     extras = {"hsym_plans": lhs, "hsym_mu": ing.hsym_mu,
               "hsym_nu": ing.hsym_nu, "norm_mu": ing.norm_mu,
@@ -287,22 +295,8 @@ def cost_stability_check(sol_a: SchrodingerSolution,
         "nu_bar_term": _term(T * roots["nu_bar"] / se, ing.norm_nu_bar),
     }, "stab_cost")
 
-    fr = {k: math.sqrt(v) for k, v in (
-        ("mu", ing.fisher_mu), ("nu", ing.fisher_nu),
-        ("mu_bar", ing.fisher_mu_bar), ("nu_bar", ing.fisher_nu_bar))}
     lhs_ct = abs(ing.ct_b - ing.ct_a)
-    rhs_ct = (_term(fr["mu"] + roots["mu"], ing.norm_mu)
-              + _term(fr["mu_bar"] + roots["mu_bar"], ing.norm_mu_bar)
-              + _term(fr["nu"] + roots["nu"], ing.norm_nu)
-              + _term(fr["nu_bar"] + roots["nu_bar"], ing.norm_nu_bar)) / se
-    rhs_ct = cross_check_rhs(rhs_ct, {
-        "mu_term": _term((fr["mu"] + roots["mu"]) / se, ing.norm_mu),
-        "mu_bar_term": _term((fr["mu_bar"] + roots["mu_bar"]) / se,
-                             ing.norm_mu_bar),
-        "nu_term": _term((fr["nu"] + roots["nu"]) / se, ing.norm_nu),
-        "nu_bar_term": _term((fr["nu_bar"] + roots["nu_bar"]) / se,
-                             ing.norm_nu_bar),
-    }, "stab_cost_fisher")
+    rhs_ct = _fisher_rhs(ing, roots, "stab_cost_fisher")
 
     extras = {"st_a": ing.st_a, "st_b": ing.st_b,
               "ct_a": ing.ct_a, "ct_b": ing.ct_b,

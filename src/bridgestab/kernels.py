@@ -81,6 +81,15 @@ def _mirrored_gram(pts: np.ndarray) -> np.ndarray:
     return np.triu(g) + np.triu(g, 1).T
 
 
+def _squared_distances(grid: Grid) -> np.ndarray:
+    """|x_i - x_j|² over grid × grid, exactly symmetric and clamped at 0."""
+    pts = grid.points()
+    sq = np.sum(pts ** 2, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * _mirrored_gram(pts)
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
 @dataclass(frozen=True)
 class GibbsKernel:
     """Dense log transition matrix on a grid.
@@ -118,11 +127,8 @@ class GibbsKernel:
         """Heat kernel at time T against the Lebesgue reference."""
         if T <= 0:
             raise ValueError("kernel needs T > 0")
-        pts = grid.points()
-        sq = np.sum(pts ** 2, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * _mirrored_gram(pts)
-        np.maximum(d2, 0.0, out=d2)
-        log_m = -0.5 * grid.ndim * math.log(4.0 * math.pi * T) - d2 / (4.0 * T)
+        log_m = -0.5 * grid.ndim * math.log(4.0 * math.pi * T) \
+            - _squared_distances(grid) / (4.0 * T)
         return GibbsKernel(grid, log_m, ReferenceMeasure.lebesgue(grid),
                            "heat", float(T), 0.0,
                            GibbsKernel._bandwidth_flag(grid, T))
@@ -181,16 +187,12 @@ def lse_matvec(A: np.ndarray, v: np.ndarray,
     return out
 
 
-def apply_semigroup(kernel: GibbsKernel, log_f: np.ndarray,
-                    reference: ReferenceMeasure | None = None) -> np.ndarray:
-    """log(P_T e^f) on the grid, computed entirely in the log domain.
+def apply_semigroup(kernel: GibbsKernel, log_f: np.ndarray) -> np.ndarray:
+    """log(P_T e^f) on the grid against the kernel's reference measure,
+    computed entirely in the log domain.
 
-    ``reference`` defaults to the kernel's own reference measure and must
-    match the grid.  Raises if e^f is identically zero (all -inf input).
+    Raises if e^f is identically zero (all -inf input).
     """
-    ref = kernel.reference if reference is None else reference
-    if not ref.grid.same_as(kernel.grid):
-        raise ValueError("reference lives on a different grid")
     log_f = np.asarray(log_f, dtype=float)
     if log_f.shape != (kernel.grid.n_cells,):
         raise ValueError("log_f must be flat with one entry per cell")
@@ -198,4 +200,5 @@ def apply_semigroup(kernel: GibbsKernel, log_f: np.ndarray,
         raise ValueError("semigroup input is identically zero")
     if np.any(np.isnan(log_f)) or np.any(np.isposinf(log_f)):
         raise ValueError("log_f must be in [-inf, +inf)")
-    return lse_matvec(kernel.log_matrix, log_f + ref.log_mass())
+    return lse_matvec(kernel.log_matrix,
+                      log_f + kernel.reference.log_mass())

@@ -12,9 +12,12 @@ stopping on the total-variation marginal residual, then re-center to the
 symmetric normalization  ∫φ dμ - H(μ|m) = ∫ψ dν - H(ν|m).
 
 Quadratic EOT,  S^ε = inf ∫|x-y|² dπ + ε H(π | μ⊗ν),  is solved by the same
-iteration against the Gibbs factor e^{-|x-y|²/ε}; for an OU reference at
-curvature κ the two problems are equivalent through the time change
-ε = (4/κ) sinh(κT), and `eot_via_sp` evaluates S^ε through that dictionary.
+iteration against the Gibbs factor e^{-|x-y|²/ε}: one loop, `_sinkhorn`,
+serves both problems as plans π = e^{f ⊕ g + K}·(p ⊗ q), with K = log p_T and
+p = q = m for SP, and K = -|x-y|²/ε, p = μ, q = ν for EOT.  For an OU
+reference at curvature κ the two problems are equivalent through the time
+change ε = (4/κ) sinh(κT), and `eot_via_sp` evaluates S^ε through that
+dictionary.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GibbsKernel, lse_matvec
+from .kernels import GibbsKernel, _squared_distances, lse_matvec
 from .measures import (DiscreteMeasure, Grid, ReferenceMeasure,
                        relative_entropy, second_moment)
 
@@ -136,9 +139,10 @@ class SchrodingerSolution:
 
 
 def _check_problem(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                   kernel: GibbsKernel, ref: ReferenceMeasure):
+                   kernel: GibbsKernel):
     if not (mu.grid.same_as(nu.grid) and mu.grid.same_as(kernel.grid)):
         raise ValueError("marginals and kernel must share one grid")
+    ref = kernel.reference
     bad = (mu.weights > 0) & (ref.cell_mass <= 0)
     bad |= (nu.weights > 0) & (ref.cell_mass <= 0)
     if np.any(bad):
@@ -146,9 +150,59 @@ def _check_problem(mu: DiscreteMeasure, nu: DiscreteMeasure,
             "a marginal charges a cell with zero reference mass")
 
 
+def _sinkhorn(K: np.ndarray, log_p: np.ndarray, log_q: np.ndarray,
+              mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float,
+              max_iter: int, init_g: np.ndarray | None = None):
+    """Log-domain Sinkhorn for plans π = e^{f ⊕ g + K}·(p ⊗ q), K symmetric.
+
+    Alternates  f = log μ - log p - LSE(K, g + log q)  on supp μ and the
+    mirror update for g on supp ν (both are -inf off the supports), and
+    stops when the larger of the two L1 marginal residuals of the implied
+    plan drops to ``tol``.  Returns (f, g, n_iter, history, converged).
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    log_mu = mu.log_weights()
+    log_nu = nu.log_weights()
+    s_mu, s_nu = mu.support(), nu.support()
+    buf = np.empty_like(K)
+    n = mu.grid.n_cells
+
+    g = np.zeros(n) if init_g is None \
+        else np.asarray(init_g, dtype=float).copy()
+    lse_g = lse_matvec(K, g + log_q, buf)
+
+    history = []
+    converged = False
+    f = np.full(n, -np.inf)
+    mu_hat = np.zeros(n)
+    nu_hat = np.zeros(n)
+    n_done = 0
+    for n_done in range(1, max_iter + 1):
+        f = np.full(n, -np.inf)
+        f[s_mu] = log_mu[s_mu] - log_p[s_mu] - lse_g[s_mu]
+        lse_f = lse_matvec(K, f + log_p, buf)
+        g = np.full(n, -np.inf)
+        g[s_nu] = log_nu[s_nu] - log_q[s_nu] - lse_f[s_nu]
+        lse_g = lse_matvec(K, g + log_q, buf)
+
+        mu_hat.fill(0.0)
+        mu_hat[s_mu] = np.exp(f[s_mu] + log_p[s_mu] + lse_g[s_mu])
+        nu_hat.fill(0.0)
+        nu_hat[s_nu] = np.exp(g[s_nu] + log_q[s_nu] + lse_f[s_nu])
+        res = max(float(np.abs(mu_hat - mu.weights).sum()),
+                  float(np.abs(nu_hat - nu.weights).sum()))
+        history.append(res)
+        if res <= tol:
+            converged = True
+            break
+    return f, g, n_done, history, converged
+
+
 def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, kernel: GibbsKernel,
-          ref: ReferenceMeasure | None = None, tol: float = 1e-9,
-          max_iter: int = 100_000,
+          tol: float = 1e-9, max_iter: int = 100_000,
           init_psi: np.ndarray | None = None) -> SchrodingerSolution:
     """Log-domain Sinkhorn for the Schrödinger system.
 
@@ -156,50 +210,11 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, kernel: GibbsKernel,
     plan drops to ``tol``.  The returned potentials are re-centered to the
     symmetric normalization; convergence failure is recorded, not raised.
     """
-    ref = kernel.reference if ref is None else ref
-    _check_problem(mu, nu, kernel, ref)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-
+    _check_problem(mu, nu, kernel)
+    ref = kernel.reference
     u = ref.log_mass()
-    log_mu = mu.log_weights()
-    log_nu = nu.log_weights()
-    s_mu, s_nu = mu.support(), nu.support()
-    K = kernel.log_matrix
-    buf = np.empty_like(K)
-    n = mu.grid.n_cells
-
-    psi = np.zeros(n) if init_psi is None \
-        else np.asarray(init_psi, dtype=float).copy()
-    p_psi = lse_matvec(K, psi + u, buf)
-
-    history = []
-    converged = False
-    phi = np.full(n, -np.inf)
-    mu_hat = np.zeros(n)
-    nu_hat = np.zeros(n)
-    n_done = 0
-    for n_done in range(1, max_iter + 1):
-        phi = np.full(n, -np.inf)
-        phi[s_mu] = log_mu[s_mu] - u[s_mu] - p_psi[s_mu]
-        p_phi = lse_matvec(K, phi + u, buf)
-        psi = np.full(n, -np.inf)
-        psi[s_nu] = log_nu[s_nu] - u[s_nu] - p_phi[s_nu]
-        p_psi = lse_matvec(K, psi + u, buf)
-
-        mu_hat.fill(0.0)
-        mu_hat[s_mu] = np.exp(phi[s_mu] + u[s_mu] + p_psi[s_mu])
-        nu_hat.fill(0.0)
-        nu_hat[s_nu] = np.exp(psi[s_nu] + u[s_nu] + p_phi[s_nu])
-        res = max(float(np.abs(mu_hat - mu.weights).sum()),
-                  float(np.abs(nu_hat - nu.weights).sum()))
-        history.append(res)
-        if res <= tol:
-            converged = True
-            break
+    phi, psi, n_done, history, converged = _sinkhorn(
+        kernel.log_matrix, u, u, mu, nu, tol, max_iter, init_psi)
 
     h_mu = relative_entropy(mu, ref)
     h_nu = relative_entropy(nu, ref)
@@ -299,24 +314,10 @@ class EOTSolution:
         return Phi + c, Psi - c
 
     def log_plan(self) -> Plan:
-        g = _neg_sqdist_over_eps(self.mu.grid, self.epsilon)
+        G = _squared_distances(self.mu.grid) / (-self.epsilon)
         lw = (self.a + self.mu.log_weights())[:, None] \
-            + (self.b + self.nu.log_weights())[None, :] + g
+            + (self.b + self.nu.log_weights())[None, :] + G
         return Plan(self.mu.grid, lw)
-
-
-def _pairwise_sqdist(grid: Grid) -> np.ndarray:
-    pts = grid.points()
-    sq = np.sum(pts ** 2, axis=1)
-    g = pts @ pts.T
-    g = np.triu(g) + np.triu(g, 1).T
-    d2 = sq[:, None] + sq[None, :] - 2.0 * g
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
-def _neg_sqdist_over_eps(grid: Grid, epsilon: float) -> np.ndarray:
-    return _pairwise_sqdist(grid) / (-epsilon)
 
 
 def eot_quadratic_direct(mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -325,43 +326,20 @@ def eot_quadratic_direct(mu: DiscreteMeasure, nu: DiscreteMeasure,
     """Sinkhorn for S^ε against μ⊗ν, entirely in the log domain."""
     if not mu.grid.same_as(nu.grid):
         raise ValueError("marginals must share one grid")
-    if epsilon <= 0 or tol <= 0:
-        raise ValueError("epsilon and tol must be positive")
-    G = _neg_sqdist_over_eps(mu.grid, epsilon)
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    d2 = _squared_distances(mu.grid)
+    G = d2 / (-epsilon)
     log_mu = mu.log_weights()
     log_nu = nu.log_weights()
-    buf = np.empty_like(G)
-
-    b = np.zeros(mu.grid.n_cells)
-    gb = lse_matvec(G, b + log_nu, buf)
-
-    history = []
-    converged = False
-    a = np.zeros_like(b)
-    n_done = 0
-    for n_done in range(1, max_iter + 1):
-        a = -gb
-        ga = lse_matvec(G, a + log_mu, buf)
-        b = -ga
-        gb = lse_matvec(G, b + log_nu, buf)
-
-        mu_hat = np.exp(log_mu + a + gb, where=mu.support(),
-                        out=np.zeros_like(gb))
-        nu_hat = np.exp(log_nu + b + ga, where=nu.support(),
-                        out=np.zeros_like(ga))
-        res = max(float(np.abs(mu_hat - mu.weights).sum()),
-                  float(np.abs(nu_hat - nu.weights).sum()))
-        history.append(res)
-        if res <= tol:
-            converged = True
-            break
+    a, b, n_done, history, converged = _sinkhorn(
+        G, log_mu, log_nu, mu, nu, tol, max_iter)
 
     # primal value: transport term plus ε times entropy vs μ⊗ν; the entropy
     # equals Σ π (a ⊕ b + G) exactly by the factorized form of π
     lw = (a + log_mu)[:, None] + (b + log_nu)[None, :] + G
     mask = np.isfinite(lw)
     w = np.exp(lw[mask])
-    d2 = _pairwise_sqdist(mu.grid)
     transport = float(np.sum(w * d2[mask]))
     ent = float(np.sum(w * (a[:, None] + b[None, :] + G)[mask]))
     cost = transport + epsilon * ent

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import pytest
 import yaml
 
 from bridgestab import cli
@@ -163,6 +164,56 @@ def test_orlicz_scenario(tmp_path):
 
 def test_sample_configs_validate():
     here = Path(__file__).resolve().parent.parent / "configs"
-    for name in ("solve.yaml", "stability.yaml", "smalltime.yaml", "orlicz.yaml"):
-        cfg = yaml.safe_load((here / name).read_text())
-        assert cli.validate(cli._normalize(cfg)) == [], name
+    paths = sorted(here.glob("*.yaml"))
+    assert paths
+    for path in paths:
+        cfg = yaml.safe_load(path.read_text())
+        assert cli.validate(cli._normalize(cfg)) == [], path.name
+
+
+_BATTERY_REPORTS = {
+    "stability": {"stab_plans", "stab_plans_fisher"},
+    "cost-stability": {"stab_cost", "stab_cost_fisher"},
+    "eot-stability": {"eot_cost_stab", "eot_plan_stab"},
+}
+
+
+def battery_cfg(scenario, out_dir):
+    kernel = ({"epsilon": 0.5} if scenario == "eot-stability"
+              else {"kind": "ou", "T": 0.5, "kappa": 1.0})
+    return {
+        "scenario": scenario,
+        "seed": 5,
+        "grid": {"bounds": [-5.0, 5.0], "shape": 64},
+        "kernel": kernel,
+        "marginals": {
+            "mu": {"family": "gaussian", "mean": [-0.8], "sigma": 1.15},
+            "nu": {"family": "gaussian", "mean": [0.8], "sigma": 1.15},
+        },
+        "perturbation": {"epsilons": [0.05, 0.2], "n_seeds": 2},
+        "output": {"dir": str(out_dir)},
+    }
+
+
+@pytest.mark.parametrize("scenario", sorted(_BATTERY_REPORTS))
+def test_perturbation_battery_scenarios(tmp_path, scenario):
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, battery_cfg(scenario, out))
+    assert cli.main(["--config", str(path)]) == 0
+    reports, rows = read_reports(out)
+    names = [r["name"] for r in reports]
+    assert set(names) == _BATTERY_REPORTS[scenario]
+    # 2 draws x 2 epsilons, two reports each
+    assert len(reports) == 8
+    for name in _BATTERY_REPORTS[scenario]:
+        assert names.count(name) == 4
+    tables = [r for r in rows if r.get("record") == "table"]
+    assert [(t["name"], t["rows"]) for t in tables] == [("battery", 8)]
+
+    cfg = battery_cfg(scenario, tmp_path / "out3")
+    cfg["solver"] = {"tol": 1e-9, "max_iter": 2}
+    path = write_cfg(tmp_path, cfg, "nonconverged.yaml")
+    assert cli.main(["--config", str(path)]) == 3
+    summary = (tmp_path / "out3" / "summary.txt").read_text()
+    assert "base problem did not converge; battery skipped" in summary
+    assert "exit status: 3" in summary

@@ -134,12 +134,43 @@ def test_infeasible_marginal_raises():
         bs.solve(bad, good, ker)
 
 
-def test_not_converged_raises(gauss_pair, ou_kernel):
+@pytest.mark.parametrize("solver", ["sp", "eot"])
+def test_not_converged_raises(gauss_pair, ou_kernel, solver):
     mu, nu = gauss_pair
-    sol = bs.solve(mu, nu, ou_kernel, max_iter=2)
+    if solver == "sp":
+        sol = bs.solve(mu, nu, ou_kernel, max_iter=2)
+    else:
+        sol = bs.eot_quadratic_direct(mu, nu, 0.5, max_iter=2)
     assert not sol.converged
+    assert sol.n_iter == 2 and len(sol.residual_history) == 2
     with pytest.raises(bs.NotConverged):
         bs.require_converged(sol)
+
+
+@pytest.mark.parametrize("epsilon", [0.3, 1.0])
+@pytest.mark.parametrize("grid", [
+    bs.Grid.regular([(-4.0, 4.0)], [160]),
+    bs.Grid.regular([(-3.0, 3.0), (-3.0, 3.0)], [20, 20]),
+], ids=["1d", "2d"])
+def test_eot_plan_is_heat_bridge_plan(grid, epsilon):
+    # e^{-|x-y|²/ε} is the heat kernel at T = ε/4 up to a constant factor,
+    # which Sinkhorn absorbs: both solvers must return the same plan, and
+    # both put -inf potentials off the supports
+    mu = bs.uniform_measure(grid, -1.0, 1.5)
+    nu = bs.gaussian_measure(grid, [0.5] * grid.ndim, 0.8)
+    assert not mu.support().all()
+    eot = bs.eot_quadratic_direct(mu, nu, epsilon)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", bs.BandwidthWarning)
+        sp = bs.solve(mu, nu, bs.GibbsKernel.heat(grid, epsilon / 4.0))
+    assert eot.converged and sp.converged
+    diff = eot.log_plan().weights() - sp.log_plan().weights()
+    assert np.abs(diff).sum() <= 1e-8
+    for sol_pot, eot_pot, m in ((sp.phi, eot.a, mu), (sp.psi, eot.b, nu)):
+        off = ~m.support()
+        assert np.all(np.isneginf(sol_pot[off]))
+        assert np.all(np.isneginf(eot_pot[off]))
+        assert np.all(np.isfinite(eot_pot[~off]))
 
 
 def test_eot_cost_fine_grid_reference():
