@@ -1,9 +1,16 @@
 """Gibbs kernels (heat and Ornstein-Uhlenbeck) and their discrete semigroup.
 
-Kernels are stored as dense log-density matrices against a reference measure:
-heat transition densities are taken w.r.t. Lebesgue, OU transition densities
-w.r.t. the stationary Gaussian N(0, I/κ).  Applying the semigroup to e^f is a
-single log-sum-exp reduction
+Heat and OU log transition densities on a tensor grid are sums of per-axis
+1D log densities, so a kernel is stored as one log factor per axis,
+
+    log p_T((x_0, x_1), (y_0, y_1)) = F_0[x_0, y_0] + F_1[x_1, y_1],
+
+against a reference measure: heat transition densities are taken w.r.t.
+Lebesgue, OU transition densities w.r.t. the stationary Gaussian N(0, I/κ).
+Every use of a kernel goes through one operator, `LogKernel.lse`, which
+computes LSE_j(K_ij + v_j) one axis at a time (Solomon et al. 2015,
+*Convolutional Wasserstein Distances*) and never forms the n×n matrix.
+Applying the semigroup to e^f adds the reference log masses:
 
     (log P_T e^f)_i = LSE_j( log p_T(x_i, x_j) + log m_j + f_j ),
 
@@ -75,32 +82,90 @@ def wang_lower_bound(x, y, T: float, kappa: float) -> float:
     return -kappa * r2 / (2.0 * -math.expm1(-kappa * T))
 
 
-def _mirrored_gram(pts: np.ndarray) -> np.ndarray:
-    """pts @ pts.T made exactly symmetric by mirroring the upper triangle."""
-    g = pts @ pts.T
-    return np.triu(g) + np.triu(g, 1).T
-
-
-def _squared_distances(grid: Grid) -> np.ndarray:
-    """|x_i - x_j|² over grid × grid, exactly symmetric and clamped at 0."""
-    pts = grid.points()
-    sq = np.sum(pts ** 2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * _mirrored_gram(pts)
+def _squared_distances(x: np.ndarray) -> np.ndarray:
+    """|x_i - x_j|² over one axis of midpoints, exactly symmetric (each
+    entry is one product and commutative sums) and clamped at 0."""
+    sq = x ** 2
+    d2 = sq[:, None] + sq[None, :] - 2.0 * np.multiply.outer(x, x)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
-@dataclass(frozen=True)
-class GibbsKernel:
-    """Dense log transition matrix on a grid.
+def _outer_sum(factors: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Dense Σ_k factors[k][i_k, j_k] over cells in flat C order; a single
+    factor is returned as is."""
+    out = factors[0]
+    for f in factors[1:]:
+        n, m = out.shape[0], f.shape[0]
+        out = (out[:, None, :, None] + f[None, :, None, :]).reshape(n * m,
+                                                                    n * m)
+    return out
 
-    ``log_matrix[i, j] = log p_T(x_i, x_j)`` against ``reference``; the matrix
-    is exactly symmetric by construction.  ``underresolved`` is set when the
-    kernel bandwidth sqrt(2T) falls below twice the largest cell width.
+
+@dataclass(frozen=True)
+class LogKernel:
+    """Log Gibbs factor K on a tensor grid, one square log factor per axis.
+
+    Over cells in flat C order,
+    ``K[(i_0, i_1), (j_0, j_1)] = log_factors[0][i_0, j_0]
+    + log_factors[1][i_1, j_1]``; a single factor is K itself.  `lse` is
+    the one operator every consumer uses; `log_matrix` is a dense view for
+    the dense plans and the test oracles.
+    """
+
+    log_factors: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        for f in self.log_factors:
+            if f.ndim != 2 or f.shape[0] != f.shape[1]:
+                raise ValueError("log factors must be square matrices")
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Number of cells along each factor's axis."""
+        return tuple(f.shape[0] for f in self.log_factors)
+
+    @property
+    def log_matrix(self) -> np.ndarray:
+        """Dense K over cells; with one factor this is the factor itself
+        (no copy), otherwise it is built on each access."""
+        return _outer_sum(self.log_factors)
+
+    def scratch(self) -> tuple[np.ndarray, ...]:
+        """One reusable `lse_matvec` buffer per axis for repeated `lse`."""
+        s = self.shape
+        return tuple(np.empty(s[:k] + s[k + 1:] + f.shape)
+                     for k, f in enumerate(self.log_factors))
+
+    def lse(self, v: np.ndarray,
+            scratch: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+        """out_i = LSE_j(K_ij + v_j) over flat cells, one axis at a time
+        (last axis first); -inf entries of v carry zero mass."""
+        if scratch is None:
+            scratch = self.scratch()
+        if len(self.log_factors) == 1:
+            # a direct call: the views below measured 10-20 µs slower per
+            # call at n = 320, ~2 % of a 1D Sinkhorn iteration
+            return lse_matvec(self.log_factors[0], v, scratch[0])
+        x = v.reshape(self.shape)
+        for k in reversed(range(len(self.log_factors))):
+            x = lse_matvec(self.log_factors[k], x.swapaxes(k, -1),
+                           scratch[k]).swapaxes(k, -1)
+        return x.reshape(-1)
+
+
+@dataclass(frozen=True)
+class GibbsKernel(LogKernel):
+    """Log transition density on a grid, one factor per axis.
+
+    ``log_matrix[i, j] = log p_T(x_i, x_j)`` against ``reference``; every
+    factor is exactly symmetric by construction.  Besides one factor per
+    grid axis, a single dense factor over all cells is accepted (the dense
+    test oracle).  ``underresolved`` is set when the kernel bandwidth
+    sqrt(2T) falls below twice the largest cell width.
     """
 
     grid: Grid
-    log_matrix: np.ndarray
     reference: ReferenceMeasure
     kind: str
     T: float
@@ -108,9 +173,9 @@ class GibbsKernel:
     underresolved: bool = False
 
     def __post_init__(self):
-        n = self.grid.n_cells
-        if self.log_matrix.shape != (n, n):
-            raise ValueError("log_matrix shape mismatch")
+        super().__post_init__()
+        if self.shape not in (self.grid.shape, (self.grid.n_cells,)):
+            raise ValueError("log factor shapes do not match the grid")
 
     @staticmethod
     def _bandwidth_flag(grid: Grid, T: float) -> bool:
@@ -127,9 +192,10 @@ class GibbsKernel:
         """Heat kernel at time T against the Lebesgue reference."""
         if T <= 0:
             raise ValueError("kernel needs T > 0")
-        log_m = -0.5 * grid.ndim * math.log(4.0 * math.pi * T) \
-            - _squared_distances(grid) / (4.0 * T)
-        return GibbsKernel(grid, log_m, ReferenceMeasure.lebesgue(grid),
+        c = -0.5 * math.log(4.0 * math.pi * T)
+        factors = tuple(c - _squared_distances(x) / (4.0 * T)
+                        for x in grid.axes)
+        return GibbsKernel(factors, grid, ReferenceMeasure.lebesgue(grid),
                            "heat", float(T), 0.0,
                            GibbsKernel._bandwidth_flag(grid, T))
 
@@ -138,14 +204,16 @@ class GibbsKernel:
         """OU kernel at time T against its stationary Gaussian N(0, I/κ)."""
         if T <= 0 or kappa <= 0:
             raise ValueError("OU kernel needs T > 0 and kappa > 0")
-        pts = grid.points()
-        sq = np.sum(pts ** 2, axis=1)
-        gram = _mirrored_gram(pts)
-        denom = 2.0 * math.expm1(2.0 * kappa * T)
-        quad = sq[:, None] + sq[None, :] - 2.0 * math.exp(kappa * T) * gram
-        log_m = -0.5 * grid.ndim * math.log(-math.expm1(-2.0 * kappa * T)) \
-            - (kappa / denom) * quad
-        return GibbsKernel(grid, log_m, ReferenceMeasure.gaussian(grid, kappa),
+        c = -0.5 * math.log(-math.expm1(-2.0 * kappa * T))
+        w = kappa / (2.0 * math.expm1(2.0 * kappa * T))
+        e = 2.0 * math.exp(kappa * T)
+        factors = []
+        for x in grid.axes:
+            sq = x ** 2
+            quad = sq[:, None] + sq[None, :] - e * np.multiply.outer(x, x)
+            factors.append(c - w * quad)
+        return GibbsKernel(tuple(factors), grid,
+                           ReferenceMeasure.gaussian(grid, kappa),
                            "ou", float(T), float(kappa),
                            GibbsKernel._bandwidth_flag(grid, T))
 
@@ -160,8 +228,7 @@ class GibbsKernel:
 
     def row_mass_defect(self) -> float:
         """max_i |Σ_j p(x_i,x_j) m_j - 1| (quadrature quality diagnostic)."""
-        rows = lse_matvec(self.log_matrix,
-                          self.reference.log_mass())
+        rows = self.lse(self.reference.log_mass())
         return float(np.max(np.abs(np.exp(rows) - 1.0)))
 
 
@@ -169,18 +236,21 @@ def lse_matvec(A: np.ndarray, v: np.ndarray,
                buf: np.ndarray | None = None) -> np.ndarray:
     """Row-wise log-sum-exp of A + v: out_i = LSE_j(A_ij + v_j).
 
+    ``v`` is (m,) for one vector or (k, m) for a batch, giving (n,) or
+    (k, n); each batch row is reduced exactly as a single call would.
     Handles -inf entries (treated as zero mass); rows that are entirely -inf
-    come out as -inf.  ``buf`` optionally reuses an (n, m) scratch array.
+    come out as -inf.  ``buf`` optionally reuses a v.shape[:-1] + (n, m)
+    scratch array.
     """
     if buf is None:
-        buf = np.empty_like(A)
-    np.add(A, v[None, :], out=buf)
-    m = np.max(buf, axis=1)
+        buf = np.empty(v.shape[:-1] + A.shape)
+    np.add(A, v[..., None, :], out=buf)
+    m = np.max(buf, axis=-1)
     finite = m > -np.inf
     shift = np.where(finite, m, 0.0)
-    np.subtract(buf, shift[:, None], out=buf)
+    np.subtract(buf, shift[..., None], out=buf)
     np.exp(buf, out=buf)
-    s = buf.sum(axis=1)
+    s = buf.sum(axis=-1)
     with np.errstate(divide="ignore"):
         out = shift + np.log(s)
     out[~finite] = -np.inf
@@ -200,5 +270,4 @@ def apply_semigroup(kernel: GibbsKernel, log_f: np.ndarray) -> np.ndarray:
         raise ValueError("semigroup input is identically zero")
     if np.any(np.isnan(log_f)) or np.any(np.isposinf(log_f)):
         raise ValueError("log_f must be in [-inf, +inf)")
-    return lse_matvec(kernel.log_matrix,
-                      log_f + kernel.reference.log_mass())
+    return kernel.lse(log_f + kernel.reference.log_mass())

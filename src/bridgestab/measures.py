@@ -184,7 +184,10 @@ class ReferenceMeasure:
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Probability vector on a grid; weights below MASS_FLOOR are exact zeros."""
+    """Probability vector on a grid; the support is where weights are > 0.
+
+    `from_weights` floors cells below MASS_FLOOR to exact zeros.
+    """
 
     grid: Grid
     weights: np.ndarray
@@ -348,13 +351,19 @@ def smooth_zero_mean_field(grid: Grid, mu: DiscreteMeasure,
 
 def perturbed_measure(mu: DiscreteMeasure, h: np.ndarray,
                       eps: float) -> DiscreteMeasure:
-    """(1 + ε h) μ for a bounded field h with ∫ h dμ = 0 and ε·sup|h| < 1."""
+    """(1 + ε h) μ for a bounded field h with ∫ h dμ = 0 and ε·sup|h| < 1.
+
+    The result has exactly the support of μ: it is normalized once and not
+    floored again, so cells of μ near MASS_FLOOR are kept (a floor here
+    would give the two measures different supports and infinite entropies).
+    """
     if abs(float(h @ mu.weights)) > 1e-8:
         raise ValueError("perturbation field must have zero mean under mu")
     fac = 1.0 + eps * h
     if np.any(fac[mu.support()] <= 0):
         raise ValueError("perturbation destroys positivity; shrink eps")
-    return DiscreteMeasure.from_weights(mu.grid, fac * mu.weights)
+    w = fac * mu.weights
+    return DiscreteMeasure(mu.grid, w / w.sum())
 
 
 # ---------------------------------------------------------------------------

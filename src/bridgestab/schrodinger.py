@@ -14,9 +14,10 @@ symmetric normalization  ∫φ dμ - H(μ|m) = ∫ψ dν - H(ν|m).
 Quadratic EOT,  S^ε = inf ∫|x-y|² dπ + ε H(π | μ⊗ν),  is solved by the same
 iteration against the Gibbs factor e^{-|x-y|²/ε}: one loop, `_sinkhorn`,
 serves both problems as plans π = e^{f ⊕ g + K}·(p ⊗ q), with K = log p_T and
-p = q = m for SP, and K = -|x-y|²/ε, p = μ, q = ν for EOT.  For an OU
-reference at curvature κ the two problems are equivalent through the time
-change ε = (4/κ) sinh(κT), and `eot_via_sp` evaluates S^ε through that
+p = q = m for SP, and K = -|x-y|²/ε, p = μ, q = ν for EOT.  Both K are
+separable over grid axes and reach the loop as a `LogKernel` operator.  For
+an OU reference at curvature κ the two problems are equivalent through the
+time change ε = (4/κ) sinh(κT), and `eot_via_sp` evaluates S^ε through that
 dictionary.
 """
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GibbsKernel, _squared_distances, lse_matvec
+from .kernels import GibbsKernel, LogKernel, _outer_sum, _squared_distances
 from .measures import (DiscreteMeasure, Grid, ReferenceMeasure,
                        relative_entropy, second_moment)
 
@@ -129,8 +130,8 @@ class SchrodingerSolution:
     def plan_marginals(self) -> tuple[np.ndarray, np.ndarray]:
         """Raw marginal weight vectors of the current plan."""
         u = self.reference.log_mass()
-        a = lse_matvec(self.kernel.log_matrix, self.psi + u)
-        b = lse_matvec(self.kernel.log_matrix, self.phi + u)
+        a = self.kernel.lse(self.psi + u)
+        b = self.kernel.lse(self.phi + u)
         mu_hat = np.exp(self.phi + u + a,
                         where=np.isfinite(self.phi), out=np.zeros_like(a))
         nu_hat = np.exp(self.psi + u + b,
@@ -150,12 +151,12 @@ def _check_problem(mu: DiscreteMeasure, nu: DiscreteMeasure,
             "a marginal charges a cell with zero reference mass")
 
 
-def _sinkhorn(K: np.ndarray, log_p: np.ndarray, log_q: np.ndarray,
+def _sinkhorn(K: LogKernel, log_p: np.ndarray, log_q: np.ndarray,
               mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float,
               max_iter: int, init_g: np.ndarray | None = None):
     """Log-domain Sinkhorn for plans π = e^{f ⊕ g + K}·(p ⊗ q), K symmetric.
 
-    Alternates  f = log μ - log p - LSE(K, g + log q)  on supp μ and the
+    Alternates  f = log μ - log p - K.lse(g + log q)  on supp μ and the
     mirror update for g on supp ν (both are -inf off the supports), and
     stops when the larger of the two L1 marginal residuals of the implied
     plan drops to ``tol``.  Returns (f, g, n_iter, history, converged).
@@ -167,12 +168,12 @@ def _sinkhorn(K: np.ndarray, log_p: np.ndarray, log_q: np.ndarray,
     log_mu = mu.log_weights()
     log_nu = nu.log_weights()
     s_mu, s_nu = mu.support(), nu.support()
-    buf = np.empty_like(K)
+    buf = K.scratch()
     n = mu.grid.n_cells
 
     g = np.zeros(n) if init_g is None \
         else np.asarray(init_g, dtype=float).copy()
-    lse_g = lse_matvec(K, g + log_q, buf)
+    lse_g = K.lse(g + log_q, buf)
 
     history = []
     converged = False
@@ -183,10 +184,10 @@ def _sinkhorn(K: np.ndarray, log_p: np.ndarray, log_q: np.ndarray,
     for n_done in range(1, max_iter + 1):
         f = np.full(n, -np.inf)
         f[s_mu] = log_mu[s_mu] - log_p[s_mu] - lse_g[s_mu]
-        lse_f = lse_matvec(K, f + log_p, buf)
+        lse_f = K.lse(f + log_p, buf)
         g = np.full(n, -np.inf)
         g[s_nu] = log_nu[s_nu] - log_q[s_nu] - lse_f[s_nu]
-        lse_g = lse_matvec(K, g + log_q, buf)
+        lse_g = K.lse(g + log_q, buf)
 
         mu_hat.fill(0.0)
         mu_hat[s_mu] = np.exp(f[s_mu] + log_p[s_mu] + lse_g[s_mu])
@@ -214,7 +215,7 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, kernel: GibbsKernel,
     ref = kernel.reference
     u = ref.log_mass()
     phi, psi, n_done, history, converged = _sinkhorn(
-        kernel.log_matrix, u, u, mu, nu, tol, max_iter, init_psi)
+        kernel, u, u, mu, nu, tol, max_iter, init_psi)
 
     h_mu = relative_entropy(mu, ref)
     h_nu = relative_entropy(nu, ref)
@@ -288,6 +289,7 @@ class EOTSolution:
     mu: DiscreteMeasure
     nu: DiscreteMeasure
     epsilon: float
+    kernel: LogKernel                 # -|x-y|²/ε, one factor per axis
     a: np.ndarray                     # log-domain potentials against μ⊗ν
     b: np.ndarray
     cost: float                       # S^ε = ∫|x-y|²dπ + εH(π|μ⊗ν)
@@ -314,9 +316,9 @@ class EOTSolution:
         return Phi + c, Psi - c
 
     def log_plan(self) -> Plan:
-        G = _squared_distances(self.mu.grid) / (-self.epsilon)
         lw = (self.a + self.mu.log_weights())[:, None] \
-            + (self.b + self.nu.log_weights())[None, :] + G
+            + (self.b + self.nu.log_weights())[None, :] \
+            + self.kernel.log_matrix
         return Plan(self.mu.grid, lw)
 
 
@@ -328,24 +330,25 @@ def eot_quadratic_direct(mu: DiscreteMeasure, nu: DiscreteMeasure,
         raise ValueError("marginals must share one grid")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    d2 = _squared_distances(mu.grid)
-    G = d2 / (-epsilon)
+    d2 = tuple(_squared_distances(x) for x in mu.grid.axes)
+    K = LogKernel(tuple(d / (-epsilon) for d in d2))
     log_mu = mu.log_weights()
     log_nu = nu.log_weights()
     a, b, n_done, history, converged = _sinkhorn(
-        G, log_mu, log_nu, mu, nu, tol, max_iter)
+        K, log_mu, log_nu, mu, nu, tol, max_iter)
 
     # primal value: transport term plus ε times entropy vs μ⊗ν; the entropy
     # equals Σ π (a ⊕ b + G) exactly by the factorized form of π
+    G = K.log_matrix
     lw = (a + log_mu)[:, None] + (b + log_nu)[None, :] + G
     mask = np.isfinite(lw)
     w = np.exp(lw[mask])
-    transport = float(np.sum(w * d2[mask]))
+    transport = float(np.sum(w * _outer_sum(d2)[mask]))
     ent = float(np.sum(w * (a[:, None] + b[None, :] + G)[mask]))
     cost = transport + epsilon * ent
 
-    return EOTSolution(mu=mu, nu=nu, epsilon=float(epsilon), a=a, b=b,
-                       cost=cost, n_iter=n_done,
+    return EOTSolution(mu=mu, nu=nu, epsilon=float(epsilon), kernel=K,
+                       a=a, b=b, cost=cost, n_iter=n_done,
                        marginal_residual=history[-1],
                        residual_history=np.asarray(history),
                        converged=converged)

@@ -217,3 +217,29 @@ def test_perturbation_battery_scenarios(tmp_path, scenario):
     summary = (tmp_path / "out3" / "summary.txt").read_text()
     assert "base problem did not converge; battery skipped" in summary
     assert "exit status: 3" in summary
+
+
+def test_stability_keeps_cells_near_the_mass_floor(tmp_path):
+    # the Gaussian tails reach the 1e-12 mass floor inside [-6, 6]; the
+    # perturbed marginals must keep exactly the supports of mu and nu, or
+    # H^sym of the two plans is +inf and stab_plans_fisher fails
+    out = tmp_path / "out"
+    cfg = {
+        "scenario": "stability",
+        "seed": 2,
+        "grid": {"bounds": [-6.0, 6.0], "shape": 256},
+        "kernel": {"kind": "ou", "T": 0.494, "kappa": 1.0},
+        "marginals": {
+            "mu": {"family": "gaussian", "mean": [-1.12], "sigma": 0.985},
+            "nu": {"family": "gaussian", "mean": [1.34], "sigma": 0.90},
+        },
+        "perturbation": {"epsilons": [0.05, 0.2], "n_seeds": 2},
+        "output": {"dir": str(out)},
+    }
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main(["--config", str(path)]) == 0
+    reports, _ = read_reports(out)
+    assert len(reports) == 8
+    for r in reports:
+        assert r["passed"] and not r["vacuous"], r["name"]
+        assert r["lhs"] != "inf", r["name"]

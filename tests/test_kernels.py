@@ -1,5 +1,6 @@
 """Heat and Ornstein-Uhlenbeck transition kernels and log-space semigroup action."""
 
+import dataclasses
 import math
 import warnings
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import bridgestab as bs
-from bridgestab.kernels import BandwidthWarning, lse_matvec
+from bridgestab.kernels import BandwidthWarning, LogKernel, lse_matvec
 
 
 def test_heat_kernel_prefactor():
@@ -193,3 +194,113 @@ def test_at_time_rescales():
     assert early.T == 0.3
     assert np.allclose(early.log_matrix, direct.log_matrix, atol=1e-12)
     assert abs(ker.curvature_factor() - bs.curvature_factor(0.9, 1.0)) < 1e-15
+
+
+def _old_dense_log_matrix(grid, kind, T, kappa=0.0):
+    """The dense n×n formula the per-axis factors replaced (test oracle)."""
+    pts = grid.points()
+    sq = np.sum(pts ** 2, axis=1)
+    g = pts @ pts.T
+    gram = np.triu(g) + np.triu(g, 1).T
+    if kind == "heat":
+        d2 = sq[:, None] + sq[None, :] - 2.0 * gram
+        np.maximum(d2, 0.0, out=d2)
+        return -0.5 * grid.ndim * math.log(4.0 * math.pi * T) - d2 / (4.0 * T)
+    denom = 2.0 * math.expm1(2.0 * kappa * T)
+    quad = sq[:, None] + sq[None, :] - 2.0 * math.exp(kappa * T) * gram
+    return -0.5 * grid.ndim * math.log(-math.expm1(-2.0 * kappa * T)) \
+        - (kappa / denom) * quad
+
+
+def _kernels(grid, times):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BandwidthWarning)
+        for T in times:
+            yield "heat", T, 0.0, bs.GibbsKernel.heat(grid, T)
+            yield "ou", T, 0.7, bs.GibbsKernel.ou(grid, T, 0.7)
+
+
+@pytest.mark.parametrize("bounds,n", [((-6.0, 6.0), 256), ((-8.0, 10.0), 320),
+                                      ((-3.3, 7.1), 97)])
+def test_1d_factor_is_old_dense_formula_bit_for_bit(bounds, n):
+    g = bs.Grid.regular(bounds, n)
+    for kind, T, kappa, ker in _kernels(g, (3.0, 0.494, 0.05, 1.0 / 64)):
+        old = _old_dense_log_matrix(g, kind, T, kappa)
+        assert ker.log_matrix is ker.log_factors[0]
+        assert np.array_equal(ker.log_matrix.view(np.uint64),
+                              old.view(np.uint64)), (kind, T)
+
+
+def _rel_err(a, b):
+    fin = np.isfinite(b)
+    return float(np.max(np.abs(a[fin] - b[fin])
+                        / np.maximum(1.0, np.abs(b[fin]))))
+
+
+def test_separable_2d_operator_matches_dense_oracle(rng):
+    # non-square grid with asymmetric bounds; T = 1/16 is under-resolved
+    g = bs.Grid.regular([(-2.5, 3.5), (-1.0, 2.6)], [12, 9])
+    pts = g.points()
+    n = g.n_cells
+    pair = rng.integers(0, n, size=(200, 2))
+    v = rng.normal(0.0, 3.0, n)
+    v[rng.random(n) < 0.3] = -np.inf
+    v.reshape(g.shape)[4, :] = -np.inf       # a whole axis-1 line
+    v.reshape(g.shape)[:, 2] = -np.inf       # a whole axis-0 line
+    spike = np.full(n, -np.inf)
+    spike[17] = 0.5
+    for kind, T, kappa, ker in _kernels(g, (1.0, 0.25, 1.0 / 16)):
+        dense = ker.log_matrix
+        assert dense.shape == (n, n)
+        assert np.array_equal(dense, dense.T)
+        old = _old_dense_log_matrix(g, kind, T, kappa)
+        assert _rel_err(dense, old) <= 1e-13, (kind, T)
+        for i, j in pair:
+            p = (bs.heat_kernel(pts[i], pts[j], T) if kind == "heat"
+                 else bs.ou_kernel(pts[i], pts[j], T, kappa))
+            assert abs(dense[i, j] - math.log(p)) \
+                <= 1e-12 * max(1.0, abs(math.log(p)))
+        log_m = ker.reference.log_mass()
+        for w in (v, spike, np.zeros(n)):
+            got = ker.lse(w)
+            want = lse_matvec(dense, w)
+            assert np.array_equal(np.isneginf(got), np.isneginf(want))
+            assert _rel_err(got, want) <= 1e-13, (kind, T)
+            got = bs.apply_semigroup(ker, w)
+            want = lse_matvec(dense, w + log_m)
+            assert np.array_equal(np.isneginf(got), np.isneginf(want))
+            assert _rel_err(got, want) <= 1e-13, (kind, T)
+        assert np.all(np.isneginf(ker.lse(np.full(n, -np.inf))))
+        defect = np.max(np.abs(np.exp(lse_matvec(dense, log_m)) - 1.0))
+        assert abs(ker.row_mass_defect() - defect) <= 1e-13
+
+
+def test_batched_lse_matvec_is_a_loop_of_single_calls(rng):
+    A = rng.normal(0.0, 2.0, (7, 5))
+    A[2, 3] = -np.inf
+    A[5, :] = -np.inf
+    V = rng.normal(0.0, 3.0, (4, 5))
+    V[1, :] = -np.inf
+    V[3, [0, 4]] = -np.inf
+    loop = np.stack([lse_matvec(A, row) for row in V])
+    for buf in (None, np.empty((4, 7, 5))):
+        batched = lse_matvec(A, V, buf)
+        assert batched.shape == (4, 7)
+        assert np.array_equal(batched.view(np.uint64), loop.view(np.uint64))
+    # a transposed (non-contiguous) batch, as the 2D operator passes it
+    W = rng.normal(0.0, 3.0, (5, 4)).T
+    loop = np.stack([lse_matvec(A, row.copy()) for row in W])
+    assert np.array_equal(lse_matvec(A, W).view(np.uint64),
+                          loop.view(np.uint64))
+
+
+def test_kernel_factor_shapes_are_checked():
+    with pytest.raises(ValueError):
+        LogKernel((np.zeros((3, 4)),))
+    g = bs.Grid.regular([(-1.0, 1.0), (-1.0, 1.0)], [4, 3])
+    ker = bs.GibbsKernel.heat(g, 1.0)
+    with pytest.raises(ValueError):
+        dataclasses.replace(ker, log_factors=ker.log_factors[::-1])
+    dense = dataclasses.replace(ker, log_factors=(ker.log_matrix,))
+    assert np.array_equal(dense.lse(np.zeros(12)),
+                          lse_matvec(ker.log_matrix, np.zeros(12)))
