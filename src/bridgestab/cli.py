@@ -557,13 +557,10 @@ def _run_interpolate(cfg, rng) -> ScenarioResult:
                          f"{sol.n_iter} iterations")
         return res
     curve = interpolate(sol, n_times=sect.get("n_times", 9))
-    pts = grid.points()
     coords = [f"x{i}" for i in range(grid.ndim)]
-    rows = []
-    for k, t in enumerate(curve.times):
-        for i in range(grid.n_cells):
-            rows.append([float(t), *map(float, pts[i]),
-                         float(curve.densities[k][i])])
+    rows = np.column_stack([np.repeat(curve.times, grid.n_cells),
+                            np.tile(grid.points(), (len(curve.times), 1)),
+                            curve.densities.reshape(-1)]).tolist()
     res.tables.append(Table("interpolation", ["t", *coords, "weight"], rows))
     res.records.append({"record": "interpolation_mass",
                         "masses": [float(m) for m in curve.masses]})
@@ -675,12 +672,24 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+_PLAIN_CELLS = (float, int, str)
+
+
 def _csv_cell(v) -> str:
     if isinstance(v, bool) or isinstance(v, np.bool_):
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
+
+
+def _csv_row(row: list) -> list:
+    """Rows of plain floats, ints and strings go to `csv.writer` as they
+    are (it writes repr(float) and str of the rest, as `_csv_cell` does);
+    others are formatted cell by cell."""
+    if all(type(v) in _PLAIN_CELLS for v in row):
+        return row
+    return [_csv_cell(v) for v in row]
 
 
 def _write_outputs(out: Path, cfg: dict, digest: str,
@@ -699,8 +708,7 @@ def _write_outputs(out: Path, cfg: dict, digest: str,
         with open(out / path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(t.header)
-            for row in t.rows:
-                w.writerow([_csv_cell(v) for v in row])
+            w.writerows(_csv_row(row) for row in t.rows)
         lines.append(json.dumps(
             {"record": "table", "name": t.name, "path": path,
              "rows": len(t.rows), "inputs_digest": digest}, sort_keys=True))

@@ -14,7 +14,12 @@ Applying the semigroup to e^f adds the reference log masses:
 
     (log P_T e^f)_i = LSE_j( log p_T(x_i, x_j) + log m_j + f_j ),
 
-which never leaves the log domain.  The curvature factor
+which never leaves the log domain.  The one exception is `AnchoredLSE`,
+the operator behind the Sinkhorn loop: near a cached anchor v̄ it computes
+the same LSE as a matrix product against the exp buffer of v̄ with bounded
+weights e^{v - v̄} (log-absorbed scaling, Schmitzer 2019,
+arXiv:1610.06519), and re-anchors in the log domain otherwise.  The
+curvature factor
 
     E_{2κ}(t) = ∫_0^t e^{2κs} ds = (e^{2κt} - 1) / (2κ)
 
@@ -109,8 +114,9 @@ class LogKernel:
     Over cells in flat C order,
     ``K[(i_0, i_1), (j_0, j_1)] = log_factors[0][i_0, j_0]
     + log_factors[1][i_1, j_1]``; a single factor is K itself.  `lse` is
-    the one operator every consumer uses; `log_matrix` is a dense view for
-    the dense plans and the test oracles.
+    the one operator every consumer uses (the Sinkhorn loop through
+    `AnchoredLSE`, which re-anchors through the same per-axis reduction);
+    `log_matrix` is a dense view for the dense plans and the test oracles.
     """
 
     log_factors: tuple[np.ndarray, ...]
@@ -132,21 +138,19 @@ class LogKernel:
         return _outer_sum(self.log_factors)
 
     def scratch(self) -> tuple[np.ndarray, ...]:
-        """One reusable `lse_matvec` buffer per axis for repeated `lse`."""
+        """One `lse_matvec` buffer per axis, shaped for the batched
+        reduction of that axis in `lse`."""
         s = self.shape
         return tuple(np.empty(s[:k] + s[k + 1:] + f.shape)
                      for k, f in enumerate(self.log_factors))
 
-    def lse(self, v: np.ndarray,
-            scratch: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+    def lse(self, v: np.ndarray) -> np.ndarray:
         """out_i = LSE_j(K_ij + v_j) over flat cells, one axis at a time
         (last axis first); -inf entries of v carry zero mass."""
-        if scratch is None:
-            scratch = self.scratch()
         x = v.reshape(self.shape)
         for k in reversed(range(len(self.log_factors))):
-            x = lse_matvec(self.log_factors[k], x.swapaxes(k, -1),
-                           scratch[k]).swapaxes(k, -1)
+            x = lse_matvec(self.log_factors[k],
+                           x.swapaxes(k, -1)).swapaxes(k, -1)
         return x.reshape(-1)
 
 
@@ -235,7 +239,8 @@ def lse_matvec(A: np.ndarray, v: np.ndarray,
     (k, n); each batch row is reduced exactly as a single call would.
     Handles -inf entries (treated as zero mass); rows that are entirely -inf
     come out as -inf.  ``buf`` optionally reuses a v.shape[:-1] + (n, m)
-    scratch array.
+    scratch array; on return it holds exp(A_ij + v_j - M_i), with M_i the
+    row maximum (0 on rows that are all -inf).
     """
     if buf is None:
         buf = np.empty(v.shape[:-1] + A.shape)
@@ -250,6 +255,83 @@ def lse_matvec(A: np.ndarray, v: np.ndarray,
         out = shift + np.log(s)
     out[~finite] = -np.inf
     return out
+
+
+# sup-norm radius τ of an `AnchoredLSE` anchor.  Weights e^{v - v̄} stay in
+# [e^-τ, e^τ] and a live row sum stays above e^-τ, so flushing the entries
+# of an anchor's exp buffer below tiny·e^τ (subnormal products make a matrix
+# product several times slower) changes a row sum by less than
+# m·tiny·e^{3τ} ≈ m·3e-243 relative.
+ANCHOR_RADIUS = 50.0
+
+
+class AnchoredLSE:
+    """`K.lse(v)` for a sequence of nearby v, from a cached anchor.
+
+    Re-anchoring at v̄ runs `K.lse(v̄)` through `lse_matvec`, which leaves
+    E_k = exp(F_k + x̄_k - s_k) in the buffer of axis k, for that axis's
+    input x̄_k and row shifts s_k.  While v keeps the -inf pattern of v̄ and
+    max|v - v̄| ≤ τ on its other entries, each axis then returns
+
+        LSE_j(F_k[i, j] + x_j) = s_k[i] + log Σ_j E_k[i, j] e^{x_j - x̄_j}
+
+    (weight 0 where x̄_j = -inf): one batched matrix product, no exp of an
+    n×n array.  LSE is 1-Lipschitz in the sup norm and keeps -inf patterns,
+    so the input of every later axis stays within τ of its anchor as well.
+    Any other v re-anchors; ``n_anchors`` counts the anchors taken.
+    """
+
+    def __init__(self, K: LogKernel):
+        self.K = K
+        self.buf = K.scratch()
+        self.n_anchors = 0
+        self._live: np.ndarray | None = None  # entries of v̄ above -inf
+        self._v_live: np.ndarray | None = None  # v̄ on those entries
+        # per axis in reduction order: (x̄ with +inf for -inf, row shifts)
+        self._axes: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        if not self._near(v):
+            return self._anchor(v)
+        x = v.reshape(self.K.shape)
+        for k, (xbar, shift) in zip(reversed(range(len(self.buf))),
+                                    self._axes):
+            # e^{x - x̄}; where x = x̄ = -inf this is e^{-inf - inf} = 0
+            w = np.exp(x.swapaxes(k, -1) - xbar)
+            s = np.matmul(self.buf[k], w[..., None])[..., 0]
+            with np.errstate(divide="ignore"):
+                x = (shift + np.log(s)).swapaxes(k, -1)
+        return x.reshape(-1)
+
+    def _near(self, v: np.ndarray) -> bool:
+        """Same -inf pattern as v̄ and max|v - v̄| ≤ τ (False on NaN)."""
+        live = self._live
+        if live is None or not np.array_equal(~np.isneginf(v), live):
+            return False
+        d = np.abs(v[live] - self._v_live)
+        return bool(d.max(initial=0.0) <= ANCHOR_RADIUS)
+
+    def _anchor(self, v: np.ndarray) -> np.ndarray:
+        self.n_anchors += 1
+        self._live = ~np.isneginf(v)
+        self._v_live = v[self._live]
+        self._axes = []
+        floor = np.finfo(float).tiny * math.exp(ANCHOR_RADIUS)
+        x = v.reshape(self.K.shape)
+        for k in reversed(range(len(self.buf))):
+            xk = x.swapaxes(k, -1)
+            E = self.buf[k]
+            out = lse_matvec(self.K.log_factors[k], xk, E)
+            # s_k = out - log Σ_j E_k[i, j], so that v = v̄ returns out
+            # itself; rows that are all -inf keep s_k = 0 and E_k = 0
+            live = out > -np.inf
+            shift = np.zeros(out.shape)
+            np.log(E.sum(axis=-1), out=shift, where=live)
+            np.subtract(out, shift, out=shift, where=live)
+            np.copyto(E, 0.0, where=E < floor)
+            self._axes.append((np.where(np.isneginf(xk), np.inf, xk), shift))
+            x = out.swapaxes(k, -1)
+        return x.reshape(-1)
 
 
 def apply_semigroup(kernel: GibbsKernel, log_f: np.ndarray) -> np.ndarray:

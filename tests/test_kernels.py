@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import bridgestab as bs
-from bridgestab.kernels import BandwidthWarning, LogKernel, lse_matvec
+from bridgestab import kernels
+from bridgestab.kernels import (AnchoredLSE, BandwidthWarning, LogKernel,
+                                lse_matvec)
 
 
 def test_heat_kernel_prefactor():
@@ -303,3 +305,88 @@ def test_kernel_factor_shapes_are_checked():
         dataclasses.replace(ker, log_factors=ker.log_factors[::-1])
     with pytest.raises(ValueError):
         dataclasses.replace(ker, log_factors=(ker.log_matrix,))
+
+
+def _anchored_cases(rng):
+    """(kernel, anchor input) pairs: 1D heat at small time, 1D OU, and the
+    asymmetric 12×9 grid with -inf entries and whole -inf grid lines."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BandwidthWarning)
+        g1 = bs.Grid.regular([(-8.0, 10.0)], [320])
+        x = g1.axes[0]
+        # potential-like input: a drift of order 1/T over a Gaussian log mass
+        v1 = 25.0 * x - 0.5 * x ** 2 + rng.normal(0.0, 1.0, x.size)
+        yield "heat-1d", bs.GibbsKernel.heat(g1, 0.02), v1
+        yield "ou-1d", bs.GibbsKernel.ou(g1, 0.3, 1.0), 0.2 * v1
+        g2 = bs.Grid.regular([(-2.5, 3.5), (-1.0, 2.6)], [12, 9])
+        n = g2.n_cells
+        v2 = rng.normal(0.0, 3.0, n)
+        v2[rng.random(n) < 0.3] = -np.inf
+        v2.reshape(g2.shape)[4, :] = -np.inf
+        v2.reshape(g2.shape)[:, 2] = -np.inf
+        yield "heat-2d", bs.GibbsKernel.heat(g2, 1.0 / 16), v2
+        yield "ou-2d", bs.GibbsKernel.ou(g2, 0.25, 0.7), v2
+
+
+def _assert_matches_lse(got, K, v):
+    want = K.lse(v)
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    assert _rel_err(got, want) <= 1e-13
+
+
+def test_anchored_lse_matches_lse_near_its_anchor(rng):
+    tau = kernels.ANCHOR_RADIUS
+    for name, K, v in _anchored_cases(rng):
+        op = AnchoredLSE(K)
+        _assert_matches_lse(op(v), K, v)
+        live = np.isfinite(v)
+        for scale in (1e-6, 1.0, 0.45 * tau, 0.99 * tau):
+            w = v.copy()
+            w[live] += rng.uniform(-scale, scale, live.sum())
+            _assert_matches_lse(op(w), K, w)
+        assert op.n_anchors == 1, name
+
+
+def test_anchored_lse_reanchors_past_the_radius(rng):
+    tau = kernels.ANCHOR_RADIUS
+    for name, K, v in _anchored_cases(rng):
+        op = AnchoredLSE(K)
+        op(v)
+        i = int(np.flatnonzero(np.isfinite(v))[5])
+        for step in (1.01 * tau, -1.01 * tau):
+            w = v.copy()
+            w[i] += step
+            _assert_matches_lse(op(w), K, w)
+        assert op.n_anchors == 3, name
+        # the last anchor serves its own neighbourhood again
+        _assert_matches_lse(op(w + 0.5), K, w + 0.5)
+        assert op.n_anchors == 3, name
+
+
+def test_anchored_lse_reanchors_on_a_new_inf_pattern(rng):
+    for name, K, v in _anchored_cases(rng):
+        op = AnchoredLSE(K)
+        op(v)
+        fin = np.flatnonzero(np.isfinite(v))
+        w = v.copy()
+        w[fin[3]] = -np.inf                  # one more -inf entry
+        _assert_matches_lse(op(w), K, w)
+        u = w.copy()
+        u[fin[3]] = w[fin[4]]                # live again: the pattern of v
+        _assert_matches_lse(op(u), K, u)
+        assert op.n_anchors == 3, name
+        dead = np.full(v.size, -np.inf)      # no mass at all
+        assert np.all(np.isneginf(op(dead)))
+        assert np.all(np.isneginf(op(dead)))
+        assert op.n_anchors == 4, name
+
+
+def test_forced_reanchor_is_lse_bit_for_bit(rng, monkeypatch):
+    # with a negative radius every call re-anchors: the log-domain path
+    monkeypatch.setattr(kernels, "ANCHOR_RADIUS", -1.0)
+    for name, K, v in _anchored_cases(rng):
+        op = AnchoredLSE(K)
+        for w in (v, v + 1e-9, v - 3.0):
+            assert np.array_equal(op(w).view(np.uint64),
+                                  K.lse(w).view(np.uint64)), name
+        assert op.n_anchors == 3, name

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bridgestab as bs
+from bridgestab import kernels
 from bridgestab.schrodinger import InfeasibleProblem
 
 
@@ -288,3 +289,68 @@ def test_solution_exposes_entropies(ou_sol, gauss_pair, grid128):
     ref = bs.ReferenceMeasure.gaussian(grid128, kappa=1.0)
     assert abs(ou_sol.h_mu - bs.relative_entropy(mu, ref)) < 1e-12
     assert abs(ou_sol.h_nu - bs.relative_entropy(nu, ref)) < 1e-12
+
+
+def _sp_case(kind, T, partial=False):
+    def run():
+        g = bs.Grid.regular([(-8.0, 10.0)], [320])
+        mu = bs.gaussian_measure(g, [-1.0], 1.0)
+        nu = bs.uniform_measure(g, 0.2, 2.5) if partial \
+            else bs.gaussian_measure(g, [1.0], 1.0)
+        ker = bs.GibbsKernel.heat(g, T) if kind == "heat" \
+            else bs.GibbsKernel.ou(g, T, 1.0)
+        sol = bs.solve(mu, nu, ker)
+        return sol.n_iter, sol.converged, sol.phi, sol.psi
+    return run
+
+
+def _eot_case(epsilon):
+    def run():
+        g = bs.Grid.regular([(-4.0, 4.0)], [160])
+        mu = bs.uniform_measure(g, -1.0, 1.5)
+        nu = bs.gaussian_measure(g, [0.5], 0.8)
+        sol = bs.eot_quadratic_direct(mu, nu, epsilon)
+        return sol.n_iter, sol.converged, sol.a, sol.b
+    return run
+
+
+def _grid_2d_case():
+    g = bs.Grid.regular([(-4.0, 4.5), (-3.5, 3.0)], [16, 12])
+    mu = bs.gaussian_measure(g, [-0.8, 0.3], [0.9, 1.1])
+    nu = bs.uniform_measure(g, [-1.0, -1.5], [2.5, 2.0])
+    sol = bs.solve(mu, nu, bs.GibbsKernel.ou(g, T=0.8, kappa=1.0))
+    return sol.n_iter, sol.converged, sol.phi, sol.psi
+
+
+@pytest.mark.parametrize("run", [
+    _sp_case("heat", 0.05), _sp_case("heat", 0.02), _sp_case("ou", 0.1),
+    _eot_case(0.3), _eot_case(1.0), _sp_case("heat", 0.05, partial=True),
+    _grid_2d_case,
+], ids=["heat-0.05", "heat-0.02", "ou", "eot-0.3", "eot-1.0",
+        "partial-nu", "ou-2d"])
+def test_anchored_sinkhorn_matches_log_domain_loop(run, monkeypatch):
+    # the oracle re-anchors on every call, which is the log-domain loop
+    # (K.lse through lse_matvec) bit for bit
+    calls = []
+    real = kernels.lse_matvec
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "lse_matvec", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", bs.BandwidthWarning)
+        n_iter, converged, f, g = run()
+        fast_calls = len(calls)
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "ANCHOR_RADIUS", -1.0)
+            ref_iter, ref_converged, ref_f, ref_g = run()
+    assert converged and ref_converged
+    assert n_iter == ref_iter
+    # the anchored run really took the matrix-product path
+    assert fast_calls < len(calls) - fast_calls
+    for a, b in ((f, ref_f), (g, ref_g)):
+        fin = np.isfinite(b)
+        assert np.array_equal(np.isfinite(a), fin)
+        assert np.max(np.abs(a[fin] - b[fin])) <= 1e-12
