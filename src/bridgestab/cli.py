@@ -1,8 +1,11 @@
 """Batch front end: configure, run, and report the experiment batteries.
 
 One declarative YAML config describes a scenario (solver run, stability
-battery, small-time curve, ...).  The runner writes, into the output
-directory:
+battery, small-time curve, ...).  `SCENARIOS` has one entry per scenario:
+its description, kernel schema, marginals, config blocks, 1D and seed
+flags, and runner.  `validate` and ``--list-scenarios`` walk that table;
+`_BLOCKS` holds each block's field rules and runner defaults.  The runner
+writes, into the output directory:
 
 * ``report.jsonl``  — one inequality report or table descriptor per line,
   each carrying the config digest; byte-identical across reruns with the
@@ -12,8 +15,9 @@ directory:
   timestamp).
 
 Exit codes: 0 all checks pass, 1 at least one inequality fails,
-2 configuration error, 3 numerical non-convergence.  When several apply,
-2 wins over 3 wins over 1.
+2 configuration error (a field that breaks its rule, or marginal data
+that cannot be built; stderr names the field), 3 numerical
+non-convergence.  When several apply, 2 wins over 3 wins over 1.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import hashlib
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,227 +72,6 @@ from .reports import InequalityReport, make_equality_report, make_report
 from .schrodinger import InfeasibleProblem, NotConverged, eot_quadratic_direct, solve
 from .sobolev import w2_h_minus_one_comparison
 
-SCENARIOS = {
-    "solve": "solve one Schrödinger problem; write potentials and costs",
-    "stability": "plan-stability battery over perturbed marginal pairs",
-    "cost-stability": "cost-stability battery over perturbed marginal pairs",
-    "eot-stability": "quadratic entropic-transport stability battery",
-    "corrector": "corrector bounds on random smooth marginal pairs",
-    "smalltime": "T·cost against W2²/4 along a decreasing time list",
-    "gradient-map": "Schrödinger map against the monotone transport map",
-    "interpolate": "entropic interpolation, dynamic cost and decay checks",
-    "sobolev": "W2 against the weighted H^{-1} norm on perturbations",
-    "orlicz": "exponential-Orlicz identities and log-integrability bounds",
-}
-
-_RANDOMIZED = {"stability", "cost-stability", "eot-stability", "corrector",
-               "sobolev", "orlicz"}
-_NEEDS_1D = {"smalltime", "gradient-map", "sobolev"}
-
-
-# ---------------------------------------------------------------------------
-# config loading and validation
-# ---------------------------------------------------------------------------
-
-def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _normalize(cfg: dict) -> dict:
-    """Fill shape conveniences (scalar bounds/shape in 1D) and defaults."""
-    out = json.loads(json.dumps(cfg))  # deep copy, YAML scalars only
-    g = out.get("grid")
-    if isinstance(g, dict):
-        b = g.get("bounds")
-        if (isinstance(b, list) and len(b) == 2 and all(_is_num(v) for v in b)):
-            g["bounds"] = [b]
-        s = g.get("shape")
-        if _is_num(s):
-            g["shape"] = [int(s)]
-    out.setdefault("solver", {})
-    if isinstance(out["solver"], dict):
-        out["solver"].setdefault("tol", 1e-9)
-        out["solver"].setdefault("max_iter", 100_000)
-    return out
-
-
-def _check_marginal(spec, path: str, ndim: int, errs: list[str]):
-    if not isinstance(spec, dict) or "family" not in spec:
-        errs.append(f"{path}: mapping with a 'family' key required")
-        return
-    fam = spec["family"]
-    if fam == "gaussian":
-        if "mean" not in spec or "sigma" not in spec:
-            errs.append(f"{path}: gaussian needs 'mean' and 'sigma'")
-        elif not _is_num(spec["sigma"]) or spec["sigma"] <= 0:
-            errs.append(f"{path}.sigma: positive number required")
-    elif fam == "uniform":
-        if "lo" not in spec or "hi" not in spec:
-            errs.append(f"{path}: uniform needs 'lo' and 'hi'")
-    elif fam == "mixture":
-        comps = spec.get("components")
-        if not isinstance(comps, list) or not comps:
-            errs.append(f"{path}.components: nonempty list required")
-        else:
-            for i, c in enumerate(comps):
-                if not isinstance(c, dict) or \
-                        not {"weight", "mean", "sigma"} <= set(c):
-                    errs.append(f"{path}.components[{i}]: needs "
-                                "'weight', 'mean', 'sigma'")
-    elif fam == "random":
-        pass
-    elif fam == "csv":
-        if "path" not in spec:
-            errs.append(f"{path}: csv needs 'path'")
-    else:
-        errs.append(f"{path}.family: unknown family {fam!r}")
-
-
-def validate(cfg) -> list[str]:
-    """All violations that make the config unrunnable, with field paths.
-
-    An empty list means the config can run.  Soft conditions (for example a
-    kernel bandwidth below the grid resolution) warn at run time and are not
-    violations.
-    """
-    errs: list[str] = []
-    if not isinstance(cfg, dict):
-        return ["config: top-level mapping required"]
-    cfg = _normalize(cfg)
-    scen = cfg.get("scenario")
-    if scen not in SCENARIOS:
-        errs.append(f"scenario: one of {sorted(SCENARIOS)} required, "
-                    f"got {scen!r}")
-        return errs
-
-    if scen in _RANDOMIZED and not isinstance(cfg.get("seed"), int):
-        errs.append("seed: integer seed is mandatory for randomized "
-                    f"scenario {scen!r}")
-    if "seed" in cfg and not isinstance(cfg["seed"], int):
-        errs.append("seed: integer required")
-
-    ndim = 0
-    if scen != "orlicz":
-        g = cfg.get("grid")
-        if not isinstance(g, dict):
-            errs.append("grid: mapping with 'bounds' and 'shape' required")
-        else:
-            b, s = g.get("bounds"), g.get("shape")
-            if not (isinstance(b, list) and b and
-                    all(isinstance(p, list) and len(p) == 2 and
-                        all(_is_num(v) for v in p) and p[0] < p[1]
-                        for p in b)):
-                errs.append("grid.bounds: list of [lo, hi] pairs with "
-                            "lo < hi required")
-            if not (isinstance(s, list) and s and
-                    all(isinstance(n, int) and n >= 2 for n in s)):
-                errs.append("grid.shape: list of integers >= 2 required")
-            if isinstance(b, list) and isinstance(s, list) and \
-                    len(b) != len(s):
-                errs.append("grid: bounds and shape must have equal length")
-            elif isinstance(b, list) and len(b) > 2:
-                errs.append("grid: at most two dimensions are supported")
-            elif isinstance(b, list):
-                ndim = len(b)
-        if scen in _NEEDS_1D and ndim not in (0, 1):
-            errs.append(f"grid: scenario {scen!r} is one-dimensional")
-
-    k = cfg.get("kernel")
-    needs_kernel = scen not in {"sobolev", "orlicz"}
-    if needs_kernel and not isinstance(k, dict):
-        errs.append("kernel: mapping required")
-    elif isinstance(k, dict):
-        if scen == "eot-stability":
-            if not (_is_num(k.get("epsilon")) and k["epsilon"] > 0):
-                errs.append("kernel.epsilon: positive number required for "
-                            "eot-stability")
-        elif scen in {"smalltime", "gradient-map"}:
-            if not (_is_num(k.get("kappa")) and k["kappa"] >= 0):
-                errs.append("kernel.kappa: number >= 0 required "
-                            f"(0 means heat kernel) for {scen}")
-        elif needs_kernel:
-            kind = k.get("kind")
-            if kind not in {"heat", "ou"}:
-                errs.append("kernel.kind: 'heat' or 'ou' required")
-            if not (_is_num(k.get("T")) and k["T"] > 0):
-                errs.append("kernel.T: positive number required")
-            if kind == "ou" and not (_is_num(k.get("kappa"))
-                                     and k["kappa"] > 0):
-                errs.append("kernel.kappa: positive number required when "
-                            "kernel.kind is 'ou'")
-
-    needs_marginals = scen in {"solve", "stability", "cost-stability",
-                               "eot-stability", "smalltime", "gradient-map",
-                               "interpolate"}
-    m = cfg.get("marginals")
-    if needs_marginals or scen == "sobolev":
-        if not isinstance(m, dict):
-            errs.append("marginals: mapping with 'mu' (and 'nu') required")
-        else:
-            _check_marginal(m.get("mu"), "marginals.mu", ndim, errs)
-            if scen != "sobolev":
-                _check_marginal(m.get("nu"), "marginals.nu", ndim, errs)
-            if any(isinstance(v, dict) and v.get("family") == "random"
-                   for v in m.values()) and not isinstance(cfg.get("seed"),
-                                                           int):
-                errs.append("seed: required when a marginal family is "
-                            "'random'")
-
-    if scen in {"stability", "cost-stability", "eot-stability"}:
-        p = cfg.get("perturbation")
-        if not isinstance(p, dict):
-            errs.append("perturbation: mapping with 'epsilons' and "
-                        "'n_seeds' required")
-        else:
-            eps = p.get("epsilons")
-            if not (isinstance(eps, list) and eps and
-                    all(_is_num(e) and 0 < e < 1 for e in eps)):
-                errs.append("perturbation.epsilons: list of numbers in "
-                            "(0, 1) required")
-            if not (isinstance(p.get("n_seeds"), int) and p["n_seeds"] >= 1):
-                errs.append("perturbation.n_seeds: integer >= 1 required")
-
-    if scen == "corrector":
-        c = cfg.get("corrector", {})
-        if not isinstance(c, dict) or \
-                not (isinstance(c.get("n_pairs", 1), int)
-                     and c.get("n_pairs", 1) >= 1):
-            errs.append("corrector.n_pairs: integer >= 1 required")
-
-    for scen_key, key in (("smalltime", "smalltime"),
-                          ("gradient-map", "gradient_map")):
-        if scen == scen_key:
-            sect = cfg.get(key)
-            tl = sect.get("T_list") if isinstance(sect, dict) else None
-            if not (isinstance(tl, list) and len(tl) >= 2 and
-                    all(_is_num(t) and t > 0 for t in tl)):
-                errs.append(f"{key}.T_list: list of >= 2 positive times "
-                            "required")
-            elif any(tl[i + 1] >= tl[i] for i in range(len(tl) - 1)):
-                errs.append(f"{key}.T_list: times must decrease strictly "
-                            "(the curve checks gaps along T ↓ 0)")
-
-    if scen == "interpolate":
-        sect = cfg.get("interpolate", {})
-        if isinstance(sect, dict):
-            for kk, lo in (("n_times", 2), ("n_slices", 2)):
-                if kk in sect and not (isinstance(sect[kk], int)
-                                       and sect[kk] >= lo):
-                    errs.append(f"interpolate.{kk}: integer >= {lo} required")
-        else:
-            errs.append("interpolate: mapping expected")
-
-    sv = cfg.get("solver")
-    if isinstance(sv, dict):
-        if not (_is_num(sv.get("tol", 1e-9)) and sv.get("tol", 1e-9) > 0):
-            errs.append("solver.tol: positive number required")
-        if not (isinstance(sv.get("max_iter", 1), int)
-                and sv.get("max_iter", 1) >= 1):
-            errs.append("solver.max_iter: integer >= 1 required")
-    elif sv is not None:
-        errs.append("solver: mapping expected")
-    return errs
-
 
 # ---------------------------------------------------------------------------
 # building blocks
@@ -297,32 +81,42 @@ def _grid(cfg) -> Grid:
     return Grid.regular(cfg["grid"]["bounds"], cfg["grid"]["shape"])
 
 
-def _kernel(grid: Grid, k: dict, T: float | None = None) -> GibbsKernel:
-    T = k["T"] if T is None else T
-    if k.get("kind", "ou" if k.get("kappa") else "heat") == "heat" \
-            or not k.get("kappa"):
-        return GibbsKernel.heat(grid, T)
-    return GibbsKernel.ou(grid, T, k["kappa"])
+def _kernel(grid: Grid, k: dict) -> GibbsKernel:
+    if k["kind"] == "heat":
+        return GibbsKernel.heat(grid, k["T"])
+    return GibbsKernel.ou(grid, k["T"], k["kappa"])
 
 
-def _measure(grid: Grid, spec: dict,
-             rng: np.random.Generator | None) -> DiscreteMeasure:
-    fam = spec["family"]
-    if fam == "gaussian":
-        return gaussian_measure(grid, spec["mean"], spec["sigma"])
-    if fam == "uniform":
-        return uniform_measure(grid, spec["lo"], spec["hi"])
-    if fam == "mixture":
-        comps = [(c["weight"], c["mean"], c["sigma"])
-                 for c in spec["components"]]
-        return gaussian_mixture_measure(grid, comps)
-    if fam == "csv":
-        m = measure_from_csv(spec["path"])
+# marginal family -> (keys its spec needs, make(grid, spec, rng))
+_FAMILIES = {
+    "gaussian": (("mean", "sigma"), lambda g, s, rng: gaussian_measure(
+        g, s["mean"], s["sigma"])),
+    "uniform": (("lo", "hi"), lambda g, s, rng: uniform_measure(
+        g, s["lo"], s["hi"])),
+    "mixture": ((), lambda g, s, rng: gaussian_mixture_measure(
+        g, [(c["weight"], c["mean"], c["sigma"]) for c in s["components"]])),
+    "csv": (("path",), lambda g, s, rng: measure_from_csv(s["path"])),
+    # one draw from the smooth-mixture family
+    "random": ((), lambda g, s, rng: random_smooth_pair(g, rng)[0]),
+}
+
+
+def _measure(grid: Grid, cfg: dict, side: str,
+             rng: np.random.Generator) -> DiscreteMeasure:
+    """Marginal ``marginals.<side>``; data that cannot be built (an empty
+    box, a missing CSV, ...) is a problem-data error naming the field."""
+    spec = cfg["marginals"][side]
+    try:
+        m = _FAMILIES[spec["family"]][1](grid, spec, rng)
         if not m.grid.same_as(grid):
-            raise InfeasibleProblem("csv measure lives on a different grid")
-        return m
-    # random: one draw from the smooth-mixture family
-    return random_smooth_pair(grid, rng)[0]
+            raise ValueError("the measure lives on a different grid")
+    except (OSError, TypeError, ValueError) as exc:
+        raise InfeasibleProblem(f"marginals.{side}: {exc}") from exc
+    return m
+
+
+def _marginals(grid: Grid, cfg: dict, rng: np.random.Generator):
+    return _measure(grid, cfg, "mu", rng), _measure(grid, cfg, "nu", rng)
 
 
 @dataclass
@@ -330,6 +124,10 @@ class Table:
     name: str
     header: list[str]
     rows: list[list]
+
+    @staticmethod
+    def of_dicts(name: str, rows: list[dict]) -> "Table":
+        return Table(name, list(rows[0]), [list(r.values()) for r in rows])
 
 
 @dataclass
@@ -339,15 +137,31 @@ class ScenarioResult:
     records: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     nonconverged: bool = False
+    battery: list[list] = field(default_factory=list)  # battery-table rows
 
+    def not_converged(self, note: str) -> None:
+        self.nonconverged = True
+        self.notes.append(note)
 
-def _battery_row(tag: dict, r: InequalityReport) -> list:
-    return [*tag.values(), r.name, r.lhs, r.rhs, r.slack, r.relative_slack,
-            r.passed, r.vacuous]
+    def converged(self, sol, where: str = "", tail: str = "") -> bool:
+        """``sol.converged``; when False, noted with its final residual."""
+        if not sol.converged:
+            self.not_converged(f"{where}residual {sol.marginal_residual:.3e}"
+                               f" after {sol.n_iter} iterations{tail}")
+        return sol.converged
 
+    def add_checks(self, tag: dict, reports) -> None:
+        """Keep each report, and a battery row for it led by ``tag``."""
+        for r in reports:
+            self.reports.append(r)
+            self.battery.append([*tag.values(), r.name, r.lhs, r.rhs,
+                                 r.slack, r.relative_slack, r.passed,
+                                 r.vacuous])
 
-_BATTERY_HEADER = ["name", "lhs", "rhs", "slack", "relative_slack",
-                   "passed", "vacuous"]
+    def battery_table(self, *tags: str) -> None:
+        self.tables.append(Table("battery", [
+            *tags, "name", "lhs", "rhs", "slack", "relative_slack", "passed",
+            "vacuous"], self.battery))
 
 
 # ---------------------------------------------------------------------------
@@ -357,16 +171,11 @@ _BATTERY_HEADER = ["name", "lhs", "rhs", "slack", "relative_slack",
 def _run_solve(cfg, rng) -> ScenarioResult:
     res = ScenarioResult()
     grid = _grid(cfg)
-    mu = _measure(grid, cfg["marginals"]["mu"], rng)
-    nu = _measure(grid, cfg["marginals"]["nu"], rng)
+    mu, nu = _marginals(grid, cfg, rng)
     ker = _kernel(grid, cfg["kernel"])
-    sv = cfg["solver"]
-    sol = solve(mu, nu, ker, tol=sv["tol"], max_iter=sv["max_iter"])
-    if not sol.converged:
-        res.nonconverged = True
-        res.notes.append(
-            f"solve: residual {sol.marginal_residual:.3e} after "
-            f"{sol.n_iter} iterations (tol {sv['tol']:.1e})")
+    sv = _section(cfg, "solver")
+    sol = solve(mu, nu, ker, **sv)
+    res.converged(sol, "solve: ", f" (tol {sv['tol']:.1e})")
     res.reports.append(make_report(
         "solve_residual", sol.marginal_residual, sv["tol"],
         tol_abs=0.0, tol_rel=0.0))
@@ -383,117 +192,73 @@ def _run_solve(cfg, rng) -> ScenarioResult:
         "plan_total_mass": sol.log_plan().total_mass(),
         "underresolved": ker.underresolved,
     })
-    pts = grid.points()
     coords = [f"x{i}" for i in range(grid.ndim)]
-    rows = [[*map(float, pts[i]), float(mu.weights[i]), float(nu.weights[i]),
-             float(sol.phi[i]), float(sol.psi[i])]
-            for i in range(grid.n_cells)]
+    rows = np.column_stack([grid.points(), mu.weights, nu.weights,
+                            sol.phi, sol.psi]).tolist()
     res.tables.append(Table("potentials",
                             [*coords, "mu", "nu", "phi", "psi"], rows))
     return res
 
 
-def _perturbation_battery(cfg, rng, solve_pair, check) -> ScenarioResult:
-    """Shared driver for the stability batteries: solve the base pair, then
-    ``n_seeds`` perturbation draws at each ε and ``check`` every converged
-    perturbed solution against the base.  ``solve_pair(mu, nu)`` returns a
-    solution carrying ``converged``, ``n_iter`` and ``marginal_residual``."""
+def _run_battery(cfg, rng) -> ScenarioResult:
+    """Solve the base pair (quadratic EOT at ``kernel.epsilon``, else the
+    Schrödinger problem of the configured kernel), then ``n_seeds``
+    perturbation draws at each ε, and check every converged perturbed
+    solution against the base with the scenario's ``check``.  The solver is
+    looked up by name at each call, never captured."""
     res = ScenarioResult()
+    scen = SCENARIOS[cfg["scenario"]]
+    sv = _section(cfg, "solver")
+    eot = scen.kernel == "epsilon"
+    arg = cfg["kernel"]["epsilon"] if eot \
+        else _kernel(_grid(cfg), cfg["kernel"])
+
+    def solve_pair(mu, nu):
+        return (eot_quadratic_direct if eot else solve)(mu, nu, arg, **sv)
+
     grid = _grid(cfg)
-    mu = _measure(grid, cfg["marginals"]["mu"], rng)
-    nu = _measure(grid, cfg["marginals"]["nu"], rng)
-    pert = cfg["perturbation"]
-    n_modes = pert.get("n_modes", 3)
+    mu, nu = _marginals(grid, cfg, rng)
+    pert = _section(cfg, "perturbation")
     base = solve_pair(mu, nu)
     if not base.converged:
-        res.nonconverged = True
-        res.notes.append("base problem did not converge; battery skipped")
+        res.not_converged("base problem did not converge; battery skipped")
         return res
-    rows = []
     for s in range(pert["n_seeds"]):
-        h = smooth_zero_mean_field(grid, mu, rng, n_modes=n_modes)
-        k = smooth_zero_mean_field(grid, nu, rng, n_modes=n_modes)
+        h = smooth_zero_mean_field(grid, mu, rng, n_modes=pert["n_modes"])
+        k = smooth_zero_mean_field(grid, nu, rng, n_modes=pert["n_modes"])
         for eps in pert["epsilons"]:
-            tag = {"eps": float(eps), "draw": s}
             pert_sol = solve_pair(perturbed_measure(mu, h, eps),
                                   perturbed_measure(nu, k, eps))
-            if not pert_sol.converged:
-                res.nonconverged = True
-                res.notes.append(
-                    f"eps={eps} draw={s}: residual "
-                    f"{pert_sol.marginal_residual:.3e} after "
-                    f"{pert_sol.n_iter} iterations")
-                continue
-            for r in check(base, pert_sol):
-                res.reports.append(r)
-                rows.append(_battery_row(tag, r))
-    res.tables.append(Table("battery", ["eps", "draw", *_BATTERY_HEADER],
-                            rows))
+            if res.converged(pert_sol, f"eps={eps} draw={s}: "):
+                res.add_checks({"eps": float(eps), "draw": s},
+                               scen.check(base, pert_sol))
+    res.battery_table("eps", "draw")
     return res
-
-
-def _sp_battery(cfg, rng, check) -> ScenarioResult:
-    ker = _kernel(_grid(cfg), cfg["kernel"])
-    sv = cfg["solver"]
-    return _perturbation_battery(
-        cfg, rng, lambda mu, nu: solve(mu, nu, ker, tol=sv["tol"],
-                                       max_iter=sv["max_iter"]), check)
-
-
-def _run_stability(cfg, rng) -> ScenarioResult:
-    return _sp_battery(cfg, rng, plan_stability_check)
-
-
-def _run_cost_stability(cfg, rng) -> ScenarioResult:
-    return _sp_battery(cfg, rng, cost_stability_check)
-
-
-def _run_eot_stability(cfg, rng) -> ScenarioResult:
-    eps_reg = cfg["kernel"]["epsilon"]
-    sv = cfg["solver"]
-    return _perturbation_battery(
-        cfg, rng, lambda mu, nu: eot_quadratic_direct(
-            mu, nu, eps_reg, tol=sv["tol"], max_iter=sv["max_iter"]),
-        quadratic_eot_stability_check)
 
 
 def _run_corrector(cfg, rng) -> ScenarioResult:
     res = ScenarioResult()
     grid = _grid(cfg)
     ker = _kernel(grid, cfg["kernel"])
-    sv = cfg["solver"]
-    n_pairs = cfg.get("corrector", {}).get("n_pairs", 20)
-    rows = []
-    for i in range(n_pairs):
+    for i in range(_section(cfg, "corrector")["n_pairs"]):
         mu, nu = random_smooth_pair(grid, rng)
-        sol = solve(mu, nu, ker, tol=sv["tol"], max_iter=sv["max_iter"])
-        if not sol.converged:
-            res.nonconverged = True
-            res.notes.append(f"pair {i}: residual "
-                             f"{sol.marginal_residual:.3e} after "
-                             f"{sol.n_iter} iterations")
-            continue
-        for r in corrector_check(sol).reports:
-            res.reports.append(r)
-            rows.append(_battery_row({"pair": i}, r))
-    res.tables.append(Table("battery", ["pair", *_BATTERY_HEADER], rows))
+        sol = solve(mu, nu, ker, **_section(cfg, "solver"))
+        if res.converged(sol, f"pair {i}: "):
+            res.add_checks({"pair": i}, corrector_check(sol).reports)
+    res.battery_table("pair")
     return res
 
 
 def _run_smalltime(cfg, rng) -> ScenarioResult:
     res = ScenarioResult()
-    grid = _grid(cfg)
-    mu = _measure(grid, cfg["marginals"]["mu"], rng)
-    nu = _measure(grid, cfg["marginals"]["nu"], rng)
-    sv = cfg["solver"]
-    sect = cfg["smalltime"]
+    mu, nu = _marginals(_grid(cfg), cfg, rng)
+    sect = _section(cfg, "smalltime")
     try:
         rows = small_time_cost_curve(mu, nu, sect["T_list"],
-                                     kappa=cfg["kernel"].get("kappa", 0.0),
-                                     tol=sv["tol"], max_iter=sv["max_iter"])
+                                     kappa=cfg["kernel"]["kappa"],
+                                     **_section(cfg, "solver"))
     except NotConverged as exc:
-        res.nonconverged = True
-        res.notes.append(str(exc))
+        res.not_converged(str(exc))
         return res
     gaps = [abs(r["rel_gap"]) for r in rows]
     res.reports.append(make_report(
@@ -502,28 +267,21 @@ def _run_smalltime(cfg, rng) -> ScenarioResult:
         tol_abs=0.0, tol_rel=0.0,
         note="successive |relative gap| must not increase along T list"))
     res.reports.append(make_report(
-        "smalltime_final_gap", gaps[-1],
-        sect.get("max_final_rel_gap", 0.05), tol_abs=0.0, tol_rel=0.0))
-    hdr = list(rows[0].keys())
-    res.tables.append(Table("smalltime", hdr,
-                            [[r[c] for c in hdr] for r in rows]))
+        "smalltime_final_gap", gaps[-1], sect["max_final_rel_gap"],
+        tol_abs=0.0, tol_rel=0.0))
+    res.tables.append(Table.of_dicts("smalltime", rows))
     return res
 
 
 def _run_gradient_map(cfg, rng) -> ScenarioResult:
     res = ScenarioResult()
-    grid = _grid(cfg)
-    mu = _measure(grid, cfg["marginals"]["mu"], rng)
-    nu = _measure(grid, cfg["marginals"]["nu"], rng)
-    sv = cfg["solver"]
-    sect = cfg["gradient_map"]
+    mu, nu = _marginals(_grid(cfg), cfg, rng)
     try:
         rows, pairs = gradient_convergence_experiment(
-            mu, nu, sect["T_list"], kappa=cfg["kernel"].get("kappa", 0.0),
-            tol=sv["tol"], max_iter=sv["max_iter"])
+            mu, nu, cfg["gradient_map"]["T_list"],
+            kappa=cfg["kernel"]["kappa"], **_section(cfg, "solver"))
     except NotConverged as exc:
-        res.nonconverged = True
-        res.notes.append(str(exc))
+        res.not_converged(str(exc))
         return res
     errs = [r["l2_error"] for r in rows]
     res.reports.append(make_report(
@@ -531,32 +289,25 @@ def _run_gradient_map(cfg, rng) -> ScenarioResult:
         max(errs[i + 1] - errs[i] for i in range(len(errs) - 1)), 0.0,
         tol_abs=0.0, tol_rel=0.0,
         note="L²(μ) map error must not increase along T ↓ 0"))
-    hdr = list(rows[0].keys())
-    res.tables.append(Table("curve", hdr, [[r[c] for c in hdr] for r in rows]))
+    res.tables.append(Table.of_dicts("curve", rows))
     last = pairs[-1]
     res.tables.append(Table(
         "maps", ["x", "weight", "schrodinger_map", "brenier_map"],
-        [[float(a), float(b), float(c), float(d)]
-         for a, b, c, d in zip(last.support_points, last.support_weights,
-                               last.schrodinger_map, last.brenier_map)]))
+        np.column_stack([last.support_points, last.support_weights,
+                         last.schrodinger_map, last.brenier_map]).tolist()))
     return res
 
 
 def _run_interpolate(cfg, rng) -> ScenarioResult:
     res = ScenarioResult()
     grid = _grid(cfg)
-    mu = _measure(grid, cfg["marginals"]["mu"], rng)
-    nu = _measure(grid, cfg["marginals"]["nu"], rng)
+    mu, nu = _marginals(grid, cfg, rng)
     ker = _kernel(grid, cfg["kernel"])
-    sv = cfg["solver"]
-    sect = cfg.get("interpolate", {})
-    sol = solve(mu, nu, ker, tol=sv["tol"], max_iter=sv["max_iter"])
-    if not sol.converged:
-        res.nonconverged = True
-        res.notes.append(f"residual {sol.marginal_residual:.3e} after "
-                         f"{sol.n_iter} iterations")
+    sect = _section(cfg, "interpolate")
+    sol = solve(mu, nu, ker, **_section(cfg, "solver"))
+    if not res.converged(sol):
         return res
-    curve = interpolate(sol, n_times=sect.get("n_times", 9))
+    curve = interpolate(sol, n_times=sect["n_times"])
     coords = [f"x{i}" for i in range(grid.ndim)]
     rows = np.column_stack([np.repeat(curve.times, grid.n_cells),
                             np.tile(grid.points(), (len(curve.times), 1)),
@@ -564,35 +315,29 @@ def _run_interpolate(cfg, rng) -> ScenarioResult:
     res.tables.append(Table("interpolation", ["t", *coords, "weight"], rows))
     res.records.append({"record": "interpolation_mass",
                         "masses": [float(m) for m in curve.masses]})
-    bbs, alpha_rows = dynamic_cost_check(sol,
-                                         n_slices=sect.get("n_slices", 64))
+    bbs, alpha_rows = dynamic_cost_check(sol, n_slices=sect["n_slices"])
     res.reports.append(bbs)
     res.tables.append(Table("dynamic_cost", ["t", "alpha"],
                             [[r["t"], r["alpha"]] for r in alpha_rows]))
     gr, gr_rows = gronwall_decay_check(sol)
     res.reports.append(gr)
-    hdr = list(gr_rows[0].keys())
-    res.tables.append(Table("gronwall", hdr,
-                            [[r[c] for c in hdr] for r in gr_rows]))
+    res.tables.append(Table.of_dicts("gronwall", gr_rows))
     return res
 
 
 def _run_sobolev(cfg, rng) -> ScenarioResult:
     res = ScenarioResult()
     grid = _grid(cfg)
-    sect = cfg.get("sobolev", {})
-    n = sect.get("n_instances", 50)
-    eps = sect.get("eps", 0.1)
-    spec = cfg["marginals"]["mu"]
-    fixed = None if spec["family"] == "random" else _measure(grid, spec, rng)
-    rows = []
-    for i in range(n):
-        mu = fixed if fixed is not None else random_smooth_pair(grid, rng)[0]
+    sect = _section(cfg, "sobolev")
+    redraw = cfg["marginals"]["mu"]["family"] == "random"
+    mu = None
+    for i in range(sect["n_instances"]):
+        if mu is None or redraw:
+            mu = _measure(grid, cfg, "mu", rng)
         h = smooth_zero_mean_field(grid, mu, rng)
-        r = w2_h_minus_one_comparison(mu, perturbed_measure(mu, h, eps))
-        res.reports.append(r)
-        rows.append(_battery_row({"instance": i}, r))
-    res.tables.append(Table("battery", ["instance", *_BATTERY_HEADER], rows))
+        res.add_checks({"instance": i}, [w2_h_minus_one_comparison(
+            mu, perturbed_measure(mu, h, sect["eps"]))])
+    res.battery_table("instance")
     return res
 
 
@@ -614,18 +359,13 @@ def _orlicz_instance(rng, n: int, exp_lo: float, exp_hi: float, kind: str):
 
 def _run_orlicz(cfg, rng) -> ScenarioResult:
     res = ScenarioResult()
-    sect = cfg.get("orlicz", {})
-    n_inst = sect.get("n_instances", 100)
-    n_atoms = sect.get("n_atoms", 16)
-    exp_lo = sect.get("exp_lo", 0.5)
-    exp_hi = sect.get("exp_hi", 2.0)
+    sect = _section(cfg, "orlicz")
     kinds = ("general", "above", "below")
-    rows = []
-    for i in range(n_inst):
+    for i in range(sect["n_instances"]):
         kind = kinds[i % 3]
-        ctx = _orlicz_instance(rng, n_atoms, exp_lo, exp_hi, kind)
-        q = np.asarray(ctx.q_weights)
-        p = np.asarray(ctx.p_weights)
+        ctx = _orlicz_instance(rng, sect["n_atoms"], sect["exp_lo"],
+                               sect["exp_hi"], kind)
+        q, p = ctx.q_weights, ctx.p_weights
         ent = relative_entropy_weights(p, q)
         ident = make_equality_report(
             "conjugate_norm_identity", density_conjugate_norm(p, q),
@@ -638,26 +378,290 @@ def _run_orlicz(cfg, rng) -> ScenarioResult:
             batch.append(log_integrability_bound(ctx, "final"))
         if kind != "general":
             batch.append(log_integrability_bound(ctx, "extreme"))
-        for r in batch:
-            res.reports.append(r)
-            rows.append(_battery_row({"instance": i, "kind": kind}, r))
-    res.tables.append(Table("battery",
-                            ["instance", "kind", *_BATTERY_HEADER], rows))
+        res.add_checks({"instance": i, "kind": kind}, batch)
+    res.battery_table("instance", "kind")
     return res
 
 
-_RUNNERS = {
-    "solve": _run_solve,
-    "stability": _run_stability,
-    "cost-stability": _run_cost_stability,
-    "eot-stability": _run_eot_stability,
-    "corrector": _run_corrector,
-    "smalltime": _run_smalltime,
-    "gradient-map": _run_gradient_map,
-    "interpolate": _run_interpolate,
-    "sobolev": _run_sobolev,
-    "orlicz": _run_orlicz,
+# ---------------------------------------------------------------------------
+# the scenario table and its config blocks
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Scenario:
+    """What one scenario needs from its config, and the code that runs it.
+    A scenario with a kernel or marginals also needs a grid."""
+
+    description: str
+    run: Callable[[dict, np.random.Generator], ScenarioResult]
+    # "kind": kernel.kind with T (and κ for OU); "kappa": κ ≥ 0 only;
+    # "epsilon": the EOT regularizer; None: no kernel
+    kernel: str | None = None
+    marginals: tuple[str, ...] = ("mu", "nu")
+    blocks: tuple[str, ...] = ()   # scenario blocks, checked by _BLOCKS
+    one_d: bool = False
+    seeded: bool = False           # draws random data: `seed` is mandatory
+    check: Callable | None = None  # battery check(base, perturbed)
+
+
+# The battery checks are lambdas so that each call looks the check up by
+# its module-level name; a captured function object would bypass anything
+# that rebinds that name (the benchmark's tracer, for one).
+SCENARIOS = {
+    "solve": _Scenario(
+        "solve one Schrödinger problem; write potentials and costs",
+        _run_solve, kernel="kind"),
+    "stability": _Scenario(
+        "plan-stability battery over perturbed marginal pairs",
+        _run_battery, kernel="kind", blocks=("perturbation",), seeded=True,
+        check=lambda a, b: plan_stability_check(a, b)),
+    "cost-stability": _Scenario(
+        "cost-stability battery over perturbed marginal pairs",
+        _run_battery, kernel="kind", blocks=("perturbation",), seeded=True,
+        check=lambda a, b: cost_stability_check(a, b)),
+    "eot-stability": _Scenario(
+        "quadratic entropic-transport stability battery",
+        _run_battery, kernel="epsilon", blocks=("perturbation",),
+        seeded=True, check=lambda a, b: quadratic_eot_stability_check(a, b)),
+    "corrector": _Scenario(
+        "corrector bounds on random smooth marginal pairs",
+        _run_corrector, kernel="kind", marginals=(), blocks=("corrector",),
+        seeded=True),
+    "smalltime": _Scenario(
+        "T·cost against W2²/4 along a decreasing time list",
+        _run_smalltime, kernel="kappa", blocks=("smalltime",), one_d=True),
+    "gradient-map": _Scenario(
+        "Schrödinger map against the monotone transport map",
+        _run_gradient_map, kernel="kappa", blocks=("gradient_map",),
+        one_d=True),
+    "interpolate": _Scenario(
+        "entropic interpolation, dynamic cost and decay checks",
+        _run_interpolate, kernel="kind", blocks=("interpolate",)),
+    "sobolev": _Scenario(
+        "W2 against the weighted H^{-1} norm on perturbations",
+        _run_sobolev, marginals=("mu",), blocks=("sobolev",), one_d=True,
+        seeded=True),
+    "orlicz": _Scenario(
+        "exponential-Orlicz identities and log-integrability bounds",
+        _run_orlicz, marginals=(), blocks=("orlicz",), seeded=True),
 }
+
+
+def _is_num(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _positive(v) -> bool:
+    return _is_num(v) and v > 0
+
+
+def _int_from(lo: int):
+    return lambda v: isinstance(v, int) and v >= lo
+
+
+def _list_of(ok, min_len: int = 1):
+    return lambda v: (isinstance(v, list) and len(v) >= min_len
+                      and all(map(ok, v)))
+
+
+_POSITIVE = ("positive number required", _positive)
+_UNIT = ("number in (0, 1) required", lambda v: _is_num(v) and 0 < v < 1)
+_COUNT = ("integer >= 1 required", _int_from(1))
+_TWO_UP = ("integer >= 2 required", _int_from(2))
+_T_LIST = (("list of >= 2 positive times required", _list_of(_positive, 2)),
+           ("times must decrease strictly (the curve checks gaps along "
+            "T ↓ 0)", lambda v: all(a > b for a, b in zip(v, v[1:]))))
+
+# block -> field -> (default, or None if required, *rules).  A rule is a pair
+# (message, predicate); a field reports the first rule its value breaks.
+# Runners read defaults through `_section`, never through `_normalize`, so
+# they stay out of the config digest (the solver defaults are in it).
+_BLOCKS = {
+    "grid": {
+        "bounds": (None, (
+            "list of [lo, hi] pairs with lo < hi required",
+            _list_of(lambda p: isinstance(p, list) and len(p) == 2
+                     and all(map(_is_num, p)) and p[0] < p[1]))),
+        "shape": (None, ("list of integers >= 2 required",
+                         _list_of(_int_from(2)))),
+    },
+    "solver": {"tol": (1e-9, _POSITIVE), "max_iter": (100_000, _COUNT)},
+    "output": {"dir": ("out", ("string required",
+                               lambda v: isinstance(v, str)))},
+    "perturbation": {
+        "epsilons": (None, ("list of numbers in (0, 1) required",
+                            _list_of(_UNIT[1]))),
+        "n_seeds": (None, _COUNT),
+        "n_modes": (3, _COUNT),
+    },
+    "corrector": {"n_pairs": (20, _COUNT)},
+    "smalltime": {"T_list": (None, *_T_LIST),
+                  "max_final_rel_gap": (0.05, _POSITIVE)},
+    "gradient_map": {"T_list": (None, *_T_LIST)},
+    "interpolate": {"n_times": (9, _TWO_UP), "n_slices": (64, _TWO_UP)},
+    "sobolev": {"n_instances": (50, _COUNT), "eps": (0.1, _UNIT)},
+    "orlicz": {"n_instances": (100, _COUNT), "n_atoms": (16, _COUNT),
+               "exp_lo": (0.5, _POSITIVE), "exp_hi": (2.0, _POSITIVE)},
+}
+# rules on a whole block once its fields pass; the first one broken counts
+_JOINT = {
+    "grid": (("bounds and shape must have equal length",
+              lambda g: len(g["bounds"]) == len(g["shape"])),
+             ("at most two dimensions are supported",
+              lambda g: len(g["bounds"]) <= 2)),
+    "orlicz": (("exp_lo <= exp_hi required",
+                lambda s: s["exp_lo"] <= s["exp_hi"]),),
+}
+
+
+def _section(cfg: dict, name: str) -> dict:
+    """Block ``name`` of a validated config, defaults filled in."""
+    given = cfg.get(name, {})
+    return {k: given.get(k, f[0]) for k, f in _BLOCKS[name].items()}
+
+
+# ---------------------------------------------------------------------------
+# config loading and validation
+# ---------------------------------------------------------------------------
+
+def _normalize(cfg: dict) -> dict:
+    """Fill shape conveniences (scalar bounds/shape in 1D) and the solver
+    defaults."""
+    out = json.loads(json.dumps(cfg))  # deep copy, YAML scalars only
+    g = out.get("grid")
+    if isinstance(g, dict):
+        b = g.get("bounds")
+        if (isinstance(b, list) and len(b) == 2 and all(_is_num(v) for v in b)):
+            g["bounds"] = [b]
+        s = g.get("shape")
+        if _is_num(s):
+            g["shape"] = [int(s)]
+    if isinstance(out.setdefault("solver", {}), dict):
+        out["solver"] = {**out["solver"], **_section(out, "solver")}
+    return out
+
+
+def _check_block(cfg: dict, name: str, errs: list[str]) -> bool:
+    """Appends the violations of block ``name``; True when it has none."""
+    fields = _BLOCKS[name]
+    required = [repr(k) for k, f in fields.items() if f[0] is None]
+    sect = cfg.get(name, None if required else {})
+    if not isinstance(sect, dict):
+        errs.append(f"{name}: mapping with {' and '.join(required)} required"
+                    if required else f"{name}: mapping expected")
+        return False
+    n_errs = len(errs)
+    for key, (default, *rules) in fields.items():
+        if key in sect or default is None:
+            bad = next((m for m, ok in rules if not ok(sect.get(key))), None)
+            if bad:
+                errs.append(f"{name}.{key}: {bad}")
+    if len(errs) == n_errs:
+        filled = _section(cfg, name)
+        bad = next((m for m, ok in _JOINT.get(name, ()) if not ok(filled)),
+                   None)
+        if bad:
+            errs.append(f"{name}: {bad}")
+    return len(errs) == n_errs
+
+
+def _check_kernel(k, schema: str, scenario: str, errs: list[str]) -> None:
+    if not isinstance(k, dict):
+        errs.append("kernel: mapping required")
+    elif schema == "epsilon":
+        if not _positive(k.get("epsilon")):
+            errs.append("kernel.epsilon: positive number required for "
+                        f"{scenario}")
+    elif schema == "kappa":
+        if not (_is_num(k.get("kappa")) and k["kappa"] >= 0):
+            errs.append("kernel.kappa: number >= 0 required "
+                        f"(0 means heat kernel) for {scenario}")
+    else:
+        if k.get("kind") not in ("heat", "ou"):
+            errs.append("kernel.kind: 'heat' or 'ou' required")
+        if not _positive(k.get("T")):
+            errs.append("kernel.T: positive number required")
+        if k.get("kind") == "ou" and not _positive(k.get("kappa")):
+            errs.append("kernel.kappa: positive number required when "
+                        "kernel.kind is 'ou'")
+
+
+def _check_mean(mean, path: str, ndim: int, errs: list[str]) -> None:
+    # ndim 0: the grid is unusable and already reported
+    if ndim and not (_list_of(_is_num)(mean) and len(mean) == ndim):
+        errs.append(f"{path}.mean: list of {ndim} numbers required")
+
+
+def _check_marginal(spec, path: str, ndim: int, errs: list[str]) -> None:
+    if not isinstance(spec, dict) or "family" not in spec:
+        errs.append(f"{path}: mapping with a 'family' key required")
+        return
+    fam = spec["family"]
+    if not isinstance(fam, str) or fam not in _FAMILIES:
+        errs.append(f"{path}.family: unknown family {fam!r}")
+    elif not set(_FAMILIES[fam][0]) <= set(spec):
+        errs.append(f"{path}: {fam} needs "
+                    + " and ".join(map(repr, _FAMILIES[fam][0])))
+    elif fam == "gaussian":
+        if not _positive(spec["sigma"]):
+            errs.append(f"{path}.sigma: positive number required")
+        _check_mean(spec["mean"], path, ndim, errs)
+    elif fam == "mixture":
+        comps = spec.get("components")
+        if not isinstance(comps, list) or not comps:
+            errs.append(f"{path}.components: nonempty list required")
+            return
+        for i, c in enumerate(comps):
+            if not isinstance(c, dict) or \
+                    not {"weight", "mean", "sigma"} <= set(c):
+                errs.append(f"{path}.components[{i}]: needs "
+                            "'weight', 'mean', 'sigma'")
+            else:
+                _check_mean(c["mean"], f"{path}.components[{i}]", ndim, errs)
+
+
+def validate(cfg) -> list[str]:
+    """All violations that make the config unrunnable, with field paths.
+
+    An empty list means the config can run.  Soft conditions (for example a
+    kernel bandwidth below the grid resolution) warn at run time and are not
+    violations.
+    """
+    if not isinstance(cfg, dict):
+        return ["config: top-level mapping required"]
+    cfg = _normalize(cfg)
+    name = cfg.get("scenario")
+    if not isinstance(name, str) or name not in SCENARIOS:
+        return [f"scenario: one of {sorted(SCENARIOS)} required, "
+                f"got {name!r}"]
+    scen = SCENARIOS[name]
+    errs: list[str] = []
+    if scen.seeded and not isinstance(cfg.get("seed"), int):
+        errs.append("seed: integer seed is mandatory for randomized "
+                    f"scenario {name!r}")
+    if "seed" in cfg and not isinstance(cfg["seed"], int):
+        errs.append("seed: integer required")
+    elif cfg.get("seed", 0) < 0:
+        errs.append("seed: integer >= 0 required")
+    ndim = 0
+    if (scen.kernel or scen.marginals) and _check_block(cfg, "grid", errs):
+        ndim = len(cfg["grid"]["bounds"])
+        if scen.one_d and ndim > 1:
+            errs.append(f"grid: scenario {name!r} is one-dimensional")
+    if scen.kernel:
+        _check_kernel(cfg.get("kernel"), scen.kernel, name, errs)
+    m = cfg.get("marginals")
+    if scen.marginals and not isinstance(m, dict):
+        errs.append("marginals: mapping with 'mu' (and 'nu') required")
+    elif scen.marginals:
+        for side in scen.marginals:
+            _check_marginal(m.get(side), f"marginals.{side}", ndim, errs)
+        if any(isinstance(v, dict) and v.get("family") == "random"
+               for v in m.values()) and not isinstance(cfg.get("seed"), int):
+            errs.append("seed: required when a marginal family is 'random'")
+    for block in (*scen.blocks, "solver", "output"):
+        _check_block(cfg, block, errs)
+    return errs
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +756,7 @@ def _write_outputs(out: Path, cfg: dict, digest: str,
 def run(cfg: dict, out_dir: Path | None = None,
         seed_override: int | None = None) -> int:
     """Validate, execute, and write artifacts; returns the exit code."""
-    if seed_override is not None:
+    if seed_override is not None and isinstance(cfg, dict):
         cfg = {**cfg, "seed": seed_override}
     violations = validate(cfg)
     if violations:
@@ -760,28 +764,22 @@ def run(cfg: dict, out_dir: Path | None = None,
             print(f"config error: {v}", file=sys.stderr)
         return 2
     cfg = _normalize(cfg)
-    out = Path(out_dir) if out_dir is not None \
-        else Path(cfg.get("output", {}).get("dir", "out"))
+    out = Path(out_dir if out_dir is not None
+               else _section(cfg, "output")["dir"])
     digest = config_digest(cfg)
     rng = np.random.default_rng(cfg.get("seed", 0))
     try:
-        res = _RUNNERS[cfg["scenario"]](cfg, rng)
+        res = SCENARIOS[cfg["scenario"]].run(cfg, rng)
     except InfeasibleProblem as exc:
         print(f"config error: problem data: {exc}", file=sys.stderr)
         return 2
-    if res.nonconverged:
-        code = 3
-    elif any(not r.passed for r in res.reports):
-        code = 1
-    else:
-        code = 0
+    failing = sorted({r.name for r in res.reports if not r.passed})
+    code = 3 if res.nonconverged else 1 if failing else 0
     _write_outputs(out, cfg, digest, res, code)
     for n in res.notes:
         print(f"note: {n}", file=sys.stderr)
-    failing = [r.name for r in res.reports if not r.passed]
     if failing:
-        print(f"failing checks: {', '.join(sorted(set(failing)))}",
-              file=sys.stderr)
+        print(f"failing checks: {', '.join(failing)}", file=sys.stderr)
     return code
 
 
@@ -801,21 +799,16 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     if args.list_scenarios:
-        for name, desc in SCENARIOS.items():
-            print(f"{name:15s} {desc}")
+        for name, scen in SCENARIOS.items():
+            print(f"{name:15s} {scen.description}")
         return 0
     if args.config is None:
         ap.error("--config is required (or use --list-scenarios)")
     try:
-        text = args.config.read_text()
-    except OSError as exc:
-        print(f"config error: cannot read {args.config}: {exc}",
+        cfg = yaml.safe_load(args.config.read_text())
+    except (OSError, yaml.YAMLError) as exc:
+        print(f"config error: cannot load {args.config}: {exc}",
               file=sys.stderr)
-        return 2
-    try:
-        cfg = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        print(f"config error: invalid YAML: {exc}", file=sys.stderr)
         return 2
     return run(cfg, out_dir=args.out, seed_override=args.seed)
 

@@ -215,15 +215,6 @@ class DiscreteMeasure:
         w /= w.sum()
         return DiscreteMeasure(grid, w)
 
-    @staticmethod
-    def from_density(grid: Grid, density_fn) -> "DiscreteMeasure":
-        """Midpoint discretization of a (possibly unnormalized) density.
-
-        ``density_fn`` takes an (n, d) array of points and returns n values.
-        """
-        dens = np.asarray(density_fn(grid.points()), dtype=float).ravel()
-        return DiscreteMeasure.from_weights(grid, dens * grid.cell_volumes())
-
     def support(self) -> np.ndarray:
         return self.weights > 0
 
@@ -246,10 +237,6 @@ class SignedMeasure:
             raise ValueError("weights must be flat with one entry per cell")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
-
-    @property
-    def total(self) -> float:
-        return float(self.weights.sum())
 
 
 def difference(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SignedMeasure:
@@ -300,22 +287,19 @@ def gaussian_mixture_measure(grid: Grid, components) -> DiscreteMeasure:
     return DiscreteMeasure.from_weights(grid, dens * grid.cell_volumes())
 
 
-def random_smooth_pair(grid: Grid, rng: np.random.Generator,
-                       n_components=(2, 3), mean_box=None,
-                       sigma_range=(0.6, 1.4)):
-    """Two independent random Gaussian-mixture measures (smooth, positive)."""
-    if mean_box is None:
-        # keep mixture cores well inside the grid
-        mean_box = [(x[0] + 0.2 * (x[-1] - x[0]), x[-1] - 0.2 * (x[-1] - x[0]))
-                    for x in grid.axes]
+def random_smooth_pair(grid: Grid, rng: np.random.Generator):
+    """Two independent random mixtures of 2 or 3 Gaussians (smooth, positive),
+    with cores well inside the grid and per-axis σ in [0.6, 1.4]."""
+    mean_box = [(x[0] + 0.2 * (x[-1] - x[0]), x[-1] - 0.2 * (x[-1] - x[0]))
+                for x in grid.axes]
     out = []
     for _ in range(2):
-        k = int(rng.integers(n_components[0], n_components[-1] + 1))
+        k = int(rng.integers(2, 4))
         raw = rng.uniform(0.2, 1.0, size=k)
         comps = []
         for j in range(k):
             mean = [rng.uniform(lo, hi) for lo, hi in mean_box]
-            sigma = rng.uniform(*sigma_range, size=grid.ndim)
+            sigma = rng.uniform(0.6, 1.4, size=grid.ndim)
             comps.append((raw[j] / raw.sum(), mean, sigma))
         out.append(gaussian_mixture_measure(grid, comps))
     return out[0], out[1]

@@ -67,14 +67,13 @@ def relative_entropy_weights(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(xlogy(p[s], p[s] / q[s])))
 
 
-def luxemburg_norm(f: np.ndarray, base, young=theta,
-                   rel_width: float = 1e-10) -> float:
+def luxemburg_norm(f: np.ndarray, base, young=theta) -> float:
     """Luxemburg norm of f over the probability base, by bisection.
 
     ``base`` is a DiscreteMeasure or a plain weight vector; ``young`` is a
     callable or one of the names "theta" / "theta_star".  The returned value
     b satisfies ∫ young(|f|/b) d(base) ∈ [1 - 1e-8, 1] and the final bracket
-    has relative width ≤ rel_width.
+    has relative width ≤ 1e-10.
     """
     young = _young_fn(young)
     f = np.abs(np.asarray(f, dtype=float)).ravel()
@@ -106,7 +105,7 @@ def luxemburg_norm(f: np.ndarray, base, young=theta,
 
     # invariant: integral(lo) > 1 >= integral(hi)
     for _ in range(500):
-        if hi - lo <= rel_width * hi and integral(hi) >= 1.0 - 1e-8:
+        if hi - lo <= 1e-10 * hi and integral(hi) >= 1.0 - 1e-8:
             break
         mid = 0.5 * (lo + hi)
         if integral(mid) <= 1.0:

@@ -12,7 +12,6 @@ and never counted as evidence.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -46,15 +45,12 @@ class InequalityReport:
                        for k, v in d["extras"].items()}
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def make_report(name: str, lhs: float, rhs: float,
                 tol_abs: float = DEFAULT_TOL_ABS,
                 tol_rel: float = DEFAULT_TOL_REL,
-                note: str = "", inputs_digest: str = "",
-                extras: dict | None = None) -> InequalityReport:
+                note: str = "", extras: dict | None = None
+                ) -> InequalityReport:
     """Report for lhs ≤ rhs under the additive/relative tolerance rule."""
     lhs = float(lhs)
     rhs = float(rhs)
@@ -66,14 +62,13 @@ def make_report(name: str, lhs: float, rhs: float,
     return InequalityReport(name=name, lhs=lhs, rhs=rhs, slack=slack,
                             relative_slack=rel, passed=passed,
                             vacuous=vacuous, note=note,
-                            inputs_digest=inputs_digest,
                             extras=dict(extras or {}))
 
 
 def make_equality_report(name: str, lhs: float, rhs: float,
                          rel_tol: float, abs_tol: float = 0.0,
-                         note: str = "", inputs_digest: str = "",
-                         extras: dict | None = None) -> InequalityReport:
+                         note: str = "", extras: dict | None = None
+                         ) -> InequalityReport:
     """Report for |lhs - rhs| ≤ abs_tol + rel_tol·max(|lhs|, |rhs|)."""
     lhs = float(lhs)
     rhs = float(rhs)
@@ -83,8 +78,7 @@ def make_equality_report(name: str, lhs: float, rhs: float,
     rel = gap / scale if scale > 0 else 0.0
     return InequalityReport(name=name, lhs=lhs, rhs=rhs, slack=rhs - lhs,
                             relative_slack=rel, passed=passed, vacuous=False,
-                            note=note, inputs_digest=inputs_digest,
-                            extras=dict(extras or {}))
+                            note=note, extras=dict(extras or {}))
 
 
 def cross_check_rhs(rhs_fast: float, terms: dict[str, float],

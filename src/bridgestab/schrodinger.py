@@ -217,8 +217,18 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, kernel: GibbsKernel,
     Stops when the larger of the two L1 marginal residuals of the implied
     plan drops to ``tol``.  The returned potentials are re-centered to the
     symmetric normalization; convergence failure is recorded, not raised.
+    ``init_psi`` warm-starts ψ: one value per cell, finite on supp ν (the
+    values off supp ν are ignored).
     """
     _check_problem(mu, nu, kernel)
+    if init_psi is not None:
+        init_psi = np.asarray(init_psi, dtype=float)
+        s_nu = nu.support()
+        if init_psi.shape != s_nu.shape or \
+                not np.all(np.isfinite(init_psi[s_nu])):
+            raise ValueError("init_psi needs shape (n_cells,) and finite "
+                             "values on supp ν")
+        init_psi = np.where(s_nu, init_psi, -np.inf)
     ref = kernel.reference
     u = ref.log_mass()
     phi, psi, n_done, history, converged = _sinkhorn(
@@ -304,23 +314,6 @@ class EOTSolution:
     marginal_residual: float
     residual_history: np.ndarray
     converged: bool
-
-    @property
-    def Phi(self) -> np.ndarray:
-        """Entropic potential ε·a in the ∫Φdμ = ∫Ψdν normalization."""
-        return self._normalized()[0]
-
-    @property
-    def Psi(self) -> np.ndarray:
-        return self._normalized()[1]
-
-    def _normalized(self):
-        s_mu, s_nu = self.mu.support(), self.nu.support()
-        Phi = self.epsilon * self.a
-        Psi = self.epsilon * self.b
-        c = 0.5 * (float(Psi[s_nu] @ self.nu.weights[s_nu])
-                   - float(Phi[s_mu] @ self.mu.weights[s_mu]))
-        return Phi + c, Psi - c
 
     def log_plan(self) -> Plan:
         lw = (self.a + self.mu.log_weights())[:, None] \

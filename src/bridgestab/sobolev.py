@@ -158,14 +158,9 @@ def h_minus_one_norm(rhs: SignedMeasure, weight: DiscreteMeasure) -> float:
 # ---------------------------------------------------------------------------
 
 def w2_atoms(x_a: np.ndarray, w_a: np.ndarray,
-             x_b: np.ndarray, w_b: np.ndarray,
-             n_quantiles: int | None = None) -> float:
-    """W2 between two atomic measures on the line.
-
-    Default mode integrates the squared quantile difference exactly over the
-    merged breakpoint partition; ``n_quantiles`` switches to plain midpoint
-    sampling of the unit interval (useful as a cross-check).
-    """
+             x_b: np.ndarray, w_b: np.ndarray) -> float:
+    """W2 between two atomic measures on the line: the squared quantile
+    difference integrated exactly over the merged breakpoint partition."""
     oa = np.argsort(x_a, kind="stable")
     ob = np.argsort(x_b, kind="stable")
     xa, wa = np.asarray(x_a, float)[oa], np.asarray(w_a, float)[oa]
@@ -173,33 +168,26 @@ def w2_atoms(x_a: np.ndarray, w_a: np.ndarray,
     ca = np.cumsum(wa)
     cb = np.cumsum(wb)
 
-    if n_quantiles is None:
-        breaks = np.unique(np.concatenate([[0.0, 1.0], ca, cb]))
-        breaks = breaks[(breaks >= 0.0) & (breaks <= 1.0)]
-        lengths = np.diff(breaks)
-        keep = lengths > 0
-        u = 0.5 * (breaks[:-1] + breaks[1:])[keep]
-        lengths = lengths[keep]
-    else:
-        if n_quantiles < 1:
-            raise ValueError("n_quantiles must be >= 1")
-        u = (np.arange(n_quantiles) + 0.5) / n_quantiles
-        lengths = np.full(n_quantiles, 1.0 / n_quantiles)
+    breaks = np.unique(np.concatenate([[0.0, 1.0], ca, cb]))
+    breaks = breaks[(breaks >= 0.0) & (breaks <= 1.0)]
+    lengths = np.diff(breaks)
+    keep = lengths > 0
+    u = 0.5 * (breaks[:-1] + breaks[1:])[keep]
+    lengths = lengths[keep]
 
     qa = xa[np.minimum(np.searchsorted(ca, u, side="left"), xa.size - 1)]
     qb = xb[np.minimum(np.searchsorted(cb, u, side="left"), xb.size - 1)]
     return math.sqrt(float(np.sum(lengths * (qa - qb) ** 2)))
 
 
-def wasserstein2_1d(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                    n_quantiles: int | None = None) -> float:
-    """Exact (default) or midpoint-sampled W2 on a 1D grid."""
+def wasserstein2_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
+    """Exact W2 on a 1D grid (quantile functions)."""
     if mu.grid.ndim != 1:
         raise ValueError("quantile W2 is one-dimensional; use the LP oracle")
     if not mu.grid.same_as(nu.grid):
         raise ValueError("measures live on different grids")
     x = mu.grid.axes[0]
-    return w2_atoms(x, mu.weights, x, nu.weights, n_quantiles)
+    return w2_atoms(x, mu.weights, x, nu.weights)
 
 
 def wasserstein2_exact_small(mu: DiscreteMeasure,

@@ -48,9 +48,7 @@ def read_reports(out_dir):
 def test_list_scenarios(capsys):
     assert cli.main(["--list-scenarios"]) == 0
     out = capsys.readouterr().out
-    for name in ("solve", "stability", "cost-stability", "eot-stability",
-                 "corrector", "smalltime", "gradient-map", "interpolate",
-                 "sobolev", "orlicz"):
+    for name in _SCENARIO_NAMES:
         assert name in out
 
 
@@ -162,13 +160,14 @@ def test_orlicz_scenario(tmp_path):
     assert all(r["passed"] for r in reports)
 
 
-def test_sample_configs_validate():
+def test_sample_configs_validate(tmp_path):
     here = Path(__file__).resolve().parent.parent / "configs"
     paths = sorted(here.glob("*.yaml"))
     assert paths
     for path in paths:
         cfg = yaml.safe_load(path.read_text())
         assert cli.validate(cli._normalize(cfg)) == [], path.name
+        assert cli.run(cfg, tmp_path / path.stem) == 0, path.name
 
 
 _BATTERY_REPORTS = {
@@ -243,3 +242,223 @@ def test_stability_keeps_cells_near_the_mass_floor(tmp_path):
     for r in reports:
         assert r["passed"] and not r["vacuous"], r["name"]
         assert r["lhs"] != "inf", r["name"]
+
+
+# ---------------------------------------------------------------------------
+# validation messages: one config per message, each otherwise valid
+# ---------------------------------------------------------------------------
+
+_OU = {"kind": "ou", "T": 0.5, "kappa": 1.0}
+_PAIR = {"mu": {"family": "gaussian", "mean": [-1.0], "sigma": 0.9},
+         "nu": {"family": "gaussian", "mean": [1.0], "sigma": 0.8}}
+_GRID = {"bounds": [-6.0, 6.0], "shape": 64}
+_PERT = {"epsilons": [0.05, 0.2], "n_seeds": 2}
+
+
+def valid_cfg(scenario):
+    """A small config of each scenario that `validate` accepts."""
+    base = {"scenario": scenario, "grid": _GRID, "kernel": _OU,
+            "marginals": _PAIR}
+    extra = {
+        "solve": {},
+        "stability": {"seed": 1, "perturbation": _PERT},
+        "cost-stability": {"seed": 1, "perturbation": _PERT},
+        "eot-stability": {"seed": 1, "kernel": {"epsilon": 0.5},
+                          "perturbation": _PERT},
+        "corrector": {"seed": 1, "corrector": {"n_pairs": 2}},
+        "smalltime": {"kernel": {"kappa": 0.0},
+                      "smalltime": {"T_list": [0.2, 0.1]}},
+        "gradient-map": {"kernel": {"kappa": 1.0},
+                         "gradient_map": {"T_list": [0.2, 0.1]}},
+        "interpolate": {"interpolate": {"n_times": 3, "n_slices": 4}},
+        "sobolev": {"seed": 1, "marginals": {"mu": {"family": "random"}},
+                    "sobolev": {"n_instances": 2, "eps": 0.2}},
+        "orlicz": {"seed": 1, "orlicz": {"n_instances": 3, "n_atoms": 8}},
+    }[scenario]
+    cfg = json.loads(json.dumps({**base, **extra}))
+    if scenario == "corrector":
+        del cfg["marginals"]
+    if scenario == "orlicz":
+        for key in ("grid", "kernel", "marginals"):
+            del cfg[key]
+    return cfg
+
+
+_DROP = object()
+
+
+def edited_cfg(scenario, edits):
+    """`valid_cfg(scenario)` with dotted paths set (or dropped)."""
+    cfg = valid_cfg(scenario)
+    for path, value in edits.items():
+        *parents, last = path.split(".")
+        node = cfg
+        for key in parents:
+            node = node[key]
+        if value is _DROP:
+            del node[last]
+        else:
+            node[last] = value
+    return cfg
+
+
+_GRID_2D = {"bounds": [[-3.0, 3.0], [-3.0, 3.0]], "shape": [8, 8]}
+_PAIR_2D = {"mu": {"family": "gaussian", "mean": [-1.0, 0.0], "sigma": 0.9},
+            "nu": {"family": "gaussian", "mean": [1.0, 0.0], "sigma": 0.8}}
+
+# (scenario, edits, every message validate() returns)
+_MESSAGES = [
+    ("solve", {"scenario": "nope"},
+     ["scenario: one of ['corrector', 'cost-stability', 'eot-stability', "
+      "'gradient-map', 'interpolate', 'orlicz', 'smalltime', 'sobolev', "
+      "'solve', 'stability'] required, got 'nope'"]),
+    ("orlicz", {"seed": _DROP},
+     ["seed: integer seed is mandatory for randomized scenario 'orlicz'"]),
+    ("solve", {"seed": "x"}, ["seed: integer required"]),
+    ("solve", {"grid": _DROP},
+     ["grid: mapping with 'bounds' and 'shape' required"]),
+    ("solve", {"grid.bounds": [[1.0, -1.0]]},
+     ["grid.bounds: list of [lo, hi] pairs with lo < hi required"]),
+    ("solve", {"grid.shape": 1},
+     ["grid.shape: list of integers >= 2 required"]),
+    ("solve", {"grid.shape": [64, 64]},
+     ["grid: bounds and shape must have equal length"]),
+    ("solve", {"grid": {"bounds": [[0.0, 1.0]] * 3, "shape": [4, 4, 4]}},
+     ["grid: at most two dimensions are supported"]),
+    ("smalltime", {"grid": _GRID_2D, "marginals": _PAIR_2D},
+     ["grid: scenario 'smalltime' is one-dimensional"]),
+    ("solve", {"kernel": _DROP}, ["kernel: mapping required"]),
+    ("eot-stability", {"kernel.epsilon": 0},
+     ["kernel.epsilon: positive number required for eot-stability"]),
+    ("smalltime", {"kernel.kappa": -1.0},
+     ["kernel.kappa: number >= 0 required (0 means heat kernel) for "
+      "smalltime"]),
+    ("gradient-map", {"kernel": {}},
+     ["kernel.kappa: number >= 0 required (0 means heat kernel) for "
+      "gradient-map"]),
+    ("solve", {"kernel.kind": "brownian"},
+     ["kernel.kind: 'heat' or 'ou' required"]),
+    ("solve", {"kernel.T": 0}, ["kernel.T: positive number required"]),
+    ("solve", {"kernel.kappa": _DROP},
+     ["kernel.kappa: positive number required when kernel.kind is 'ou'"]),
+    ("solve", {"marginals": _DROP},
+     ["marginals: mapping with 'mu' (and 'nu') required"]),
+    ("solve", {"marginals.mu": "gauss"},
+     ["marginals.mu: mapping with a 'family' key required"]),
+    ("solve", {"marginals.mu.sigma": _DROP},
+     ["marginals.mu: gaussian needs 'mean' and 'sigma'"]),
+    ("solve", {"marginals.mu.sigma": -1.0},
+     ["marginals.mu.sigma: positive number required"]),
+    ("solve", {"marginals.nu": {"family": "uniform", "lo": [0.0]}},
+     ["marginals.nu: uniform needs 'lo' and 'hi'"]),
+    ("solve", {"marginals.nu": {"family": "mixture", "components": []}},
+     ["marginals.nu.components: nonempty list required"]),
+    ("solve", {"marginals.nu": {"family": "mixture", "components": [
+        {"weight": 1.0, "mean": [0.0]}]}},
+     ["marginals.nu.components[0]: needs 'weight', 'mean', 'sigma'"]),
+    ("solve", {"marginals.nu": {"family": "csv"}},
+     ["marginals.nu: csv needs 'path'"]),
+    ("solve", {"marginals.nu.family": "cauchy"},
+     ["marginals.nu.family: unknown family 'cauchy'"]),
+    ("solve", {"marginals.nu": {"family": "random"}},
+     ["seed: required when a marginal family is 'random'"]),
+    ("stability", {"perturbation": _DROP},
+     ["perturbation: mapping with 'epsilons' and 'n_seeds' required"]),
+    ("stability", {"perturbation.epsilons": [0.5, 1.0]},
+     ["perturbation.epsilons: list of numbers in (0, 1) required"]),
+    ("cost-stability", {"perturbation.n_seeds": 0},
+     ["perturbation.n_seeds: integer >= 1 required"]),
+    ("corrector", {"corrector.n_pairs": 0},
+     ["corrector.n_pairs: integer >= 1 required"]),
+    ("smalltime", {"smalltime.T_list": [0.1]},
+     ["smalltime.T_list: list of >= 2 positive times required"]),
+    ("gradient-map", {"gradient_map.T_list": [0.1, 0.2]},
+     ["gradient_map.T_list: times must decrease strictly (the curve checks "
+      "gaps along T ↓ 0)"]),
+    ("interpolate", {"interpolate.n_times": 1},
+     ["interpolate.n_times: integer >= 2 required"]),
+    ("interpolate", {"interpolate.n_slices": 1.5},
+     ["interpolate.n_slices: integer >= 2 required"]),
+    ("interpolate", {"interpolate": 5}, ["interpolate: mapping expected"]),
+    ("solve", {"solver": {"tol": 0}},
+     ["solver.tol: positive number required"]),
+    ("solve", {"solver": {"max_iter": 0}},
+     ["solver.max_iter: integer >= 1 required"]),
+    ("sobolev", {"solver": "fast"}, ["solver: mapping expected"]),
+]
+
+
+_SCENARIO_NAMES = ["solve", "stability", "cost-stability", "eot-stability",
+                   "corrector", "smalltime", "gradient-map", "interpolate",
+                   "sobolev", "orlicz"]
+
+
+@pytest.mark.parametrize("scenario", _SCENARIO_NAMES)
+def test_valid_cfg_validates(scenario):
+    assert cli.validate(valid_cfg(scenario)) == []
+
+
+def test_top_level_mapping_required():
+    assert cli.validate([1, 2]) == ["config: top-level mapping required"]
+
+
+@pytest.mark.parametrize("scenario,edits,messages", _MESSAGES,
+                         ids=[m[0].split(":")[0] for _, _, m in _MESSAGES])
+def test_validate_messages(scenario, edits, messages):
+    assert cli.validate(edited_cfg(scenario, edits)) == messages
+
+
+# configs that validate() used to accept and that then crashed with a
+# traceback: each must exit 2 and name the field on stderr
+_DATA_ERRORS = [
+    ("solve", {"grid": _GRID_2D}, "marginals.mu.mean"),
+    ("solve", {"marginals.mu.mean": "abc"}, "marginals.mu.mean"),
+    ("solve", {"marginals.nu": {"family": "mixture", "components": [
+        {"weight": 1.0, "mean": [0.0, 1.0], "sigma": 1.0}]}},
+     "marginals.nu.components[0].mean"),
+    ("solve", {"marginals.nu": {"family": "uniform", "lo": [20.0],
+                                "hi": [30.0]}}, "marginals.nu"),
+    ("solve", {"marginals.nu": {"family": "csv",
+                                "path": "no/such/measure.csv"}},
+     "marginals.nu"),
+    ("solve", {"marginals.mu": {"family": "mixture", "components": [
+        {"weight": -1.0, "mean": [0.0], "sigma": 1.0}]}}, "marginals.mu"),
+    ("sobolev", {"sobolev.eps": 1.5}, "sobolev.eps"),
+    ("sobolev", {"sobolev.n_instances": 0}, "sobolev.n_instances"),
+    ("stability", {"perturbation.n_modes": "x"}, "perturbation.n_modes"),
+    ("orlicz", {"orlicz.exp_lo": 0.0}, "orlicz.exp_lo"),
+    ("orlicz", {"orlicz.exp_hi": -1.0}, "orlicz.exp_hi"),
+    ("orlicz", {"orlicz.exp_lo": 3.0, "orlicz.exp_hi": 1.0},
+     "orlicz: exp_lo <= exp_hi"),
+    ("orlicz", {"orlicz.n_instances": 0}, "orlicz.n_instances"),
+    ("orlicz", {"orlicz.n_atoms": 1.5}, "orlicz.n_atoms"),
+    ("smalltime", {"smalltime.max_final_rel_gap": 0},
+     "smalltime.max_final_rel_gap"),
+    ("solve", {"output": "out/solve"}, "output"),
+    ("solve", {"scenario": ["solve"]}, "scenario"),
+    ("solve", {"seed": -1}, "seed"),
+]
+
+
+@pytest.mark.parametrize("scenario,edits,field_path", _DATA_ERRORS,
+                         ids=[f for _, _, f in _DATA_ERRORS])
+def test_data_errors_exit_2_naming_the_field(tmp_path, capsys, scenario,
+                                             edits, field_path):
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, edited_cfg(scenario, edits))
+    assert cli.main(["--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert field_path in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_readme_scenario_table_matches_list_scenarios(capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    rows = [ln.split("|") for ln in readme.read_text().splitlines()
+            if ln.startswith("| `")]
+    table = {r[1].strip().strip("`"): r[2].strip() for r in rows}
+    assert cli.main(["--list-scenarios"]) == 0
+    listed = dict(ln.split(None, 1)
+                  for ln in capsys.readouterr().out.splitlines())
+    assert table == listed

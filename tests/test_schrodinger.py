@@ -96,6 +96,28 @@ def test_potentials_unique_up_to_constant(grid128, gauss_pair, ou_kernel, rng):
     assert np.max(np.abs(d_psi + c)) < 1e-8
 
 
+def test_init_psi_off_the_support_is_ignored(gauss_pair, ou_kernel, ou_sol):
+    # a warm start that is NaN off supp nu (as entropic_potentials is)
+    mu, nu = gauss_pair
+    init = np.where(nu.support(), ou_sol.psi + 0.3, np.nan)
+    warm = bs.solve(mu, nu, ou_kernel, init_psi=init)
+    assert warm.converged and warm.n_iter < ou_sol.n_iter
+    s = nu.support()
+    assert np.max(np.abs(warm.psi[s] - ou_sol.psi[s])) < 1e-8
+
+
+@pytest.mark.parametrize("bad", ["nan_on_support", "short", "column"])
+def test_init_psi_is_checked(gauss_pair, ou_kernel, bad):
+    mu, nu = gauss_pair
+    n = nu.grid.n_cells
+    init = {"nan_on_support": np.where(np.arange(n) == np.argmax(nu.weights),
+                                       np.nan, 0.0),
+            "short": np.zeros(n - 1),
+            "column": np.zeros((n, 1))}[bad]
+    with pytest.raises(ValueError, match="init_psi"):
+        bs.solve(mu, nu, ou_kernel, init_psi=init, max_iter=50)
+
+
 def test_entropic_potentials_identity(ou_sol):
     # Phi = T (phi - log dmu/dm) + c and Psi = T (psi - log dnu/dm) - c on the
     # supports, with the constant fixed by int Phi dmu = int Psi dnu
