@@ -49,7 +49,7 @@ from .dynamics import (
     interpolate,
     small_time_cost_curve,
 )
-from .kernels import GibbsKernel
+from .kernels import OU_MAX_KAPPA_T, GibbsKernel
 from .measures import (
     DiscreteMeasure,
     Grid,
@@ -241,7 +241,10 @@ def _run_corrector(cfg, rng) -> ScenarioResult:
     grid = _grid(cfg)
     ker = _kernel(grid, cfg["kernel"])
     for i in range(_section(cfg, "corrector")["n_pairs"]):
-        mu, nu = random_smooth_pair(grid, rng)
+        try:
+            mu, nu = random_smooth_pair(grid, rng)
+        except ValueError as exc:  # e.g. no mass left on a very wide grid
+            raise InfeasibleProblem(f"corrector pair {i}: {exc}") from exc
         sol = solve(mu, nu, ker, **_section(cfg, "solver"))
         if res.converged(sol, f"pair {i}: "):
             res.add_checks({"pair": i}, corrector_check(sol).reports)
@@ -459,6 +462,15 @@ def _int_from(lo: int):
     return lambda v: isinstance(v, int) and v >= lo
 
 
+def _ou_overflows(kappa, T) -> bool:
+    """κT beyond the range the OU formulas take (e^{2κT} overflows)."""
+    return _positive(kappa) and _positive(T) and kappa * T > OU_MAX_KAPPA_T
+
+
+_OU_RANGE = (f"T <= {OU_MAX_KAPPA_T:g}/kappa required for the OU kernel "
+             "(e^(2*kappa*T) overflows beyond)")
+
+
 def _list_of(ok, min_len: int = 1):
     return lambda v: (isinstance(v, list) and len(v) >= min_len
                       and all(map(ok, v)))
@@ -584,6 +596,8 @@ def _check_kernel(k, schema: str, scenario: str, errs: list[str]) -> None:
         if k.get("kind") == "ou" and not _positive(k.get("kappa")):
             errs.append("kernel.kappa: positive number required when "
                         "kernel.kind is 'ou'")
+        elif k.get("kind") == "ou" and _ou_overflows(k["kappa"], k.get("T")):
+            errs.append(f"kernel.T: {_OU_RANGE}")
 
 
 def _check_mean(mean, path: str, ndim: int, errs: list[str]) -> None:
@@ -661,7 +675,20 @@ def validate(cfg) -> list[str]:
             errs.append("seed: required when a marginal family is 'random'")
     for block in (*scen.blocks, "solver", "output"):
         _check_block(cfg, block, errs)
+    if scen.kernel == "kappa" and isinstance(cfg.get("kernel"), dict):
+        _check_ou_times(cfg["kernel"].get("kappa"), cfg.get(scen.blocks[0]),
+                        scen.blocks[0], errs)
     return errs
+
+
+def _check_ou_times(kappa, sect, name: str, errs: list[str]) -> None:
+    """Every time of ``<name>.T_list`` within the OU range of κ."""
+    times = sect.get("T_list") if isinstance(sect, dict) else None
+    if isinstance(times, list):
+        bad = next((i for i, T in enumerate(times)
+                    if _ou_overflows(kappa, T)), None)
+        if bad is not None:
+            errs.append(f"{name}.T_list[{bad}]: {_OU_RANGE}")
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,19 @@ import numpy as np
 from .measures import Grid, ReferenceMeasure
 
 
+# Largest κT the OU formulas accept: e^{2κT} overflows a double once κT
+# exceeds log(DBL_MAX)/2 ≈ 354.9.
+OU_MAX_KAPPA_T = 350.0
+
+
+def _check_ou(T: float, kappa: float) -> None:
+    if T <= 0 or kappa <= 0:
+        raise ValueError("OU kernel needs T > 0 and kappa > 0")
+    if kappa * T > OU_MAX_KAPPA_T:
+        raise ValueError(f"OU kernel needs kappa*T <= {OU_MAX_KAPPA_T:g}, "
+                         f"got {kappa * T:g}")
+
+
 class BandwidthWarning(UserWarning):
     """Kernel bandwidth below grid resolution: results are under-resolved."""
 
@@ -48,6 +61,9 @@ def curvature_factor(kappa: float, t: float) -> float:
         raise ValueError("curvature factor needs t > 0")
     if kappa == 0.0:
         return float(t)
+    if kappa * t > OU_MAX_KAPPA_T:
+        raise ValueError(f"curvature factor needs kappa*t <= "
+                         f"{OU_MAX_KAPPA_T:g}, got {kappa * t:g}")
     return float(math.expm1(2.0 * kappa * t) / (2.0 * kappa))
 
 
@@ -68,8 +84,7 @@ def ou_kernel(x, y, T: float, kappa: float) -> float:
     log p_T(x,y) = -(d/2) log(1 - e^{-2κT})
                    - κ (|x|² - 2 e^{κT} x·y + |y|²) / (2 (e^{2κT} - 1)).
     """
-    if T <= 0 or kappa <= 0:
-        raise ValueError("OU kernel needs T > 0 and kappa > 0")
+    _check_ou(T, kappa)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     d = x.size
@@ -201,8 +216,7 @@ class GibbsKernel(LogKernel):
     @staticmethod
     def ou(grid: Grid, T: float, kappa: float) -> "GibbsKernel":
         """OU kernel at time T against its stationary Gaussian N(0, I/κ)."""
-        if T <= 0 or kappa <= 0:
-            raise ValueError("OU kernel needs T > 0 and kappa > 0")
+        _check_ou(T, kappa)
         c = -0.5 * math.log(-math.expm1(-2.0 * kappa * T))
         w = kappa / (2.0 * math.expm1(2.0 * kappa * T))
         e = 2.0 * math.exp(kappa * T)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 # Cells with less mass than this count as empty for support, log-density and
 # gradient purposes.
@@ -354,6 +353,18 @@ def perturbed_measure(mu: DiscreteMeasure, h: np.ndarray,
 # entropies, information, moments
 # ---------------------------------------------------------------------------
 
+def relative_entropy_weights(p: np.ndarray, q: np.ndarray) -> float:
+    """H(p|q) = Σ p_i log(p_i / q_i) over p_i > 0 for plain weight vectors,
+    +inf unless supp p ⊆ supp q."""
+    s = p > 0
+    if np.any(q[s] <= 0):
+        return math.inf
+    ps = p[s]
+    # p_i/q_i may underflow to 0 for subnormal p_i: that term is -inf
+    with np.errstate(divide="ignore"):
+        return float(np.sum(ps * np.log(ps / q[s])))
+
+
 def relative_entropy(p: DiscreteMeasure, ref) -> float:
     """H(p | ref) = Σ p_i log(p_i / ref_i), +inf unless supp p ⊆ supp ref.
 
@@ -361,10 +372,7 @@ def relative_entropy(p: DiscreteMeasure, ref) -> float:
     """
     _check_same_grid(p, ref)
     q = ref.cell_mass if isinstance(ref, ReferenceMeasure) else ref.weights
-    s = p.support()
-    if np.any(q[s] <= 0):
-        return math.inf
-    return float(np.sum(xlogy(p.weights[s], p.weights[s] / q[s])))
+    return relative_entropy_weights(p.weights, q)
 
 
 def symmetric_entropy(p: DiscreteMeasure, q: DiscreteMeasure) -> float:

@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
+
+from .measures import relative_entropy_weights
 
 
 def theta(t):
@@ -32,7 +33,8 @@ def theta(t):
 def theta_star(s):
     """θ*(s) = s·log s - s + 1 for s > 0, θ*(0) = 1 (elementwise, s ≥ 0)."""
     s = np.asarray(s, dtype=float)
-    return np.where(s > 0.0, xlogy(s, s) - s + 1.0, 1.0)
+    return np.where(s > 0.0, s * np.log(np.where(s > 0.0, s, 1.0)) - s + 1.0,
+                    1.0)
 
 
 def _weights_of(x) -> np.ndarray:
@@ -57,14 +59,6 @@ def _check_probability(q: np.ndarray, name: str):
         raise ValueError(f"{name} must be finite and nonnegative")
     if abs(q.sum() - 1.0) > 1e-10:
         raise ValueError(f"{name} must sum to 1 (got {q.sum()!r})")
-
-
-def relative_entropy_weights(p: np.ndarray, q: np.ndarray) -> float:
-    """H(p|q) for plain probability vectors (+inf unless supp p ⊆ supp q)."""
-    s = p > 0
-    if np.any(q[s] <= 0):
-        return math.inf
-    return float(np.sum(xlogy(p[s], p[s] / q[s])))
 
 
 def luxemburg_norm(f: np.ndarray, base, young=theta) -> float:
@@ -195,11 +189,20 @@ def _lp_norm(values: np.ndarray, q: np.ndarray, e: float) -> float:
     return total ** (1.0 / e)
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log Σ exp(a), shifted by max(a); -inf when a is empty or all -inf."""
+    m = float(a.max(initial=-np.inf))
+    if not math.isfinite(m):
+        return m
+    return m + float(np.log(np.sum(np.exp(a - m))))
+
+
 def _lp_norm_log(values: np.ndarray, q: np.ndarray, e: float) -> float:
     """Same norm assembled in the log domain (independent route)."""
     s = q > 0
     v = np.asarray(values, float)[s]
-    return float(np.exp(logsumexp(np.log(q[s]) + e * np.log(v)) / e))
+    with np.errstate(divide="ignore"):  # a zero value has log -inf
+        return float(np.exp(_logsumexp(np.log(q[s]) + e * np.log(v)) / e))
 
 
 def _checked_norm(values, q, e, label: str) -> float:

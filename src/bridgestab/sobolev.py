@@ -14,6 +14,9 @@ constant, so integrating |F_μ^{-1} - F_ν^{-1}|² over the merged breakpoint
 partition (midpoint per segment) incurs no quadrature error.  A dense LP on
 small supports serves as the independent oracle in any dimension, and the
 comparison  W2(μ, μ̄) ≤ 2 ‖μ - μ̄‖_{Ḣ^{-1}(μ)}  is packaged as a report.
+
+scipy (the sparse direct solve, the LP) is imported by the functions that
+use it, so importing this module, and the package, loads only numpy.
 """
 
 from __future__ import annotations
@@ -21,10 +24,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import factorized
 
 from .measures import (MASS_FLOOR, DiscreteMeasure, Grid, SignedMeasure,
                        difference)
@@ -71,8 +70,9 @@ def edge_weights(grid: Grid, weight: DiscreteMeasure
     return ia, ib, w
 
 
-def weighted_laplacian(grid: Grid, weight: DiscreteMeasure) -> sp.csr_matrix:
-    """L_μ = Σ_e w_e (e_a - e_b)(e_a - e_b)^T as a sparse matrix."""
+def weighted_laplacian(grid: Grid, weight: DiscreteMeasure):
+    """L_μ = Σ_e w_e (e_a - e_b)(e_a - e_b)^T as a scipy.sparse CSR matrix."""
+    import scipy.sparse as sp
     ia, ib, w = edge_weights(grid, weight)
     n = grid.n_cells
     rows = np.concatenate([ia, ib, ia, ib])
@@ -98,6 +98,9 @@ class WeightedPoissonProblem:
     """
 
     def __init__(self, weight: DiscreteMeasure):
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
+        from scipy.sparse.linalg import factorized
         self.weight = weight
         self.grid = weight.grid
         n = self.grid.n_cells
@@ -193,6 +196,8 @@ def wasserstein2_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 def wasserstein2_exact_small(mu: DiscreteMeasure,
                              nu: DiscreteMeasure) -> float:
     """LP oracle for W2 on small supports (≤ 64 atoms each), any dimension."""
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
     if not mu.grid.same_as(nu.grid):
         raise ValueError("measures live on different grids")
     ii = np.flatnonzero(mu.weights > 0)

@@ -453,6 +453,53 @@ def test_data_errors_exit_2_naming_the_field(tmp_path, capsys, scenario,
     assert not out.exists()
 
 
+# κT past the OU range overflowed e^{2κT} in the kernel with a traceback;
+# validate() refuses it, naming the field
+_OU_OVERFLOWS = [
+    ("corrector", {"kernel.T": 1.0e9}, "kernel.T"),
+    ("stability", {"kernel.kappa": 1.0e9}, "kernel.T"),
+    ("gradient-map", {"gradient_map.T_list": [1000.0, 0.1]},
+     "gradient_map.T_list[0]"),
+    ("smalltime", {"kernel.kappa": 2000.0}, "smalltime.T_list[0]"),
+]
+
+
+@pytest.mark.parametrize("scenario,edits,field_path", _OU_OVERFLOWS,
+                         ids=[s for s, _, _ in _OU_OVERFLOWS])
+def test_ou_overflow_exits_2_naming_the_field(tmp_path, capsys, scenario,
+                                              edits, field_path):
+    cfg = edited_cfg(scenario, edits)
+    assert cli.validate(cfg) == [
+        f"{field_path}: T <= 350/kappa required for the OU kernel "
+        "(e^(2*kappa*T) overflows beyond)"]
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main(["--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert field_path in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_ou_range_edge_validates():
+    assert cli.validate(edited_cfg("corrector", {"kernel.T": 350.0})) == []
+    assert cli.validate(edited_cfg("gradient-map", {
+        "kernel.kappa": 1750.0, "gradient_map.T_list": [0.2, 0.1]})) == []
+
+
+def test_corrector_pair_without_mass_exits_2(tmp_path, capsys):
+    # the mixture mass underflows on every cell of so wide a grid
+    cfg = edited_cfg("corrector", {"grid.bounds": [-6.0, 1.0e9],
+                                   "grid.shape": 32})
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main(["--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: problem data: corrector pair 0:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_readme_scenario_table_matches_list_scenarios(capsys):
     readme = Path(__file__).resolve().parent.parent / "README.md"
     rows = [ln.split("|") for ln in readme.read_text().splitlines()

@@ -69,6 +69,19 @@ def test_curvature_factor_values():
     assert abs(bs.curvature_factor(kappa, t) - oracle) < 1e-10
 
 
+def test_ou_past_kappa_t_350_is_a_value_error():
+    # e^{2κT} overflows a double past κT ≈ 354.9
+    g = bs.Grid.regular([(-6.0, 6.0)], [32])
+    for build in (lambda: bs.GibbsKernel.ou(g, 1.0e9, 1.0),
+                  lambda: bs.GibbsKernel.ou(g, 1.0, 400.0),
+                  lambda: bs.ou_kernel(0.0, 0.0, 400.0, 1.0),
+                  lambda: bs.curvature_factor(1.0, 400.0)):
+        with pytest.raises(ValueError, match=r"kappa\*[tT] <= 350"):
+            build()
+    assert bs.GibbsKernel.ou(g, 350.0, 1.0).T == 350.0
+    assert math.isfinite(bs.curvature_factor(1.0, 350.0))
+
+
 @given(
     st.floats(-2.0, 2.0, allow_subnormal=False),
     st.floats(1e-4, 0.1),
