@@ -204,8 +204,11 @@ def _run_battery(cfg, rng) -> ScenarioResult:
     """Solve the base pair (quadratic EOT at ``kernel.epsilon``, else the
     Schrödinger problem of the configured kernel), then ``n_seeds``
     perturbation draws at each ε, and check every converged perturbed
-    solution against the base with the scenario's ``check``.  The solver is
-    looked up by name at each call, never captured."""
+    solution against the base with the scenario's ``check``.  Each
+    perturbed solve warm-starts from the base ν-side potential (ψ, or b
+    for EOT) unless a perturbed marginal's support differs from the
+    base's.  The solver is looked up by name at each call, never
+    captured."""
     res = ScenarioResult()
     scen = SCENARIOS[cfg["scenario"]]
     sv = _section(cfg, "solver")
@@ -213,8 +216,10 @@ def _run_battery(cfg, rng) -> ScenarioResult:
     arg = cfg["kernel"]["epsilon"] if eot \
         else _kernel(_grid(cfg), cfg["kernel"])
 
-    def solve_pair(mu, nu):
-        return (eot_quadratic_direct if eot else solve)(mu, nu, arg, **sv)
+    def solve_pair(mu, nu, init=None):
+        if eot:
+            return eot_quadratic_direct(mu, nu, arg, init_b=init, **sv)
+        return solve(mu, nu, arg, init_psi=init, **sv)
 
     grid = _grid(cfg)
     mu, nu = _marginals(grid, cfg, rng)
@@ -223,12 +228,16 @@ def _run_battery(cfg, rng) -> ScenarioResult:
     if not base.converged:
         res.not_converged("base problem did not converge; battery skipped")
         return res
+    base_init = base.b if eot else base.psi
     for s in range(pert["n_seeds"]):
         h = smooth_zero_mean_field(grid, mu, rng, n_modes=pert["n_modes"])
         k = smooth_zero_mean_field(grid, nu, rng, n_modes=pert["n_modes"])
         for eps in pert["epsilons"]:
-            pert_sol = solve_pair(perturbed_measure(mu, h, eps),
-                                  perturbed_measure(nu, k, eps))
+            mu_p = perturbed_measure(mu, h, eps)
+            nu_p = perturbed_measure(nu, k, eps)
+            same = np.array_equal(mu_p.support(), mu.support()) and \
+                np.array_equal(nu_p.support(), nu.support())
+            pert_sol = solve_pair(mu_p, nu_p, base_init if same else None)
             if res.converged(pert_sol, f"eps={eps} draw={s}: "):
                 res.add_checks({"eps": float(eps), "draw": s},
                                scen.check(base, pert_sol))

@@ -188,6 +188,26 @@ def gronwall_decay_check(sol: SchrodingerSolution, n_times: int = 16,
 # small-time limits
 # ---------------------------------------------------------------------------
 
+def _solves_along(mu: DiscreteMeasure, nu: DiscreteMeasure, T_list,
+                  kappa: float, tol: float, max_iter: int):
+    """Converged solutions at each T of ``T_list``, in order.
+
+    The first T starts cold; each later T starts from ψ_prev·T_prev/T,
+    since T·ψ_T converges as T ↓ 0 (the small-time limit), so the rescaled
+    potential is close to the next solution.  Raises NotConverged at the
+    first T that does not converge.
+    """
+    prev = None
+    for T in T_list:
+        kern = GibbsKernel.heat(mu.grid, T) if kappa == 0.0 \
+            else GibbsKernel.ou(mu.grid, T, kappa)
+        init = None if prev is None else prev.psi * (prev.T / T)
+        sol = solve(mu, nu, kern, tol=tol, max_iter=max_iter, init_psi=init)
+        require_converged(sol)
+        yield sol
+        prev = sol
+
+
 def small_time_cost_curve(mu: DiscreteMeasure, nu: DiscreteMeasure,
                           T_list, kappa: float = 0.0, tol: float = 1e-9,
                           max_iter: int = 100_000) -> list[dict]:
@@ -201,18 +221,14 @@ def small_time_cost_curve(mu: DiscreteMeasure, nu: DiscreteMeasure,
     w2 = wasserstein2_1d(mu, nu)
     target = 0.25 * w2 ** 2
     rows = []
-    for T in T_list:
-        kern = GibbsKernel.heat(mu.grid, T) if kappa == 0.0 \
-            else GibbsKernel.ou(mu.grid, T, kappa)
-        sol = solve(mu, nu, kern, tol=tol, max_iter=max_iter)
-        require_converged(sol)
-        tct = T * sol.entropic_cost()
+    for sol in _solves_along(mu, nu, T_list, kappa, tol, max_iter):
+        tct = sol.T * sol.entropic_cost()
         gap = tct - target
         rows.append({
-            "T": float(T), "t_times_cost": tct, "w2sq_over_4": target,
+            "T": float(sol.T), "t_times_cost": tct, "w2sq_over_4": target,
             "gap": gap, "rel_gap": gap / target if target > 0 else math.inf,
-            "residual": sol.marginal_residual,
-            "underresolved": kern.underresolved,
+            "residual": sol.marginal_residual, "n_iter": sol.n_iter,
+            "underresolved": sol.kernel.underresolved,
         })
     return rows
 
@@ -280,11 +296,8 @@ def gradient_convergence_experiment(mu: DiscreteMeasure, nu: DiscreteMeasure,
     w = mu.weights[s_idx]
 
     rows, pairs = [], []
-    for T in T_list:
-        kern = GibbsKernel.heat(mu.grid, T) if kappa == 0.0 \
-            else GibbsKernel.ou(mu.grid, T, kappa)
-        sol = solve(mu, nu, kern, tol=tol, max_iter=max_iter)
-        require_converged(sol)
+    for sol in _solves_along(mu, nu, T_list, kappa, tol, max_iter):
+        T = sol.T
         idx, smap = schrodinger_map(sol)
         assert np.array_equal(idx, s_idx)
         err = math.sqrt(float(w @ (smap - tau) ** 2))
@@ -292,7 +305,8 @@ def gradient_convergence_experiment(mu: DiscreteMeasure, nu: DiscreteMeasure,
         rows.append({"T": float(T), "l2_error": err,
                      "pushforward_w2": push_w2,
                      "residual": sol.marginal_residual,
-                     "underresolved": kern.underresolved})
+                     "n_iter": sol.n_iter,
+                     "underresolved": sol.kernel.underresolved})
         pairs.append(TransportMapPair(
             T=float(T), support_points=x[s_idx], support_weights=w,
             schrodinger_map=smap, brenier_map=tau, l2_error=err,

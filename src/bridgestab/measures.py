@@ -359,10 +359,15 @@ def relative_entropy_weights(p: np.ndarray, q: np.ndarray) -> float:
     s = p > 0
     if np.any(q[s] <= 0):
         return math.inf
-    ps = p[s]
-    # p_i/q_i may underflow to 0 for subnormal p_i: that term is -inf
+    ps, qs = p[s], q[s]
     with np.errstate(divide="ignore"):
-        return float(np.sum(ps * np.log(ps / q[s])))
+        terms = ps * np.log(ps / qs)
+    # a subnormal p_i over q_i > 1 underflows the ratio to 0 (a -inf term):
+    # take the difference of logs on those terms only
+    under = np.isneginf(terms)
+    if np.any(under):
+        terms[under] = ps[under] * (np.log(ps[under]) - np.log(qs[under]))
+    return float(np.sum(terms))
 
 
 def relative_entropy(p: DiscreteMeasure, ref) -> float:

@@ -166,7 +166,9 @@ def _sinkhorn(K: LogKernel, log_p: np.ndarray, log_q: np.ndarray,
     stops when the larger of the two L1 marginal residuals of the implied
     plan drops to ``tol``.  Each side evaluates K.lse through its own
     `AnchoredLSE`, so most half-steps are a matrix product against the exp
-    buffer of a recent anchor.  Returns (f, g, n_iter, history, converged).
+    buffer of a recent anchor.  ``init_g`` is a start for g from
+    `_warm_start` (zero when None).  Returns (f, g, n_iter, history,
+    converged).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -178,8 +180,7 @@ def _sinkhorn(K: LogKernel, log_p: np.ndarray, log_q: np.ndarray,
     lse_on_f, lse_on_g = AnchoredLSE(K), AnchoredLSE(K)
     n = mu.grid.n_cells
 
-    g = np.zeros(n) if init_g is None \
-        else np.asarray(init_g, dtype=float).copy()
+    g = np.zeros(n) if init_g is None else init_g
     lse_g = lse_on_g(g + log_q)
 
     history = []
@@ -209,6 +210,22 @@ def _sinkhorn(K: LogKernel, log_p: np.ndarray, log_q: np.ndarray,
     return f, g, n_done, history, converged
 
 
+def _warm_start(init, nu: DiscreteMeasure, name: str) -> np.ndarray | None:
+    """A warm start for the ν-side potential, -inf off supp ν.
+
+    Raises ValueError unless ``init`` has shape (n_cells,) and is finite on
+    supp ν; its values off supp ν are ignored.  None stays None (cold).
+    """
+    if init is None:
+        return None
+    init = np.asarray(init, dtype=float)
+    s_nu = nu.support()
+    if init.shape != s_nu.shape or not np.all(np.isfinite(init[s_nu])):
+        raise ValueError(f"{name} needs shape (n_cells,) and finite values "
+                         "on supp ν")
+    return np.where(s_nu, init, -np.inf)
+
+
 def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, kernel: GibbsKernel,
           tol: float = 1e-9, max_iter: int = 100_000,
           init_psi: np.ndarray | None = None) -> SchrodingerSolution:
@@ -221,18 +238,11 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, kernel: GibbsKernel,
     values off supp ν are ignored).
     """
     _check_problem(mu, nu, kernel)
-    if init_psi is not None:
-        init_psi = np.asarray(init_psi, dtype=float)
-        s_nu = nu.support()
-        if init_psi.shape != s_nu.shape or \
-                not np.all(np.isfinite(init_psi[s_nu])):
-            raise ValueError("init_psi needs shape (n_cells,) and finite "
-                             "values on supp ν")
-        init_psi = np.where(s_nu, init_psi, -np.inf)
     ref = kernel.reference
     u = ref.log_mass()
     phi, psi, n_done, history, converged = _sinkhorn(
-        kernel, u, u, mu, nu, tol, max_iter, init_psi)
+        kernel, u, u, mu, nu, tol, max_iter,
+        _warm_start(init_psi, nu, "init_psi"))
 
     h_mu = relative_entropy(mu, ref)
     h_nu = relative_entropy(nu, ref)
@@ -324,18 +334,24 @@ class EOTSolution:
 
 def eot_quadratic_direct(mu: DiscreteMeasure, nu: DiscreteMeasure,
                          epsilon: float, tol: float = 1e-9,
-                         max_iter: int = 100_000) -> EOTSolution:
-    """Sinkhorn for S^ε against μ⊗ν with log-domain potentials."""
+                         max_iter: int = 100_000,
+                         init_b: np.ndarray | None = None) -> EOTSolution:
+    """Sinkhorn for S^ε against μ⊗ν with log-domain potentials.
+
+    ``init_b`` warm-starts b as ``init_psi`` does ψ in `solve`: one value
+    per cell, finite on supp ν (the values off supp ν are ignored).
+    """
     if not mu.grid.same_as(nu.grid):
         raise ValueError("marginals must share one grid")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    init_b = _warm_start(init_b, nu, "init_b")
     d2 = tuple(_squared_distances(x) for x in mu.grid.axes)
     K = LogKernel(tuple(d / (-epsilon) for d in d2))
     log_mu = mu.log_weights()
     log_nu = nu.log_weights()
     a, b, n_done, history, converged = _sinkhorn(
-        K, log_mu, log_nu, mu, nu, tol, max_iter)
+        K, log_mu, log_nu, mu, nu, tol, max_iter, init_b)
 
     # primal value: transport term plus ε times entropy vs μ⊗ν; the entropy
     # equals Σ π (a ⊕ b + G) exactly by the factorized form of π

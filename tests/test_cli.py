@@ -3,10 +3,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
-from bridgestab import cli
+from bridgestab import DiscreteMeasure, cli
 
 
 def write_cfg(tmp_path, cfg, name="cfg.yaml"):
@@ -216,6 +217,66 @@ def test_perturbation_battery_scenarios(tmp_path, scenario):
     summary = (tmp_path / "out3" / "summary.txt").read_text()
     assert "base problem did not converge; battery skipped" in summary
     assert "exit status: 3" in summary
+
+
+_WARM_ARGS = {"solve": "init_psi", "eot_quadratic_direct": "init_b"}
+
+
+def _spy_warm_starts(monkeypatch, cold: bool = False) -> list:
+    """Record, per solver call of `cli`, whether it got a warm start; with
+    ``cold`` the warm start is dropped (the cold oracle)."""
+    seen = []
+
+    def spy(fn, key):
+        def call(*args, **kw):
+            seen.append(kw.get(key) is not None)
+            if cold:
+                kw.pop(key, None)
+            return fn(*args, **kw)
+        return call
+
+    for name, key in _WARM_ARGS.items():
+        monkeypatch.setattr(cli, name, spy(getattr(cli, name), key))
+    return seen
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 7])
+@pytest.mark.parametrize("scenario", sorted(_BATTERY_REPORTS))
+def test_battery_warm_starts_match_cold_solves(tmp_path, monkeypatch,
+                                               scenario, seed):
+    cfg = {**battery_cfg(scenario, tmp_path), "seed": seed}
+    with monkeypatch.context() as m:
+        seen = _spy_warm_starts(m)
+        code = cli.run(cfg, tmp_path / "warm")
+    # the base solve starts cold, each perturbed solve from the base
+    assert seen == [False] + [True] * 4
+    with monkeypatch.context() as m:
+        _spy_warm_starts(m, cold=True)
+        assert cli.run(cfg, tmp_path / "cold") == code == 0
+    warm, _ = read_reports(tmp_path / "warm")
+    cold, _ = read_reports(tmp_path / "cold")
+    assert [r["name"] for r in warm] == [r["name"] for r in cold]
+    for w, c in zip(warm, cold):
+        assert w["passed"] and c["passed"]
+        for side in ("lhs", "rhs"):
+            x, ref = float(w[side]), float(c[side])
+            assert abs(x - ref) <= 1e-6 * abs(ref), (w["name"], side)
+
+
+def test_battery_support_mismatch_starts_cold(tmp_path, monkeypatch):
+    # a perturbed marginal that loses a cell of the base support: its solve
+    # starts cold, since the base potential need not fit the new support
+    perturbed = cli.perturbed_measure
+
+    def drop_a_cell(mu, h, eps):
+        w = perturbed(mu, h, eps).weights.copy()
+        w[np.flatnonzero(w)[0]] = 0.0
+        return DiscreteMeasure.from_weights(mu.grid, w)
+
+    monkeypatch.setattr(cli, "perturbed_measure", drop_a_cell)
+    seen = _spy_warm_starts(monkeypatch)
+    cli.run(battery_cfg("stability", tmp_path), tmp_path / "out")
+    assert seen == [False] * 5
 
 
 def test_stability_keeps_cells_near_the_mass_floor(tmp_path):

@@ -178,3 +178,52 @@ def test_schrodinger_map_identity_for_stationary(grid128):
     # boundary; the bulk map is the identity to solver precision
     assert np.max(err[np.abs(x) <= 3.0]) < 1e-8
     assert np.max(err) < 0.1
+
+
+# the curves warm-start each T after the first from ψ_prev·T_prev/T; a cold
+# solve at each T (no init_psi) is the oracle they must match
+_CURVES = [(0.0, [0.2, 0.1, 0.05, 0.025]), (1.0, [0.4, 0.2, 0.1, 0.05])]
+
+
+def _cold(mu, nu, T, kappa, tol=1e-9):
+    kern = bs.GibbsKernel.heat(mu.grid, T) if kappa == 0.0 \
+        else bs.GibbsKernel.ou(mu.grid, T, kappa)
+    sol = bs.solve(mu, nu, kern, tol=tol)
+    assert sol.converged
+    return sol
+
+
+@pytest.mark.parametrize("kappa,T_list", _CURVES)
+def test_small_time_curve_matches_cold_solves(gauss_pair, kappa, T_list):
+    mu, nu = gauss_pair
+    rows = bs.small_time_cost_curve(mu, nu, T_list, kappa=kappa)
+    for i, (row, T) in enumerate(zip(rows, T_list)):
+        cold = _cold(mu, nu, T, kappa)
+        ref = T * cold.entropic_cost()
+        assert abs(row["t_times_cost"] - ref) <= 1e-12 * abs(ref)
+        if i == 0:
+            assert row["n_iter"] == cold.n_iter
+        else:
+            assert row["n_iter"] < cold.n_iter
+
+
+@pytest.mark.parametrize("kappa,T_list", _CURVES)
+def test_gradient_convergence_matches_cold_solves(gauss_pair, kappa, T_list):
+    # the map error is first order in φ, so warm and cold stopped at one
+    # tol differ by ~30·tol relative (the cost is variational, second
+    # order); a tight tol brings them within 1e-12
+    mu, nu = gauss_pair
+    tol = 1e-14
+    rows, _ = bs.gradient_convergence_experiment(mu, nu, T_list, kappa=kappa,
+                                                 tol=tol)
+    tau = bs.monotone_rearrangement(mu, nu)
+    w = mu.weights[mu.support()]
+    for i, (row, T) in enumerate(zip(rows, T_list)):
+        cold = _cold(mu, nu, T, kappa, tol)
+        _, smap = bs.schrodinger_map(cold)
+        ref = math.sqrt(float(w @ (smap - tau) ** 2))
+        assert abs(row["l2_error"] - ref) <= 1e-12 * ref
+        if i == 0:
+            assert row["n_iter"] == cold.n_iter
+        else:
+            assert row["n_iter"] < cold.n_iter

@@ -118,6 +118,38 @@ def test_init_psi_is_checked(gauss_pair, ou_kernel, bad):
         bs.solve(mu, nu, ou_kernel, init_psi=init, max_iter=50)
 
 
+@pytest.fixture(scope="module")
+def eot_sol(gauss_pair):
+    mu, nu = gauss_pair
+    return bs.eot_quadratic_direct(mu, nu, 0.5)
+
+
+def test_init_b_off_the_support_is_ignored(gauss_pair, eot_sol):
+    # the EOT warm start goes through the same check as init_psi
+    mu, nu = gauss_pair
+    init = np.where(nu.support(), eot_sol.b + 0.3, np.nan)
+    warm = bs.eot_quadratic_direct(mu, nu, 0.5, init_b=init)
+    assert warm.converged and warm.n_iter < eot_sol.n_iter
+    s = nu.support()
+    # b carries the shift of its start, the plan and the cost do not; b is
+    # of size |x-y|²/ε, so its agreement is relative
+    scale = np.max(np.abs(eot_sol.b[s]))
+    assert np.ptp(warm.b[s] - eot_sol.b[s]) < 1e-8 * scale
+    assert abs(warm.cost - eot_sol.cost) <= 1e-8 * abs(eot_sol.cost)
+
+
+@pytest.mark.parametrize("bad", ["nan_on_support", "short", "column"])
+def test_init_b_is_checked(gauss_pair, bad):
+    mu, nu = gauss_pair
+    n = nu.grid.n_cells
+    init = {"nan_on_support": np.where(np.arange(n) == np.argmax(nu.weights),
+                                       np.nan, 0.0),
+            "short": np.zeros(n - 1),
+            "column": np.zeros((n, 1))}[bad]
+    with pytest.raises(ValueError, match="init_b"):
+        bs.eot_quadratic_direct(mu, nu, 0.5, init_b=init, max_iter=50)
+
+
 def test_entropic_potentials_identity(ou_sol):
     # Phi = T (phi - log dmu/dm) + c and Psi = T (psi - log dnu/dm) - c on the
     # supports, with the constant fixed by int Phi dmu = int Psi dnu
