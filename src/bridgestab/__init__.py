@@ -48,7 +48,6 @@ from .schrodinger import (
     EOTSolution,
     solve,
     require_converged,
-    schrodinger_plan_entropy,
     plan_relative_entropy,
     plan_symmetric_entropy,
     entropic_potentials,
@@ -64,10 +63,8 @@ from .sobolev import (
     wasserstein2_exact_small,
     w2_h_minus_one_comparison,
 )
+from .reports import InequalityReport, make_report, make_equality_report
 from .diagnostics import (
-    InequalityReport,
-    make_report,
-    make_equality_report,
     corrector_check,
     stability_ingredients,
     plan_stability_check,
@@ -106,8 +103,8 @@ __all__ = [
     "BandwidthWarning", "GibbsKernel", "curvature_factor", "heat_kernel",
     "ou_kernel", "wang_lower_bound", "lse_matvec", "apply_semigroup",
     "InfeasibleProblem", "NotConverged", "Plan", "SchrodingerSolution",
-    "EOTSolution", "solve", "require_converged", "schrodinger_plan_entropy",
-    "plan_relative_entropy", "plan_symmetric_entropy", "entropic_potentials",
+    "EOTSolution", "solve", "require_converged", "plan_relative_entropy",
+    "plan_symmetric_entropy", "entropic_potentials",
     "eot_quadratic_direct", "eot_via_sp", "eot_cost_from_sp",
     "sp_time_from_epsilon",
     "h_minus_one_norm", "WeightedPoissonProblem", "wasserstein2_1d",

@@ -189,7 +189,7 @@ def _run_solve(cfg, rng) -> ScenarioResult:
         "n_iter": sol.n_iter,
         "marginal_residual": sol.marginal_residual,
         "converged": sol.converged,
-        "plan_total_mass": sol.log_plan().total_mass(),
+        "plan_total_mass": float(sol.mu_hat.sum()),
         "underresolved": ker.underresolved,
     })
     coords = [f"x{i}" for i in range(grid.ndim)]

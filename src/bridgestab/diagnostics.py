@@ -14,6 +14,10 @@ Every right-hand side is assembled twice — once as a vectorized expression,
 once as an independently summed dict of named terms — and the two must agree
 to 1e-10 before a report is emitted.  A right-hand side of +inf yields a
 *vacuous* report (flagged, never counted as evidence).
+
+Values and realized marginals come from the solutions' potentials and
+stored marginals; only the two plan-stability checks build dense plans
+(`log_plan`), for H^sym of the plans.
 """
 
 from __future__ import annotations
@@ -33,9 +37,7 @@ from .schrodinger import (EOTSolution, SchrodingerSolution,
                           plan_symmetric_entropy, require_converged)
 from .sobolev import h_minus_one_norm
 
-# re-exported so downstream code can treat this module as the report home
 __all__ = [
-    "InequalityReport", "make_report", "make_equality_report",
     "CorrectorEstimate", "corrector_check", "gradient_log_semigroup_norm",
     "plan_stability_check", "cost_stability_check",
     "quadratic_eot_stability_check", "StabilityIngredients",
@@ -105,9 +107,8 @@ def corrector_check(sol: SchrodingerSolution) -> CorrectorEstimate:
     lhs_mu = gradient_log_semigroup_norm(sol.kernel, sol.psi, sol.mu.weights)
 
     # same integrals against the plan's realized marginals (two-way check)
-    mu_hat, nu_hat = sol.plan_marginals()
-    lhs_nu_plan = gradient_log_semigroup_norm(sol.kernel, sol.phi, nu_hat)
-    lhs_mu_plan = gradient_log_semigroup_norm(sol.kernel, sol.psi, mu_hat)
+    lhs_nu_plan = gradient_log_semigroup_norm(sol.kernel, sol.phi, sol.nu_hat)
+    lhs_mu_plan = gradient_log_semigroup_norm(sol.kernel, sol.psi, sol.mu_hat)
 
     rhs_nu = (ct - sol.h_nu) / E
     rhs_nu = cross_check_rhs(rhs_nu, {"cost": ct / E,
@@ -166,7 +167,6 @@ class StabilityIngredients:
     fisher_nu: float
     fisher_mu_bar: float
     fisher_nu_bar: float
-    hsym_plans: float
 
 
 def _compatible_pair(sol_a: SchrodingerSolution, sol_b: SchrodingerSolution):
@@ -175,6 +175,21 @@ def _compatible_pair(sol_a: SchrodingerSolution, sol_b: SchrodingerSolution):
             and ka.T == kb.T and ka.kappa == kb.kappa):
         raise ValueError("stability checks need two solutions of the same "
                          "kernel on the same grid")
+
+
+def _marginal_terms(mu: DiscreteMeasure, nu: DiscreteMeasure,
+                    mu_b: DiscreteMeasure, nu_b: DiscreteMeasure
+                    ) -> dict[str, float]:
+    """H^sym(μ, μ̄), H^sym(ν, ν̄) and the four weighted Ḣ⁻¹ norms of the
+    marginal changes, shared by the SP and the EOT stability checks."""
+    return {
+        "hsym_mu": symmetric_entropy(mu, mu_b),
+        "hsym_nu": symmetric_entropy(nu, nu_b),
+        "norm_mu": h_minus_one_norm(difference(mu, mu_b), mu),
+        "norm_nu": h_minus_one_norm(difference(nu, nu_b), nu),
+        "norm_mu_bar": h_minus_one_norm(difference(mu_b, mu), mu_b),
+        "norm_nu_bar": h_minus_one_norm(difference(nu_b, nu), nu_b),
+    }
 
 
 def stability_ingredients(sol_a: SchrodingerSolution,
@@ -187,21 +202,15 @@ def stability_ingredients(sol_a: SchrodingerSolution,
     mu_b, nu_b = sol_b.mu, sol_b.nu
     return StabilityIngredients(
         e_factor=curvature_factor(sol_a.kernel.kappa, sol_a.T),
-        hsym_mu=symmetric_entropy(mu, mu_b),
-        hsym_nu=symmetric_entropy(nu, nu_b),
         ct_a=sol_a.entropic_cost(), ct_b=sol_b.entropic_cost(),
         st_a=sol_a.schrodinger_cost(), st_b=sol_b.schrodinger_cost(),
         h_mu_a=sol_a.h_mu, h_nu_a=sol_a.h_nu,
         h_mu_b=sol_b.h_mu, h_nu_b=sol_b.h_nu,
-        norm_mu=h_minus_one_norm(difference(mu, mu_b), mu),
-        norm_nu=h_minus_one_norm(difference(nu, nu_b), nu),
-        norm_mu_bar=h_minus_one_norm(difference(mu_b, mu), mu_b),
-        norm_nu_bar=h_minus_one_norm(difference(nu_b, nu), nu_b),
         fisher_mu=fisher_information(mu, ref),
         fisher_nu=fisher_information(nu, ref),
         fisher_mu_bar=fisher_information(mu_b, ref),
         fisher_nu_bar=fisher_information(nu_b, ref),
-        hsym_plans=plan_symmetric_entropy(sol_a.log_plan(), sol_b.log_plan()))
+        **_marginal_terms(mu, nu, mu_b, nu_b))
 
 
 def _corrector_roots(ing: StabilityIngredients) -> dict[str, float]:
@@ -243,7 +252,7 @@ def plan_stability_check(sol_a: SchrodingerSolution,
     ing = stability_ingredients(sol_a, sol_b)
     se = math.sqrt(ing.e_factor)
     roots = _corrector_roots(ing)
-    lhs = ing.hsym_plans
+    lhs = plan_symmetric_entropy(sol_a.log_plan(), sol_b.log_plan())
 
     rhs_plain = ing.hsym_mu + ing.hsym_nu + (
         _term(roots["mu"], ing.norm_mu) + _term(roots["nu"], ing.norm_nu)
@@ -331,12 +340,10 @@ def quadratic_eot_stability_check(eot_a: EOTSolution, eot_b: EOTSolution
 
     mu, nu = eot_a.mu, eot_a.nu
     mu_b, nu_b = eot_b.mu, eot_b.nu
-    hsym_mu = symmetric_entropy(mu, mu_b)
-    hsym_nu = symmetric_entropy(nu, nu_b)
-    n_mu = h_minus_one_norm(difference(mu, mu_b), mu)
-    n_nu = h_minus_one_norm(difference(nu, nu_b), nu)
-    n_mu_bar = h_minus_one_norm(difference(mu_b, mu), mu_b)
-    n_nu_bar = h_minus_one_norm(difference(nu_b, nu), nu_b)
+    terms = _marginal_terms(mu, nu, mu_b, nu_b)
+    hsym_mu, hsym_nu = terms["hsym_mu"], terms["hsym_nu"]
+    n_mu, n_nu = terms["norm_mu"], terms["norm_nu"]
+    n_mu_bar, n_nu_bar = terms["norm_mu_bar"], terms["norm_nu_bar"]
 
     s_a, s_b = eot_a.cost, eot_b.cost
     guard = 1e-8 * max(1.0, abs(s_a), abs(s_b), abs(c_eps))
@@ -377,8 +384,6 @@ def quadratic_eot_stability_check(eot_a: EOTSolution, eot_b: EOTSolution
         "eot_plan_stab")
 
     extras = {"epsilon": eps, "c_eps": c_eps, "cost_a": s_a, "cost_b": s_b,
-              "hsym_mu": hsym_mu, "hsym_nu": hsym_nu,
-              "norm_mu": n_mu, "norm_nu": n_nu,
-              "norm_mu_bar": n_mu_bar, "norm_nu_bar": n_nu_bar}
+              **terms}
     return (make_report("eot_cost_stab", lhs_cost, rhs_cost, extras=extras),
             make_report("eot_plan_stab", lhs_plan, rhs_plan, extras=extras))

@@ -67,15 +67,15 @@ def curvature_factor(kappa: float, t: float) -> float:
     return float(math.expm1(2.0 * kappa * t) / (2.0 * kappa))
 
 
-def heat_kernel(x, y, T: float, d: int | None = None) -> float:
-    """Heat transition density p_T(x, y) w.r.t. Lebesgue."""
+def heat_kernel(x, y, T: float) -> float:
+    """Heat transition density p_T(x, y) w.r.t. Lebesgue in d = x.size."""
     if T <= 0:
         raise ValueError("kernel needs T > 0")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    d = x.size if d is None else d
     r2 = float(np.sum((x - y) ** 2))
-    return math.exp(-0.5 * d * math.log(4.0 * math.pi * T) - r2 / (4.0 * T))
+    return math.exp(-0.5 * x.size * math.log(4.0 * math.pi * T)
+                    - r2 / (4.0 * T))
 
 
 def ou_kernel(x, y, T: float, kappa: float) -> float:

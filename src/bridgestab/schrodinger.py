@@ -23,6 +23,12 @@ separable over grid axes and reach the loop as a `LogKernel` operator.  For
 an OU reference at curvature κ the two problems are equivalent through the
 time change ε = (4/κ) sinh(κT), and `eot_via_sp` evaluates S^ε through that
 dictionary.
+
+Values come from the potentials: C_T = ∫φ dμ + ∫ψ dν and the dual value
+S^ε = ε(∫a dμ + ∫b dν), which is second-order accurate in the stopping
+residual.  The realized marginals μ̂, ν̂ of the plan are those the loop
+computes for its stopping rule.  The dense n×n plan is built only by
+`log_plan`, for the symmetric entropy of two plans and the test oracles.
 """
 
 from __future__ import annotations
@@ -32,8 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (AnchoredLSE, GibbsKernel, LogKernel, _outer_sum,
-                      _squared_distances)
+from .kernels import AnchoredLSE, GibbsKernel, LogKernel, _squared_distances
 from .measures import (DiscreteMeasure, Grid, ReferenceMeasure,
                        relative_entropy, second_moment)
 
@@ -53,19 +58,10 @@ class Plan:
     grid: Grid
     log_weights: np.ndarray
 
-    def total_mass(self) -> float:
-        return float(np.exp(self.log_weights, where=np.isfinite(self.log_weights),
-                            out=np.zeros_like(self.log_weights)).sum())
-
     def weights(self) -> np.ndarray:
         out = np.zeros_like(self.log_weights)
         np.exp(self.log_weights, where=np.isfinite(self.log_weights), out=out)
         return out
-
-    def marginals(self) -> tuple[DiscreteMeasure, DiscreteMeasure]:
-        w = self.weights()
-        return (DiscreteMeasure.from_weights(self.grid, w.sum(axis=1)),
-                DiscreteMeasure.from_weights(self.grid, w.sum(axis=0)))
 
 
 def plan_relative_entropy(pi: Plan, rho: Plan) -> float:
@@ -82,6 +78,14 @@ def plan_symmetric_entropy(pi: Plan, rho: Plan) -> float:
     return plan_relative_entropy(pi, rho) + plan_relative_entropy(rho, pi)
 
 
+def _integrals(f: np.ndarray, g: np.ndarray, mu: DiscreteMeasure,
+               nu: DiscreteMeasure) -> tuple[float, float]:
+    """(∫f dμ, ∫g dν), summed over the supports (f, g may be -inf off them)."""
+    s_mu, s_nu = mu.support(), nu.support()
+    return (float(f[s_mu] @ mu.weights[s_mu]),
+            float(g[s_nu] @ nu.weights[s_nu]))
+
+
 @dataclass
 class SchrodingerSolution:
     """Converged (or not) Schrödinger system for one (μ, ν, kernel) triple."""
@@ -91,6 +95,8 @@ class SchrodingerSolution:
     kernel: GibbsKernel
     phi: np.ndarray
     psi: np.ndarray
+    mu_hat: np.ndarray                # realized marginals of the plan
+    nu_hat: np.ndarray
     n_iter: int
     marginal_residual: float
     residual_history: np.ndarray
@@ -108,10 +114,8 @@ class SchrodingerSolution:
 
     def entropic_cost(self) -> float:
         """C_T = ∫φ dμ + ∫ψ dν (the value H(π|R) at the optimum)."""
-        s_mu = self.mu.support()
-        s_nu = self.nu.support()
-        return float(self.phi[s_mu] @ self.mu.weights[s_mu]
-                     + self.psi[s_nu] @ self.nu.weights[s_nu])
+        a, b = _integrals(self.phi, self.psi, self.mu, self.nu)
+        return a + b
 
     def schrodinger_cost(self) -> float:
         """S_T = T·C_T - T·H(μ|m) - T·H(ν|m) (vanishes as T → 0)."""
@@ -119,11 +123,8 @@ class SchrodingerSolution:
 
     def normalization_sides(self) -> tuple[float, float]:
         """(∫φdμ - H(μ|m), ∫ψdν - H(ν|m)); equal under the symmetric gauge."""
-        s_mu = self.mu.support()
-        s_nu = self.nu.support()
-        a = float(self.phi[s_mu] @ self.mu.weights[s_mu]) - self.h_mu
-        b = float(self.psi[s_nu] @ self.nu.weights[s_nu]) - self.h_nu
-        return a, b
+        a, b = _integrals(self.phi, self.psi, self.mu, self.nu)
+        return a - self.h_mu, b - self.h_nu
 
     def log_plan(self) -> Plan:
         """log π = φ ⊕ ψ + log p_T + log m ⊗ log m (dense)."""
@@ -131,17 +132,6 @@ class SchrodingerSolution:
         lw = (self.phi + u)[:, None] + (self.psi + u)[None, :] \
             + self.kernel.log_matrix
         return Plan(self.mu.grid, lw)
-
-    def plan_marginals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Raw marginal weight vectors of the current plan."""
-        u = self.reference.log_mass()
-        a = self.kernel.lse(self.psi + u)
-        b = self.kernel.lse(self.phi + u)
-        mu_hat = np.exp(self.phi + u + a,
-                        where=np.isfinite(self.phi), out=np.zeros_like(a))
-        nu_hat = np.exp(self.psi + u + b,
-                        where=np.isfinite(self.psi), out=np.zeros_like(b))
-        return mu_hat, nu_hat
 
 
 def _check_problem(mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -167,8 +157,9 @@ def _sinkhorn(K: LogKernel, log_p: np.ndarray, log_q: np.ndarray,
     plan drops to ``tol``.  Each side evaluates K.lse through its own
     `AnchoredLSE`, so most half-steps are a matrix product against the exp
     buffer of a recent anchor.  ``init_g`` is a start for g from
-    `_warm_start` (zero when None).  Returns (f, g, n_iter, history,
-    converged).
+    `_warm_start` (zero when None).  Returns (f, g, mu_hat, nu_hat, n_iter,
+    history, converged), where mu_hat and nu_hat are the marginals of the
+    final plan that the stopping rule compared with μ and ν.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -207,7 +198,7 @@ def _sinkhorn(K: LogKernel, log_p: np.ndarray, log_q: np.ndarray,
         if res <= tol:
             converged = True
             break
-    return f, g, n_done, history, converged
+    return f, g, mu_hat, nu_hat, n_done, history, converged
 
 
 def _warm_start(init, nu: DiscreteMeasure, name: str) -> np.ndarray | None:
@@ -240,7 +231,7 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, kernel: GibbsKernel,
     _check_problem(mu, nu, kernel)
     ref = kernel.reference
     u = ref.log_mass()
-    phi, psi, n_done, history, converged = _sinkhorn(
+    phi, psi, mu_hat, nu_hat, n_done, history, converged = _sinkhorn(
         kernel, u, u, mu, nu, tol, max_iter,
         _warm_start(init_psi, nu, "init_psi"))
 
@@ -248,15 +239,14 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, kernel: GibbsKernel,
     h_nu = relative_entropy(nu, ref)
 
     # symmetric normalization: shift so both sides of the gauge agree
-    s_mu, s_nu = mu.support(), nu.support()
-    a = float(phi[s_mu] @ mu.weights[s_mu]) - h_mu
-    b = float(psi[s_nu] @ nu.weights[s_nu]) - h_nu
-    c = 0.5 * (b - a)
+    a, b = _integrals(phi, psi, mu, nu)
+    c = 0.5 * ((b - h_nu) - (a - h_mu))
     phi = phi + c
     psi = psi - c
 
     return SchrodingerSolution(
-        mu=mu, nu=nu, kernel=kernel, phi=phi, psi=psi, n_iter=n_done,
+        mu=mu, nu=nu, kernel=kernel, phi=phi, psi=psi, mu_hat=mu_hat,
+        nu_hat=nu_hat, n_iter=n_done,
         marginal_residual=history[-1], residual_history=np.asarray(history),
         converged=converged, h_mu=h_mu, h_nu=h_nu)
 
@@ -266,16 +256,6 @@ def require_converged(sol) -> None:
         raise NotConverged(
             f"solution did not converge (residual {sol.marginal_residual:g} "
             f"after {sol.n_iter} iterations)")
-
-
-def schrodinger_plan_entropy(sol: SchrodingerSolution) -> float:
-    """H(π | R_{0,T}) evaluated directly on the plan (must equal C_T)."""
-    u = sol.reference.log_mass()
-    lw = sol.log_plan().log_weights
-    lr = sol.kernel.log_matrix + u[:, None] + u[None, :]
-    mask = np.isfinite(lw)
-    w = np.exp(lw[mask])
-    return float(np.sum(w * (lw[mask] - lr[mask])))
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +277,7 @@ def entropic_potentials(sol: SchrodingerSolution
                      - (np.log(sol.mu.weights[s_mu]) - u[s_mu]))
     Psi[s_nu] = T * (sol.psi[s_nu]
                      - (np.log(sol.nu.weights[s_nu]) - u[s_nu]))
-    ia = float(Phi[s_mu] @ sol.mu.weights[s_mu])
-    ib = float(Psi[s_nu] @ sol.nu.weights[s_nu])
+    ia, ib = _integrals(Phi, Psi, sol.mu, sol.nu)
     c = 0.5 * (ib - ia)
     Phi[s_mu] += c
     Psi[s_nu] -= c
@@ -319,7 +298,7 @@ class EOTSolution:
     kernel: LogKernel                 # -|x-y|²/ε, one factor per axis
     a: np.ndarray                     # log-domain potentials against μ⊗ν
     b: np.ndarray
-    cost: float                       # S^ε = ∫|x-y|²dπ + εH(π|μ⊗ν)
+    cost: float                       # S^ε = ε(∫a dμ + ∫b dν), dual value
     n_iter: int
     marginal_residual: float
     residual_history: np.ndarray
@@ -338,6 +317,11 @@ def eot_quadratic_direct(mu: DiscreteMeasure, nu: DiscreteMeasure,
                          init_b: np.ndarray | None = None) -> EOTSolution:
     """Sinkhorn for S^ε against μ⊗ν with log-domain potentials.
 
+    The cost is the dual value S^ε = ε(∫a dμ + ∫b dν).  At the optimum it
+    equals the primal ∫|x-y|²dπ + εH(π|μ⊗ν) = ε(∫a dμ̂ + ∫b dν̂), and its
+    error is second order in the marginal residual where the primal's is
+    first order.
+
     ``init_b`` warm-starts b as ``init_psi`` does ψ in `solve`: one value
     per cell, finite on supp ν (the values off supp ν are ignored).
     """
@@ -346,25 +330,13 @@ def eot_quadratic_direct(mu: DiscreteMeasure, nu: DiscreteMeasure,
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     init_b = _warm_start(init_b, nu, "init_b")
-    d2 = tuple(_squared_distances(x) for x in mu.grid.axes)
-    K = LogKernel(tuple(d / (-epsilon) for d in d2))
-    log_mu = mu.log_weights()
-    log_nu = nu.log_weights()
-    a, b, n_done, history, converged = _sinkhorn(
-        K, log_mu, log_nu, mu, nu, tol, max_iter, init_b)
-
-    # primal value: transport term plus ε times entropy vs μ⊗ν; the entropy
-    # equals Σ π (a ⊕ b + G) exactly by the factorized form of π
-    G = K.log_matrix
-    lw = (a + log_mu)[:, None] + (b + log_nu)[None, :] + G
-    mask = np.isfinite(lw)
-    w = np.exp(lw[mask])
-    transport = float(np.sum(w * _outer_sum(d2)[mask]))
-    ent = float(np.sum(w * (a[:, None] + b[None, :] + G)[mask]))
-    cost = transport + epsilon * ent
-
+    K = LogKernel(tuple(_squared_distances(x) / (-epsilon)
+                        for x in mu.grid.axes))
+    a, b, _, _, n_done, history, converged = _sinkhorn(
+        K, mu.log_weights(), nu.log_weights(), mu, nu, tol, max_iter, init_b)
+    ia, ib = _integrals(a, b, mu, nu)
     return EOTSolution(mu=mu, nu=nu, epsilon=float(epsilon), kernel=K,
-                       a=a, b=b, cost=cost, n_iter=n_done,
+                       a=a, b=b, cost=epsilon * (ia + ib), n_iter=n_done,
                        marginal_residual=history[-1],
                        residual_history=np.asarray(history),
                        converged=converged)

@@ -133,11 +133,32 @@ def test_stability_long_time_sharpness(grid128):
     ker = bs.GibbsKernel.ou(grid128, T=5.0, kappa=1.0)
     sol_a = bs.solve(mu, nu, ker)
     sol_b = bs.solve(mu_bar, nu_bar, ker)
-    ing = bs.stability_ingredients(sol_a, sol_b)
-    hsym_sum = ing.hsym_mu + ing.hsym_nu
-    assert abs(ing.hsym_plans - hsym_sum) <= 0.05 * hsym_sum
     rep_plan, _ = bs.plan_stability_check(sol_a, sol_b)
+    ex = rep_plan.extras
+    hsym_sum = ex["hsym_mu"] + ex["hsym_nu"]
+    assert abs(ex["hsym_plans"] - hsym_sum) <= 0.05 * hsym_sum
     assert rep_plan.passed
+
+
+def test_cost_stability_builds_no_plan(monkeypatch):
+    # the value checks read potentials and marginals only: a 64×64 OU pair
+    # passes both cost reports with `log_plan` disabled
+    g = bs.Grid.regular([(-5.0, 5.0), (-5.0, 5.0)], [64, 64])
+    ker = bs.GibbsKernel.ou(g, T=1.0, kappa=1.0)
+    mu = bs.gaussian_measure(g, [-0.8, 0.4], [0.9, 1.1])
+    nu = bs.gaussian_measure(g, [0.7, -0.5], [1.0, 0.8])
+    base = bs.solve(mu, nu, ker)
+    other = perturbed_pair(g, mu, nu, ker, 0.1, 3)
+
+    def no_plan(self):
+        raise AssertionError("a dense plan was built")
+
+    monkeypatch.setattr(bs.SchrodingerSolution, "log_plan", no_plan)
+    reports = bs.cost_stability_check(base, other)
+    assert [r.name for r in reports] == ["stab_cost", "stab_cost_fisher"]
+    for rep in reports:
+        assert rep.passed and not rep.vacuous, (rep.name, rep.slack)
+        assert rep.lhs > 0.0
 
 
 def test_stability_vacuous_on_disjoint_supports(grid128, ou_kernel):

@@ -22,14 +22,12 @@ def test_atom_pair_plan_and_cost():
     ref = bs.ReferenceMeasure.gaussian(g, kappa=1.0)
     sol = bs.solve(atom, atom, ker)
 
-    plan = sol.log_plan()
-    assert abs(plan.total_mass() - 1.0) < 1e-12
-    w = plan.weights()
+    w = sol.log_plan().weights()
+    assert abs(w.sum() - 1.0) < 1e-12
     assert np.max(np.abs(w.sum(axis=1) - atom.weights)) < 1e-12
     assert np.max(np.abs(w.sum(axis=0) - atom.weights)) < 1e-12
-    m_mu, m_nu = plan.marginals()
-    assert np.max(np.abs(m_mu.weights - atom.weights)) < 1e-12
-    assert np.max(np.abs(m_nu.weights - atom.weights)) < 1e-12
+    assert np.max(np.abs(sol.mu_hat - atom.weights)) < 1e-12
+    assert np.max(np.abs(sol.nu_hat - atom.weights)) < 1e-12
 
     x_k = g.points()[k]
     log_p = math.log(bs.ou_kernel(x_k, x_k, 0.4, 1.0))
@@ -53,8 +51,27 @@ def test_residual_history_monotone(ou_sol):
     assert np.all(np.diff(hist) <= 1e-15)
 
 
+def _dense_plan_entropy(sol) -> float:
+    """H(π | R_{0,T}) summed over the dense plan (test oracle for C_T)."""
+    u = sol.reference.log_mass()
+    log_r = sol.kernel.log_matrix + u[:, None] + u[None, :]
+    return bs.plan_relative_entropy(sol.log_plan(),
+                                    bs.Plan(sol.mu.grid, log_r))
+
+
+def _dense_eot_primal(eot) -> float:
+    """∫|x-y|²dπ + εH(π|μ⊗ν) summed over the dense plan (test oracle for
+    the dual value `EOTSolution.cost`)."""
+    x = eot.mu.grid.points()
+    d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1)
+    plan = eot.log_plan()
+    log_r = eot.mu.log_weights()[:, None] + eot.nu.log_weights()[None, :]
+    return (float(np.sum(plan.weights() * d2)) + eot.epsilon
+            * bs.plan_relative_entropy(plan, bs.Plan(eot.mu.grid, log_r)))
+
+
 def test_cost_two_routes_agree(ou_sol):
-    direct = bs.schrodinger_plan_entropy(ou_sol)
+    direct = _dense_plan_entropy(ou_sol)
     dual = ou_sol.entropic_cost()
     assert abs(direct - dual) < 1e-8
 
@@ -74,9 +91,8 @@ def test_cost_dominates_marginal_entropies(ou_sol):
 
 def test_plan_mass_and_marginals(ou_sol, gauss_pair):
     mu, nu = gauss_pair
-    plan = ou_sol.log_plan()
-    assert abs(plan.total_mass() - 1.0) < 1e-12
-    m_mu, m_nu = ou_sol.plan_marginals()
+    assert abs(ou_sol.log_plan().weights().sum() - 1.0) < 1e-12
+    m_mu, m_nu = ou_sol.mu_hat, ou_sol.nu_hat
     assert np.abs(m_mu - mu.weights).sum() <= 2.0 * ou_sol.marginal_residual + 1e-12
     # the nu marginal is matched exactly by the final psi update
     assert np.abs(m_nu - nu.weights).sum() <= 1e-12
@@ -203,11 +219,14 @@ def test_not_converged_raises(gauss_pair, ou_kernel, solver):
         bs.require_converged(sol)
 
 
-@pytest.mark.parametrize("epsilon", [0.3, 1.0])
-@pytest.mark.parametrize("grid", [
+_GRIDS = pytest.mark.parametrize("grid", [
     bs.Grid.regular([(-4.0, 4.0)], [160]),
     bs.Grid.regular([(-3.0, 3.0), (-3.0, 3.0)], [20, 20]),
 ], ids=["1d", "2d"])
+
+
+@pytest.mark.parametrize("epsilon", [0.3, 1.0])
+@_GRIDS
 def test_eot_plan_is_heat_bridge_plan(grid, epsilon):
     # e^{-|x-y|²/ε} is the heat kernel at T = ε/4 up to a constant factor,
     # which Sinkhorn absorbs: both solvers must return the same plan, and
@@ -227,6 +246,38 @@ def test_eot_plan_is_heat_bridge_plan(grid, epsilon):
         assert np.all(np.isneginf(sol_pot[off]))
         assert np.all(np.isneginf(eot_pot[off]))
         assert np.all(np.isfinite(eot_pot[~off]))
+
+
+@_GRIDS
+@pytest.mark.parametrize("kind", ["heat", "ou"])
+def test_stored_marginals_are_the_plan_marginals(grid, kind):
+    # μ̂, ν̂ kept from the Sinkhorn loop are the row and column sums of the
+    # dense plan; ν has partial support
+    mu = bs.gaussian_measure(grid, [-0.4] * grid.ndim, 0.9)
+    nu = bs.uniform_measure(grid, [-1.0] * grid.ndim, [1.5] * grid.ndim)
+    assert not nu.support().all()
+    ker = (bs.GibbsKernel.heat(grid, 0.3) if kind == "heat"
+           else bs.GibbsKernel.ou(grid, 0.3, 1.0))
+    sol = bs.solve(mu, nu, ker)
+    assert sol.converged
+    w = sol.log_plan().weights()
+    assert np.max(np.abs(sol.mu_hat - w.sum(axis=1))) <= 1e-14
+    assert np.max(np.abs(sol.nu_hat - w.sum(axis=0))) <= 1e-14
+    assert np.all(sol.nu_hat[~nu.support()] == 0.0)
+
+
+@_GRIDS
+def test_eot_dual_cost_matches_primal_and_tight_solve(grid):
+    # the dual value S^ε = ε(∫a dμ + ∫b dν) equals the dense primal at
+    # convergence, and a loose solve is second-order accurate in tol
+    mu = bs.gaussian_measure(grid, [-0.4] * grid.ndim, 0.9)
+    nu = bs.uniform_measure(grid, [-1.0] * grid.ndim, [1.5] * grid.ndim)
+    tight = bs.eot_quadratic_direct(mu, nu, 0.5, tol=1e-13)
+    loose = bs.eot_quadratic_direct(mu, nu, 0.5, tol=1e-6)
+    assert tight.converged and loose.converged
+    assert loose.n_iter < tight.n_iter
+    assert abs(_dense_eot_primal(tight) - tight.cost) <= 1e-12 * abs(tight.cost)
+    assert abs(loose.cost - tight.cost) <= 1e-9 * abs(tight.cost)
 
 
 def _dense_view(ker: bs.GibbsKernel) -> bs.GibbsKernel:
@@ -257,7 +308,7 @@ def test_separable_2d_solve_matches_dense_oracle():
         fin = np.isfinite(b)
         assert np.array_equal(np.isfinite(a), fin)
         assert np.max(np.abs(a[fin] - b[fin])) <= 1e-12
-    for a, b in zip(sep.plan_marginals(), ref.plan_marginals()):
+    for a, b in ((sep.mu_hat, ref.mu_hat), (sep.nu_hat, ref.nu_hat)):
         assert np.max(np.abs(a - b)) <= 1e-12
     ce_sep, ce_ref = bs.corrector_check(sep), bs.corrector_check(ref)
     for side in ("lhs_nu", "lhs_mu"):
