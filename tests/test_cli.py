@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from bridgestab import DiscreteMeasure, cli
+from bridgestab import DiscreteMeasure, cli, dynamics, schrodinger
 
 
 def write_cfg(tmp_path, cfg, name="cfg.yaml"):
@@ -217,6 +217,61 @@ def test_perturbation_battery_scenarios(tmp_path, scenario):
     summary = (tmp_path / "out3" / "summary.txt").read_text()
     assert "base problem did not converge; battery skipped" in summary
     assert "exit status: 3" in summary
+
+
+def test_battery_with_overshooting_omega_exits_3(tmp_path, monkeypatch):
+    # an ω past 2 (forced here) makes the relaxed loop diverge until it
+    # falls back to plain Sinkhorn; cut short by max_iter, the base solve
+    # must still end unconverged, and no NaN may reach the outputs
+    raised = []
+    monkeypatch.setattr(schrodinger, "_omega",
+                        lambda rho: raised.append(rho) or 2.5)
+    out = tmp_path / "out"
+    cfg = battery_cfg("eot-stability", out)
+    cfg["solver"] = {"tol": 1e-9, "max_iter": 20}
+    assert cli.main(["--config", str(write_cfg(tmp_path, cfg))]) == 3
+    assert raised
+    summary = (out / "summary.txt").read_text()
+    assert "base problem did not converge; battery skipped" in summary
+    for f in out.iterdir():
+        assert "nan" not in f.read_text().lower(), f.name
+
+
+def _smalltime_cfg(out_dir):
+    return {
+        "scenario": "smalltime",
+        "grid": {"bounds": [-8.0, 10.0], "shape": 320},
+        "kernel": {"kappa": 0.0},
+        "marginals": {
+            "mu": {"family": "gaussian", "mean": [-1.0], "sigma": 1.0},
+            "nu": {"family": "gaussian", "mean": [1.0], "sigma": 1.0},
+        },
+        "smalltime": {"T_list": [0.05, 0.02]},
+        "output": {"dir": str(out_dir)},
+    }
+
+
+def test_relaxed_reports_are_byte_identical_and_carry_no_omega(
+        tmp_path, monkeypatch):
+    # the small-time solves relax (ω > 1); ω stays on the solutions and
+    # out of report.jsonl, which reruns reproduce byte for byte
+    omegas = []
+    real = dynamics.solve
+
+    def spy(*args, **kw):
+        sol = real(*args, **kw)
+        omegas.append(sol.omega)
+        return sol
+
+    monkeypatch.setattr(dynamics, "solve", spy)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for i, out in enumerate(outs):
+        path = write_cfg(tmp_path, _smalltime_cfg(out), f"cfg{i}.yaml")
+        assert cli.main(["--config", str(path)]) == 0
+    assert omegas and all(w > 1.0 for w in omegas)
+    a, b = ((out / "report.jsonl").read_bytes() for out in outs)
+    assert a == b
+    assert b"omega" not in a
 
 
 _WARM_ARGS = {"solve": "init_psi", "eot_quadratic_direct": "init_b"}

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import bridgestab as bs
-from bridgestab import kernels
+from bridgestab import kernels, schrodinger
 from bridgestab.schrodinger import InfeasibleProblem
 
 
@@ -397,34 +397,44 @@ def test_solution_exposes_entropies(ou_sol, gauss_pair, grid128):
 
 
 def _sp_case(kind, T, partial=False):
-    def run():
+    def run(**solver):
         g = bs.Grid.regular([(-8.0, 10.0)], [320])
         mu = bs.gaussian_measure(g, [-1.0], 1.0)
         nu = bs.uniform_measure(g, 0.2, 2.5) if partial \
             else bs.gaussian_measure(g, [1.0], 1.0)
         ker = bs.GibbsKernel.heat(g, T) if kind == "heat" \
             else bs.GibbsKernel.ou(g, T, 1.0)
-        sol = bs.solve(mu, nu, ker)
-        return sol.n_iter, sol.converged, sol.phi, sol.psi
+        return bs.solve(mu, nu, ker, **solver)
     return run
 
 
 def _eot_case(epsilon):
-    def run():
+    def run(**solver):
         g = bs.Grid.regular([(-4.0, 4.0)], [160])
         mu = bs.uniform_measure(g, -1.0, 1.5)
         nu = bs.gaussian_measure(g, [0.5], 0.8)
-        sol = bs.eot_quadratic_direct(mu, nu, epsilon)
-        return sol.n_iter, sol.converged, sol.a, sol.b
+        return bs.eot_quadratic_direct(mu, nu, epsilon, **solver)
     return run
 
 
-def _grid_2d_case():
+def _grid_2d_case(**solver):
     g = bs.Grid.regular([(-4.0, 4.5), (-3.5, 3.0)], [16, 12])
     mu = bs.gaussian_measure(g, [-0.8, 0.3], [0.9, 1.1])
     nu = bs.uniform_measure(g, [-1.0, -1.5], [2.5, 2.0])
-    sol = bs.solve(mu, nu, bs.GibbsKernel.ou(g, T=0.8, kappa=1.0))
-    return sol.n_iter, sol.converged, sol.phi, sol.psi
+    return bs.solve(mu, nu, bs.GibbsKernel.ou(g, T=0.8, kappa=1.0), **solver)
+
+
+def _potentials(sol):
+    if isinstance(sol, bs.EOTSolution):
+        return sol.a, sol.b
+    return sol.phi, sol.psi
+
+
+def _cost(sol):
+    """The EOT dual cost, or the Schrödinger entropic cost C_T."""
+    if isinstance(sol, bs.EOTSolution):
+        return sol.cost
+    return sol.entropic_cost()
 
 
 @pytest.mark.parametrize("run", [
@@ -446,16 +456,86 @@ def test_anchored_sinkhorn_matches_log_domain_loop(run, monkeypatch):
     monkeypatch.setattr(kernels, "lse_matvec", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", bs.BandwidthWarning)
-        n_iter, converged, f, g = run()
+        sol = run()
         fast_calls = len(calls)
         with monkeypatch.context() as m:
             m.setattr(kernels, "ANCHOR_RADIUS", -1.0)
-            ref_iter, ref_converged, ref_f, ref_g = run()
-    assert converged and ref_converged
-    assert n_iter == ref_iter
+            ref = run()
+    assert sol.converged and ref.converged
+    assert sol.n_iter == ref.n_iter
     # the anchored run really took the matrix-product path
     assert fast_calls < len(calls) - fast_calls
-    for a, b in ((f, ref_f), (g, ref_g)):
+    for a, b in zip(_potentials(sol), _potentials(ref)):
         fin = np.isfinite(b)
         assert np.array_equal(np.isfinite(a), fin)
         assert np.max(np.abs(a[fin] - b[fin])) <= 1e-12
+
+
+# plain Sinkhorn, the loop with ω held at 1 (an _OMEGA_MAX of 1), is the
+# oracle of the over-relaxed loop; every case but the 2D one relaxes
+_RELAX_CASES = {
+    "heat-0.05": _sp_case("heat", 0.05), "heat-0.02": _sp_case("heat", 0.02),
+    "heat-0.01": _sp_case("heat", 0.01),
+    "heat-0.005": _sp_case("heat", 0.005),
+    "ou-0.1": _sp_case("ou", 0.1), "ou-0.05": _sp_case("ou", 0.05),
+    "partial-nu": _sp_case("heat", 0.05, partial=True),
+    "eot-0.05": _eot_case(0.05), "eot-0.3": _eot_case(0.3),
+    "eot-1.0": _eot_case(1.0), "ou-2d": _grid_2d_case,
+}
+
+
+def _plain(monkeypatch, run, **solver):
+    with monkeypatch.context() as m:
+        m.setattr(schrodinger, "_OMEGA_MAX", 1.0)
+        return run(**solver)
+
+
+@pytest.mark.parametrize("name", list(_RELAX_CASES))
+def test_relaxed_sinkhorn_matches_plain_loop(name, monkeypatch):
+    run = _RELAX_CASES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", bs.BandwidthWarning)
+        sol = run()
+        plain = _plain(monkeypatch, run)
+        tight = _plain(monkeypatch, run, tol=1e-13)
+    assert sol.converged and plain.converged and tight.converged
+    assert plain.omega == tight.omega == 1.0
+    # the solution carries its final ω: 1 if it never relaxed, else a
+    # multiple of 1/32 in (1, 2)
+    if name == "ou-2d":
+        assert sol.omega == 1.0
+    else:
+        assert 1.0 < sol.omega < 2.0 and (32 * sol.omega).is_integer()
+    assert sol.n_iter <= plain.n_iter
+    # the same fixed point: the value is within rounding of a tight solve
+    assert abs(_cost(sol) - _cost(tight)) <= 1e-12 * abs(_cost(tight))
+    for a, b in zip(_potentials(sol), _potentials(plain)):
+        assert np.array_equal(np.isneginf(a), np.isneginf(b))
+        assert not np.any(np.isnan(a))
+
+
+@pytest.mark.parametrize("omega", [2.5, 1e3])
+def test_overshooting_omega_falls_back_to_plain(omega, monkeypatch):
+    # an ω past 2 makes the relaxed loop diverge, and 1e3 overflows the
+    # potentials within a step, so that the residual turns inf or NaN.  The
+    # loop must go back to plain Sinkhorn from its last good potentials and
+    # reach the plain fixed point; cut short, it must end unconverged with
+    # finite potentials and residual
+    run = _RELAX_CASES["heat-0.02"]
+    tight = _plain(monkeypatch, run, tol=1e-13)
+    raised = []
+    monkeypatch.setattr(schrodinger, "_omega",
+                        lambda rho: raised.append(rho) or omega)
+    with np.errstate(all="ignore"):
+        sol = run()
+        n_raised = len(raised)
+        cut = run(max_iter=sol.n_iter // 2)
+    assert n_raised and len(raised) > n_raised
+    assert sol.converged and sol.omega == 1.0
+    assert np.all(np.isfinite(sol.residual_history))
+    assert abs(_cost(sol) - _cost(tight)) <= 1e-12 * abs(_cost(tight))
+    assert not cut.converged
+    assert np.all(np.isfinite(cut.residual_history))
+    for pot, m in ((cut.phi, cut.mu), (cut.psi, cut.nu)):
+        assert np.all(np.isfinite(pot[m.support()]))
+
