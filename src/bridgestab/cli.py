@@ -459,8 +459,8 @@ SCENARIOS = {
 }
 
 
-def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _is_num(x, kinds=(int, float)) -> bool:
+    return isinstance(x, kinds) and not isinstance(x, bool)
 
 
 def _positive(v) -> bool:
@@ -468,7 +468,7 @@ def _positive(v) -> bool:
 
 
 def _int_from(lo: int):
-    return lambda v: isinstance(v, int) and v >= lo
+    return lambda v: _is_num(v, int) and v >= lo
 
 
 def _ou_overflows(kappa, T) -> bool:
@@ -659,10 +659,10 @@ def validate(cfg) -> list[str]:
                 f"got {name!r}"]
     scen = SCENARIOS[name]
     errs: list[str] = []
-    if scen.seeded and not isinstance(cfg.get("seed"), int):
+    if scen.seeded and not _is_num(cfg.get("seed"), int):
         errs.append("seed: integer seed is mandatory for randomized "
                     f"scenario {name!r}")
-    if "seed" in cfg and not isinstance(cfg["seed"], int):
+    if "seed" in cfg and not _is_num(cfg["seed"], int):
         errs.append("seed: integer required")
     elif cfg.get("seed", 0) < 0:
         errs.append("seed: integer >= 0 required")
@@ -680,7 +680,7 @@ def validate(cfg) -> list[str]:
         for side in scen.marginals:
             _check_marginal(m.get(side), f"marginals.{side}", ndim, errs)
         if any(isinstance(v, dict) and v.get("family") == "random"
-               for v in m.values()) and not isinstance(cfg.get("seed"), int):
+               for v in m.values()) and not _is_num(cfg.get("seed"), int):
             errs.append("seed: required when a marginal family is 'random'")
     for block in (*scen.blocks, "solver", "output"):
         _check_block(cfg, block, errs)

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import apply_semigroup, curvature_factor
-from .measures import (DiscreteMeasure, ReferenceMeasure, difference,
+from .kernels import curvature_factor
+from .measures import (DiscreteMeasure, Grid, ReferenceMeasure, difference,
                        fisher_information, grad_sq_norm, relative_entropy,
                        symmetric_entropy)
 from .reports import (InequalityReport, cross_check_rhs, make_equality_report,
@@ -38,7 +38,7 @@ from .schrodinger import (EOTSolution, SchrodingerSolution,
 from .sobolev import h_minus_one_norm
 
 __all__ = [
-    "CorrectorEstimate", "corrector_check", "gradient_log_semigroup_norm",
+    "CorrectorEstimate", "corrector_check", "gradient_energy",
     "plan_stability_check", "cost_stability_check",
     "quadratic_eot_stability_check", "StabilityIngredients",
     "stability_ingredients",
@@ -66,17 +66,16 @@ def _term(factor: float, norm: float) -> float:
 # corrector estimates
 # ---------------------------------------------------------------------------
 
-def gradient_log_semigroup_norm(kernel, log_pot: np.ndarray,
-                                weights: np.ndarray) -> float:
-    """∫ |∇ log P e^{pot}|² w  for a weight vector w on the kernel's grid.
+def gradient_energy(v: np.ndarray, grid: Grid, weights: np.ndarray,
+                    floor: float = 0.0) -> float:
+    """∫ |∇v|² w  for a weight vector w on the grid, with the gradient taken
+    on the cells where w exceeds ``floor``.
 
-    This single code path serves the corrector left-hand sides and the
-    drift-decay curve α(t); support is wherever w exceeds the mass floor.
+    The corrector left-hand sides and the drift curve α(t) apply it to a
+    slice log P_t e^φ from `SchrodingerSolution.log_slices`.
     """
-    v = apply_semigroup(kernel, log_pot)
-    mask = weights > 0
-    g2 = grad_sq_norm(v, kernel.grid, mask)
-    return float(weights @ g2)
+    mask = weights > floor
+    return float(weights @ grad_sq_norm(v, grid, mask))
 
 
 @dataclass
@@ -103,12 +102,15 @@ def corrector_check(sol: SchrodingerSolution) -> CorrectorEstimate:
     E = curvature_factor(sol.kernel.kappa, sol.T)
     ct = sol.entropic_cost()
 
-    lhs_nu = gradient_log_semigroup_norm(sol.kernel, sol.phi, sol.nu.weights)
-    lhs_mu = gradient_log_semigroup_norm(sol.kernel, sol.psi, sol.mu.weights)
+    # log P_T e^φ and log P_T e^ψ: the slices at t = T and at t = 0
+    p_phi, p_psi = sol.log_slices(sol.T)[0], sol.log_slices(0.0)[1]
+    grid = sol.kernel.grid
+    lhs_nu = gradient_energy(p_phi, grid, sol.nu.weights)
+    lhs_mu = gradient_energy(p_psi, grid, sol.mu.weights)
 
     # same integrals against the plan's realized marginals (two-way check)
-    lhs_nu_plan = gradient_log_semigroup_norm(sol.kernel, sol.phi, sol.nu_hat)
-    lhs_mu_plan = gradient_log_semigroup_norm(sol.kernel, sol.psi, sol.mu_hat)
+    lhs_nu_plan = gradient_energy(p_phi, grid, sol.nu_hat)
+    lhs_mu_plan = gradient_energy(p_psi, grid, sol.mu_hat)
 
     rhs_nu = (ct - sol.h_nu) / E
     rhs_nu = cross_check_rhs(rhs_nu, {"cost": ct / E,

@@ -492,14 +492,18 @@ def measure_from_csv(path) -> DiscreteMeasure:
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header not in (_COLS[1], _COLS[2]):
             raise ValueError(f"unrecognized measure CSV header: {header}")
         d = len(header) - 1
         rows = [[float(v) for v in row] for row in reader if row]
+    if not rows or any(len(row) != d + 1 for row in rows):
+        raise ValueError(f"measure CSV needs data rows of {d + 1} values")
     data = np.asarray(rows)
     coords, wvals = data[:, :d], data[:, d]
     axes = [np.unique(coords[:, k]) for k in range(d)]
+    if any(x.size < 2 for x in axes):
+        raise ValueError("measure CSV needs two coordinates per axis")
     grid = Grid.from_axes(axes)
     if grid.n_cells != len(rows):
         raise ValueError("rows do not form a full tensor-product grid")

@@ -38,11 +38,13 @@ computes for its stopping rule.  The dense n×n plan is built only by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import AnchoredLSE, GibbsKernel, LogKernel, _squared_distances
+from .kernels import (AnchoredLSE, BandwidthWarning, GibbsKernel, LogKernel,
+                      _squared_distances, apply_semigroup)
 from .measures import (DiscreteMeasure, Grid, ReferenceMeasure,
                        relative_entropy, second_moment)
 
@@ -108,6 +110,11 @@ class SchrodingerSolution:
     h_mu: float
     h_nu: float
     omega: float                      # ω of the last iteration (1: plain)
+    # memos of `log_slices` (t -> slice pair, s -> kernel at time s)
+    _slices: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
+    _kernels: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @property
     def reference(self) -> ReferenceMeasure:
@@ -130,6 +137,29 @@ class SchrodingerSolution:
         """(∫φdμ - H(μ|m), ∫ψdν - H(ν|m)); equal under the symmetric gauge."""
         a, b = _integrals(self.phi, self.psi, self.mu, self.nu)
         return a - self.h_mu, b - self.h_nu
+
+    def log_slices(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(log P_t e^φ, log P_{T-t} e^ψ) for t in [0, T]; P_0 is the
+        identity.  Each pair is computed once per t and each kernel once per
+        time, so the checks on one solution share them (read-only)."""
+        t = float(t)
+        if t not in self._slices:      # a t outside [0, T] fails at_time
+            self._slices[t] = (self._semigroup(t, self.phi),
+                               self._semigroup(self.T - t, self.psi))
+        return self._slices[t]
+
+    def _semigroup(self, s: float, log_f: np.ndarray) -> np.ndarray:
+        if s == 0.0:
+            return log_f
+        if s not in self._kernels:
+            # quadratures in t probe s -> 0 on purpose: no warning per slice
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", BandwidthWarning)
+                self._kernels[s] = self.kernel if s == self.T \
+                    else self.kernel.at_time(s)
+        out = apply_semigroup(self._kernels[s], log_f)
+        out.flags.writeable = False
+        return out
 
     def log_plan(self) -> Plan:
         """log π = φ ⊕ ψ + log p_T + log m ⊗ log m (dense)."""

@@ -501,6 +501,8 @@ _MESSAGES = [
     ("solve", {"solver": {"max_iter": 0}},
      ["solver.max_iter: integer >= 1 required"]),
     ("sobolev", {"solver": "fast"}, ["solver: mapping expected"]),
+    # YAML booleans are ints to Python; a count or seed must refuse them
+    ("solve", {"seed": True}, ["seed: integer required"]),
 ]
 
 
@@ -523,6 +525,8 @@ def test_top_level_mapping_required():
 def test_validate_messages(scenario, edits, messages):
     assert cli.validate(edited_cfg(scenario, edits)) == messages
 
+
+_DATA = Path(__file__).resolve().parent / "data"
 
 # configs that validate() used to accept and that then crashed with a
 # traceback: each must exit 2 and name the field on stderr
@@ -553,6 +557,17 @@ _DATA_ERRORS = [
     ("solve", {"output": "out/solve"}, "output"),
     ("solve", {"scenario": ["solve"]}, "scenario"),
     ("solve", {"seed": -1}, "seed"),
+    ("solve", {"marginals.mu": {"family": "csv",
+                                "path": str(_DATA / "header_only.csv")}},
+     "marginals.mu: measure CSV needs data rows of 2 values"),
+    ("solve", {"marginals.mu": {"family": "csv",
+                                "path": str(_DATA / "one_row.csv")}},
+     "marginals.mu: measure CSV needs two coordinates per axis"),
+    # YAML booleans: `max_iter: true` used to run one Sinkhorn iteration
+    ("solve", {"seed": True}, "seed: integer required"),
+    ("solve", {"solver": {"max_iter": True}}, "solver.max_iter"),
+    ("corrector", {"corrector.n_pairs": True}, "corrector.n_pairs"),
+    ("stability", {"perturbation.n_seeds": True}, "perturbation.n_seeds"),
 ]
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import bridgestab as bs
+from bridgestab import diagnostics, dynamics, kernels, schrodinger
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +89,37 @@ def test_gronwall_final_alpha_matches_corrector(ou_sol):
     _, rows = bs.gronwall_decay_check(ou_sol)
     est = bs.corrector_check(ou_sol)
     assert abs(rows[-1]["alpha"] - est.lhs_nu) < 1e-8
+
+
+def test_checks_share_the_time_slices_of_one_solution(gauss_pair,
+                                                      monkeypatch):
+    # at T = 1 the meshes of the four checks share their dyadic times
+    # exactly: the 9 + 8 times of the interpolation and the midpoint rule
+    # need 2·17 - 2 semigroup applications (P_0 is the identity) and 15
+    # kernels (the one at T is the solution's); the decay mesh k/16 and
+    # the corrector's log P_T e^φ, log P_T e^ψ reuse them
+    mu, nu = gauss_pair
+    sol = bs.solve(mu, nu, bs.GibbsKernel.ou(mu.grid, T=1.0, kappa=1.0))
+    applies, builds = [], []
+    real_apply, real_ou = kernels.apply_semigroup, kernels.GibbsKernel.ou
+
+    def apply(*args):
+        applies.append(1)
+        return real_apply(*args)
+
+    def ou(*args):
+        builds.append(1)
+        return real_ou(*args)
+
+    for mod in (kernels, schrodinger, dynamics, diagnostics):
+        if hasattr(mod, "apply_semigroup"):
+            monkeypatch.setattr(mod, "apply_semigroup", apply)
+    monkeypatch.setattr(kernels.GibbsKernel, "ou", staticmethod(ou))
+    bs.interpolate(sol, 9)
+    bs.dynamic_cost_check(sol, n_slices=8)
+    bs.gronwall_decay_check(sol)
+    bs.corrector_check(sol)
+    assert (len(applies), len(builds)) == (32, 15)
 
 
 def test_small_time_identical_marginals(grid128):

@@ -281,3 +281,18 @@ def test_csv_roundtrip_2d(tmp_path):
     assert np.array_equal(back.weights, mu.weights)
     assert back.grid.ndim == 2
     assert np.allclose(back.grid.points(), pts, atol=1e-15)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "unrecognized measure CSV header"),
+    ("x,weight\n", "data rows of 2 values"),
+    ("x,weight\n0.0,1.0\n", "two coordinates per axis"),
+    ("x,y,weight\n0.0,0.0,0.5\n1.0,0.0,0.5\n", "two coordinates per axis"),
+    ("x,weight\n0.0,0.5,9.0\n1.0,0.5,9.0\n", "data rows of 2 values"),
+], ids=["empty", "header-only", "one-row", "one-column-2d", "long-rows"])
+def test_csv_reader_rejects_degenerate_files(tmp_path, text, message):
+    # each used to escape as IndexError or StopIteration, or to misread
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        bs.measure_from_csv(path)

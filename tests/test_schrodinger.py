@@ -539,3 +539,28 @@ def test_overshooting_omega_falls_back_to_plain(omega, monkeypatch):
     for pot, m in ((cut.phi, cut.mu), (cut.psi, cut.nu)):
         assert np.all(np.isfinite(pot[m.support()]))
 
+
+
+def test_log_slices_are_the_semigroup_at_t(ou_sol):
+    T, phi, psi = ou_sol.T, ou_sol.phi, ou_sol.psi
+    lp, lq = ou_sol.log_slices(0.0)
+    assert lp is phi
+    assert np.array_equal(lq, bs.apply_semigroup(ou_sol.kernel, psi))
+    lp, lq = ou_sol.log_slices(T)
+    assert lq is psi
+    assert np.array_equal(lp, bs.apply_semigroup(ou_sol.kernel, phi))
+    t = 0.3 * T
+    lp, lq = ou_sol.log_slices(t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", bs.BandwidthWarning)
+        assert np.array_equal(
+            lp, bs.apply_semigroup(ou_sol.kernel.at_time(t), phi))
+        assert np.array_equal(
+            lq, bs.apply_semigroup(ou_sol.kernel.at_time(T - t), psi))
+    # computed once, shared and read-only
+    assert ou_sol.log_slices(np.float64(t))[0] is lp
+    assert not lp.flags.writeable and not lq.flags.writeable
+    assert "_slices" not in repr(ou_sol)
+    for bad in (-0.1, 1.1 * T):
+        with pytest.raises(ValueError):
+            ou_sol.log_slices(bad)
