@@ -176,10 +176,6 @@ class ReferenceMeasure:
         out[pos] = np.log(self.cell_mass[pos])
         return out
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.cell_mass.sum())
-
 
 @dataclass(frozen=True)
 class DiscreteMeasure:

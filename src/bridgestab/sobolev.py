@@ -9,14 +9,20 @@ of axis-adjacent cells and edge weight (μ_a + μ_b) / (2 Δx²) — a midpoint
 discretization of -∇·(μ∇·).  If the rhs puts net mass on a connected
 component of supp μ the problem is infeasible and the norm is +inf.
 
+On a 1D grid the edge graph is a path, so L_μ h = ν needs no solve: the flux
+through edge e is the cumulative sum F_e of ν up to e, and the norm is the
+closed form  ‖ν‖² = Σ_e F_e² / w_e.  Grids with ndim ≥ 2 use a grounded
+sparse direct solve (`WeightedPoissonProblem`).
+
 W2 on the line is evaluated exactly: both quantile functions are piecewise
 constant, so integrating |F_μ^{-1} - F_ν^{-1}|² over the merged breakpoint
 partition (midpoint per segment) incurs no quadrature error.  A dense LP on
 small supports serves as the independent oracle in any dimension, and the
 comparison  W2(μ, μ̄) ≤ 2 ‖μ - μ̄‖_{Ḣ^{-1}(μ)}  is packaged as a report.
 
-scipy (the sparse direct solve, the LP) is imported by the functions that
-use it, so importing this module, and the package, loads only numpy.
+scipy (the 2D sparse direct solve, the LP) is imported by the functions
+that use it, so importing this module, and the package, and every 1D norm
+load only numpy.
 """
 
 from __future__ import annotations
@@ -95,6 +101,8 @@ class WeightedPoissonProblem:
     graph and factors the remaining nonsingular Laplacian once with a sparse
     direct solver, so every rhs costs one exact triangular solve; `norm`
     returns the dual norm √⟨h, ν⟩ (+inf when a component carries net mass).
+    `h_minus_one_norm` uses it for ndim ≥ 2; in 1D it is the test oracle of
+    the closed form.
     """
 
     def __init__(self, weight: DiscreteMeasure):
@@ -123,7 +131,7 @@ class WeightedPoissonProblem:
         some component carries net mass (infeasible rhs)."""
         net = np.bincount(self.labels, weights=b,
                           minlength=self.n_components)
-        if np.any(np.abs(net) > 1e-10 * max(1.0, float(np.abs(b).sum()))):
+        if np.any(np.abs(net) > _mass_tol(b)):
             return None
         b = b - (net / self.sizes)[self.labels]
         h = np.zeros_like(b)
@@ -133,12 +141,7 @@ class WeightedPoissonProblem:
         return h - (h_sum / self.sizes)[self.labels]
 
     def norm(self, rhs: SignedMeasure) -> float:
-        if not rhs.grid.same_as(self.grid):
-            raise ValueError("rhs and weight live on different grids")
-        b = rhs.weights
-        scale = max(1.0, float(np.abs(b).sum()))
-        if abs(b.sum()) > 1e-10 * scale:
-            raise ValueError("rhs must have zero total mass")
+        b = _zero_mass_weights(rhs, self.grid)
         h = self.solve(b)
         if h is None:
             return math.inf  # net mass stuck on one component
@@ -147,13 +150,48 @@ class WeightedPoissonProblem:
         return math.sqrt(max(float(h @ b), 0.0))
 
 
+def _mass_tol(b: np.ndarray) -> float:
+    """Net mass of rhs b up to this counts as zero."""
+    return 1e-10 * max(1.0, float(np.abs(b).sum()))
+
+
+def _zero_mass_weights(rhs: SignedMeasure, grid: Grid) -> np.ndarray:
+    """rhs weights, checked to live on `grid` and to carry zero total mass."""
+    if not rhs.grid.same_as(grid):
+        raise ValueError("rhs and weight live on different grids")
+    b = rhs.weights
+    if abs(b.sum()) > _mass_tol(b):
+        raise ValueError("rhs must have zero total mass")
+    return b
+
+
+def _path_norm(b: np.ndarray, weight: DiscreteMeasure) -> float:
+    """Closed-form Ḣ^{-1} norm on a 1D grid: √Σ_e F_e²/w_e over the
+    positive-weight edges, with F the flux (cumulative sum of b after each
+    run of cells between zero-weight edges has its net mass removed);
+    +inf when a run carries net mass."""
+    _, _, w = edge_weights(weight.grid, weight)
+    cut = w == 0.0
+    labels = np.concatenate(([0], np.cumsum(cut)))
+    net = np.bincount(labels, weights=b)
+    if np.any(np.abs(net) > _mass_tol(b)):
+        return math.inf  # net mass stuck on one component
+    # each run now sums to zero, so the running sum restarts at every cut
+    flux = np.cumsum(b - (net / np.bincount(labels))[labels])[:-1]
+    return math.sqrt(float(np.sum(flux[~cut] ** 2 / w[~cut])))
+
+
 def h_minus_one_norm(rhs: SignedMeasure, weight: DiscreteMeasure) -> float:
-    """‖rhs‖_{Ḣ^{-1}(weight)} via the weighted grid Poisson problem.
+    """‖rhs‖_{Ḣ^{-1}(weight)}: the closed-form flux sum on a 1D grid, the
+    grounded sparse direct solve (which loads scipy) for ndim ≥ 2.
 
     Requires rhs total mass ≈ 0; returns +inf when rhs puts net mass on a
     connected component of the support graph (disconnected-support case).
     """
-    return WeightedPoissonProblem(weight).norm(rhs)
+    b = _zero_mass_weights(rhs, weight.grid)
+    if weight.grid.ndim > 1:
+        return WeightedPoissonProblem(weight).norm(rhs)
+    return _path_norm(b, weight)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ from bridgestab import measures, orlicz
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Imports the package, then runs sample configs through `cli.run`, and
-# prints the scipy modules loaded after each step as one JSON line.
+# Imports the package, runs sample configs through `cli.run`, then takes
+# one 2D Ḣ⁻¹ norm (the sparse direct solve), and prints the scipy modules
+# loaded after each step as one JSON line.
 _PROBE = r"""
 import json, sys
 from pathlib import Path
@@ -34,6 +35,11 @@ seen["import bridgestab.cli"] = scipy_modules()
 for name in sys.argv[2:]:
     cfg = yaml.safe_load(Path("configs", name + ".yaml").read_text())
     seen[name] = [cli.run(cfg, Path(sys.argv[1]) / name), scipy_modules()]
+g = bridgestab.Grid.regular([(-3.0, 3.0), (-3.0, 3.0)], [12, 12])
+mu = bridgestab.gaussian_measure(g, [0.4, -0.3], [1.0, 0.8])
+nu = bridgestab.gaussian_measure(g, [-0.2, 0.1], [0.9, 1.1])
+norm = bridgestab.h_minus_one_norm(bridgestab.difference(mu, nu), mu)
+seen["2d hm1 norm"] = [norm, scipy_modules()]
 print(json.dumps(seen))
 """
 
@@ -57,14 +63,17 @@ def test_import_loads_no_scipy(probe):
     assert probe["import bridgestab.cli"] == []
 
 
-@pytest.mark.parametrize("name", ["solve", "smalltime", "orlicz"])
+# 1D Ḣ⁻¹ norms (the stability battery) use the closed-form flux sum
+@pytest.mark.parametrize("name", ["solve", "smalltime", "orlicz",
+                                  "stability"])
 def test_scenario_without_hm1_solve_loads_no_scipy(probe, name):
     assert probe[name] == [0, []]
 
 
-def test_stability_loads_scipy_sparse_when_it_runs(probe):
-    code, modules = probe["stability"]
-    assert code == 0
+def test_2d_hm1_norm_loads_scipy_sparse_when_it_runs(probe):
+    assert probe["stability"][1] == []  # the step before it
+    norm, modules = probe["2d hm1 norm"]
+    assert math.isfinite(norm) and norm > 0.0
     assert "scipy.sparse" in modules
 
 

@@ -11,7 +11,6 @@ import bridgestab as bs
 from bridgestab.sobolev import (
     WeightedPoissonProblem,
     dirichlet_energy,
-    edge_weights,
     h_minus_one_norm,
     w2_atoms,
     weighted_laplacian,
@@ -84,15 +83,14 @@ def test_disconnected_support_infinite():
     assert h_minus_one_norm(bs.SignedMeasure(g, rho), mu) == math.inf
 
 
-def _flux_norm(rho, mu):
-    """1D closed form: ||rho||^2 = sum_e F_e^2 / w_e with F = cumsum(rho)."""
-    _, _, w = edge_weights(mu.grid, mu)
-    flux = np.cumsum(rho.weights)[:-1]
-    return math.sqrt(float(np.sum(flux ** 2 / w)))
+def _sparse_norm(rho, mu):
+    """The grounded sparse direct solve, which 2D norms use."""
+    return WeightedPoissonProblem(mu).norm(rho)
 
 
 def _dense_pinv_norm(rho, mu):
-    """rho^T L_c^+ rho summed over the components of the dense Laplacian."""
+    """rho^T L_c^+ rho summed over the components of the dense Laplacian;
+    +inf when a component carries net mass."""
     lap = weighted_laplacian(mu.grid, mu).toarray()
     _, labels = connected_components(sp.csr_matrix(lap != 0.0),
                                      directed=False)
@@ -100,7 +98,10 @@ def _dense_pinv_norm(rho, mu):
     for comp in np.unique(labels):
         cells = np.flatnonzero(labels == comp)
         b = rho.weights[cells]
-        val += float(b @ np.linalg.pinv(lap[np.ix_(cells, cells)]) @ b)
+        if abs(b.sum()) > 1e-10:
+            return math.inf
+        lap_c = lap[np.ix_(cells, cells)]
+        val += float(b @ np.linalg.pinv(lap_c, hermitian=True) @ b)
     return math.sqrt(val)
 
 
@@ -109,16 +110,50 @@ def _battery_1d_case():
     g = bs.Grid.regular([(-6.0, 6.0)], [256])
     mu = bs.gaussian_measure(g, [-0.8], 1.15)
     h = bs.smooth_zero_mean_field(g, mu, np.random.default_rng(0))
-    rho = bs.difference(mu, bs.perturbed_measure(mu, h, 0.2))
-    return rho, mu, _flux_norm(rho, mu)
+    return bs.difference(mu, bs.perturbed_measure(mu, h, 0.2)), mu
+
+
+def _irregular_1d_case():
+    rng = np.random.default_rng(3)
+    x = np.cumsum(rng.uniform(0.02, 0.1, 96))
+    g = bs.Grid.from_axes([x - x.mean()])
+    mu = bs.gaussian_measure(g, [0.3], 0.9)
+    h = bs.smooth_zero_mean_field(g, mu, rng)
+    return bs.difference(mu, bs.perturbed_measure(mu, h, 0.2)), mu
+
+
+def _floor_gaps_case():
+    # cells below MASS_FLOOR (but not zero) at both ends and in an interior
+    # gap: edges between two such cells carry no weight, which leaves two
+    # runs of support and isolated cells; the rhs puts mass on the floor
+    # cells next to the support and a sub-threshold net mass on each run
+    rng = np.random.default_rng(5)
+    w = np.full(40, 1e-13)
+    w[4:17] = rng.uniform(0.5, 1.5, 13)
+    w[23:36] = rng.uniform(0.5, 1.5, 13)
+    w /= w.sum()
+    g = bs.Grid.regular([(0.0, 4.0)], [40])
+    mu = bs.DiscreteMeasure(g, w)
+    rho = np.zeros(40)
+    for run, net in ((slice(3, 18), 5e-11), (slice(22, 37), -5e-11)):
+        r = rng.normal(0.0, 0.05, 15)
+        rho[run] = r - r.mean() + net / 15
+    return bs.SignedMeasure(g, rho), mu
+
+
+def _stuck_mass_case():
+    rho, mu = _floor_gaps_case()
+    b = rho.weights.copy()
+    b[5] += 0.01
+    b[30] -= 0.01  # net mass must cross the interior gap
+    return bs.SignedMeasure(mu.grid, b), mu
 
 
 def _grid_2d_case():
     g = bs.Grid.regular([(-3.0, 3.0), (-3.0, 3.0)], [12, 12])
     mu = bs.gaussian_measure(g, [0.4, -0.3], [1.0, 0.8])
     h = bs.smooth_zero_mean_field(g, mu, np.random.default_rng(1))
-    rho = bs.difference(mu, bs.perturbed_measure(mu, h, 0.3))
-    return rho, mu, _dense_pinv_norm(rho, mu)
+    return bs.difference(mu, bs.perturbed_measure(mu, h, 0.3)), mu
 
 
 def _two_components_case():
@@ -130,19 +165,58 @@ def _two_components_case():
     rho = np.zeros(16)
     rho[[0, 3]] = [0.1, -0.1]
     rho[[12, 15]] = [-0.05, 0.05]  # zero net mass on each component
-    rho = bs.SignedMeasure(g, rho)
-    return rho, mu, _dense_pinv_norm(rho, mu)
+    return bs.SignedMeasure(g, rho), mu
 
 
-@pytest.mark.parametrize("case", [_battery_1d_case, _grid_2d_case,
-                                  _two_components_case],
-                         ids=["battery-1d-flux", "grid-2d-pinv",
-                              "two-components-pinv"])
-def test_norm_matches_dense_oracle(case):
-    rho, mu, expected = case()
+def _grid_mismatch_case(case):
+    def build():
+        rho, mu = case()
+        return bs.SignedMeasure(mu.grid.shifted([0.5] * mu.grid.ndim),
+                                rho.weights), mu
+    return build
+
+
+def _nonzero_mass_case(case):
+    def build():
+        rho, mu = case()
+        return bs.SignedMeasure(mu.grid, rho.weights + 1e-3), mu
+    return build
+
+
+@pytest.mark.parametrize("case, error", [
+    (_battery_1d_case, None),
+    (_grid_2d_case, None),
+    (_two_components_case, None),
+    (_irregular_1d_case, None),
+    (_floor_gaps_case, None),
+    (_stuck_mass_case, None),
+    (_grid_mismatch_case(_battery_1d_case), "different grids"),
+    (_grid_mismatch_case(_grid_2d_case), "different grids"),
+    (_nonzero_mass_case(_battery_1d_case), "zero total mass"),
+    (_nonzero_mass_case(_grid_2d_case), "zero total mass"),
+], ids=["battery-1d-pinv", "grid-2d-pinv", "two-components-pinv",
+        "irregular-1d-pinv", "floor-gaps-1d-pinv", "stuck-mass-1d-inf",
+        "grid-mismatch-1d", "grid-mismatch-2d", "nonzero-mass-1d",
+        "nonzero-mass-2d"])
+def test_norm_matches_dense_oracle(case, error):
+    rho, mu = case()
+    if error is not None:
+        # the 1D closed form and the 2D sparse solve reject alike
+        for norm in (h_minus_one_norm, _sparse_norm):
+            with pytest.raises(ValueError, match=error):
+                norm(rho, mu)
+        return
     got = h_minus_one_norm(rho, mu)
-    assert math.isfinite(got) and expected > 0.0
-    assert abs(got - expected) <= 1e-9 * expected
+    oracles = [_dense_pinv_norm]
+    if mu.grid.ndim == 1:  # in 2D h_minus_one_norm is the sparse solve
+        oracles.append(_sparse_norm)
+    for oracle in oracles:
+        expected = oracle(rho, mu)
+        if math.isinf(expected):
+            assert got == math.inf
+        else:
+            assert expected > 0.0
+            assert abs(got - expected) <= 1e-12 * expected
 
 
 def test_nonzero_total_mass_rejected(gauss_pair):
