@@ -23,14 +23,14 @@ non-convergence.  When several apply, 2 wins over 3 wins over 1.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import hashlib
 import json
 import math
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -121,13 +121,23 @@ def _marginals(grid: Grid, cfg: dict, rng: np.random.Generator):
 
 @dataclass
 class Table:
+    """One result table, held by column: ``columns[j]`` holds the cells
+    under ``header[j]``, either as a float64 array or as a sequence of
+    floats, ints, bools, strings and None.  All columns have one length."""
+
     name: str
     header: list[str]
-    rows: list[list]
+    columns: list
 
     @staticmethod
     def of_dicts(name: str, rows: list[dict]) -> "Table":
-        return Table(name, list(rows[0]), [list(r.values()) for r in rows])
+        return Table.of_rows(name, list(rows[0]), [r.values() for r in rows])
+
+    @staticmethod
+    def of_rows(name: str, header: list[str], rows: list) -> "Table":
+        """The table of ``rows``; no rows gives empty columns."""
+        return Table(name, header,
+                     list(zip(*rows)) if rows else [[] for _ in header])
 
 
 @dataclass
@@ -159,7 +169,7 @@ class ScenarioResult:
                                  r.vacuous])
 
     def battery_table(self, *tags: str) -> None:
-        self.tables.append(Table("battery", [
+        self.tables.append(Table.of_rows("battery", [
             *tags, "name", "lhs", "rhs", "slack", "relative_slack", "passed",
             "vacuous"], self.battery))
 
@@ -193,10 +203,9 @@ def _run_solve(cfg, rng) -> ScenarioResult:
         "underresolved": ker.underresolved,
     })
     coords = [f"x{i}" for i in range(grid.ndim)]
-    rows = np.column_stack([grid.points(), mu.weights, nu.weights,
-                            sol.phi, sol.psi]).tolist()
-    res.tables.append(Table("potentials",
-                            [*coords, "mu", "nu", "phi", "psi"], rows))
+    res.tables.append(Table(
+        "potentials", [*coords, "mu", "nu", "phi", "psi"],
+        [*grid.points().T, mu.weights, nu.weights, sol.phi, sol.psi]))
     return res
 
 
@@ -305,8 +314,8 @@ def _run_gradient_map(cfg, rng) -> ScenarioResult:
     last = pairs[-1]
     res.tables.append(Table(
         "maps", ["x", "weight", "schrodinger_map", "brenier_map"],
-        np.column_stack([last.support_points, last.support_weights,
-                         last.schrodinger_map, last.brenier_map]).tolist()))
+        [last.support_points, last.support_weights, last.schrodinger_map,
+         last.brenier_map]))
     return res
 
 
@@ -321,16 +330,16 @@ def _run_interpolate(cfg, rng) -> ScenarioResult:
         return res
     curve = interpolate(sol, n_times=sect["n_times"])
     coords = [f"x{i}" for i in range(grid.ndim)]
-    rows = np.column_stack([np.repeat(curve.times, grid.n_cells),
-                            np.tile(grid.points(), (len(curve.times), 1)),
-                            curve.densities.reshape(-1)]).tolist()
-    res.tables.append(Table("interpolation", ["t", *coords, "weight"], rows))
+    res.tables.append(Table(
+        "interpolation", ["t", *coords, "weight"],
+        [np.repeat(curve.times, grid.n_cells),
+         *np.tile(grid.points().T, len(curve.times)),
+         curve.densities.reshape(-1)]))
     res.records.append({"record": "interpolation_mass",
                         "masses": [float(m) for m in curve.masses]})
     bbs, alpha_rows = dynamic_cost_check(sol, n_slices=sect["n_slices"])
     res.reports.append(bbs)
-    res.tables.append(Table("dynamic_cost", ["t", "alpha"],
-                            [[r["t"], r["alpha"]] for r in alpha_rows]))
+    res.tables.append(Table.of_dicts("dynamic_cost", alpha_rows))
     gr, gr_rows = gronwall_decay_check(sol)
     res.reports.append(gr)
     res.tables.append(Table.of_dicts("gronwall", gr_rows))
@@ -712,9 +721,6 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-_PLAIN_CELLS = (float, int, str)
-
-
 def _csv_cell(v) -> str:
     if isinstance(v, bool) or isinstance(v, np.bool_):
         return "true" if v else "false"
@@ -723,17 +729,35 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _csv_row(row: list) -> list:
-    """Rows of plain floats, ints and strings go to `csv.writer` as they
-    are (it writes repr(float) and str of the rest, as `_csv_cell` does);
-    others are formatted cell by cell."""
-    if all(type(v) in _PLAIN_CELLS for v in row):
-        return row
-    return [_csv_cell(v) for v in row]
+def _csv_quote(s: str) -> str:
+    """``s`` quoted as `csv.writer` quotes by default: in double quotes,
+    inner quotes doubled, when it holds a comma, a quote or a line break."""
+    if "," in s or '"' in s or "\r" in s or "\n" in s:
+        return '"' + s.replace('"', '""') + '"'
+    return s
+
+
+def _csv_column(col) -> Iterable[str]:
+    """The CSV cells of one column, in order.  A float64 array is written
+    as the repr of each float; when at most half of its entries are
+    distinct, each distinct bit pattern (so -0.0 apart from 0.0) is
+    formatted once.  Any other column is formatted cell by cell."""
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        if 2 * bits.size <= col.size:
+            text = np.array(list(map(repr, bits.view(np.float64).tolist())),
+                            dtype=object)
+            return text[inverse]
+        return map(repr, col.tolist())
+    return (_csv_quote(_csv_cell(v)) for v in col)
 
 
 def _write_outputs(out: Path, cfg: dict, digest: str,
                    res: ScenarioResult, exit_code: int) -> None:
+    """Write ``report.jsonl``, one CSV per table and ``summary.txt``.  Each
+    table is formatted column by column (`_csv_column`) and written as a
+    header line plus one line per row, comma-separated with CRLF ends: the
+    bytes `csv.writer` writes for the same rows."""
     out.mkdir(parents=True, exist_ok=True)
     lines = []
     for r in res.reports:
@@ -745,13 +769,17 @@ def _write_outputs(out: Path, cfg: dict, digest: str,
                                 sort_keys=True))
     for t in res.tables:
         path = f"{t.name}.csv"
+        rows = map(",".join, zip(*map(_csv_column, t.columns)))
         with open(out / path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(t.header)
-            w.writerows(_csv_row(row) for row in t.rows)
+            fh.write(",".join(map(_csv_quote, t.header)) + "\r\n")
+            # blocks of rows: a whole 2D interpolation at once would hold
+            # every line of it in memory
+            while block := list(islice(rows, 1024)):
+                fh.write("\r\n".join(block) + "\r\n")
         lines.append(json.dumps(
             {"record": "table", "name": t.name, "path": path,
-             "rows": len(t.rows), "inputs_digest": digest}, sort_keys=True))
+             "rows": len(t.columns[0]), "inputs_digest": digest},
+            sort_keys=True))
     (out / "report.jsonl").write_text("".join(f"{ln}\n" for ln in lines))
 
     tally: dict[str, list[int]] = {}

@@ -87,13 +87,6 @@ def weighted_laplacian(grid: Grid, weight: DiscreteMeasure):
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
-def dirichlet_energy(grid: Grid, weight: DiscreteMeasure,
-                     h: np.ndarray) -> float:
-    """Σ_e w_e (h_a - h_b)² (equals ⟨h, ν⟩ at the Poisson solution)."""
-    ia, ib, w = edge_weights(grid, weight)
-    return float(np.sum(w * (h[ia] - h[ib]) ** 2))
-
-
 class WeightedPoissonProblem:
     """Assembled operator -∇·(μ∇·) on the grid, ready to take rhs vectors.
 
@@ -119,12 +112,12 @@ class WeightedPoissonProblem:
         self.n_components, self.labels = connected_components(
             adj, directed=False)
         self.sizes = np.bincount(self.labels, minlength=self.n_components)
-        self.laplacian = weighted_laplacian(self.grid, weight)
+        laplacian = weighted_laplacian(self.grid, weight)
         grounded = np.zeros(n, dtype=bool)
         grounded[np.unique(self.labels, return_index=True)[1]] = True
         self.free = np.flatnonzero(~grounded)
         self._solve_free = factorized(
-            self.laplacian[self.free][:, self.free].tocsc())
+            laplacian[self.free][:, self.free].tocsc())
 
     def solve(self, b: np.ndarray) -> np.ndarray | None:
         """Potential h with L h = b (zero mean per component), or None when

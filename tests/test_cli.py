@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line batteries and their exit-code contract."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -640,3 +641,110 @@ def test_readme_scenario_table_matches_list_scenarios(capsys):
     listed = dict(ln.split(None, 1)
                   for ln in capsys.readouterr().out.splitlines())
     assert table == listed
+
+
+# ---------------------------------------------------------------------------
+# CSV tables: the column writer against the row-wise csv.writer oracle
+# ---------------------------------------------------------------------------
+
+_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+_PLAIN_CELLS = (float, int, str)
+
+
+def _oracle_cell(v) -> str:
+    if isinstance(v, bool) or isinstance(v, np.bool_):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def _oracle_row(row: list) -> list:
+    """Plain rows go to `csv.writer` as they are, others cell by cell."""
+    if all(type(v) in _PLAIN_CELLS for v in row):
+        return row
+    return [_oracle_cell(v) for v in row]
+
+
+def _oracle_csv(path: Path, table) -> bytes:
+    """``table`` written row by row through `csv.writer`; array columns
+    become Python floats first, as `np.column_stack(...).tolist()` gave."""
+    cols = [c.tolist() if isinstance(c, np.ndarray) else list(c)
+            for c in table.columns]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(table.header)
+        w.writerows(_oracle_row(list(row)) for row in zip(*cols))
+    return path.read_bytes()
+
+
+def _written_csv(tmp_path, table) -> tuple[bytes, dict]:
+    """``table`` through `cli._write_outputs`: its CSV and table record."""
+    out = tmp_path / "written"
+    cli._write_outputs(out, {"scenario": "solve"}, "digest",
+                       cli.ScenarioResult(tables=[table]), 0)
+    _, rows = read_reports(out)
+    return (out / f"{table.name}.csv").read_bytes(), rows[0]
+
+
+def _distinct_bits(col) -> int:
+    return np.unique(col.view(np.int64)).size
+
+
+def test_column_writer_matches_row_oracle(tmp_path):
+    neg_nan = -np.float64("nan")
+    specials = np.array([-0.0, 0.0, np.nan, neg_nan, np.inf, -np.inf,
+                         5e-324, 0.1])
+    memo = np.random.default_rng(3).permutation(np.repeat(specials, 2))
+    plain = np.concatenate([specials, [1e308, 1.0 / 3.0, -2.5e-10, 7.0, 1e22,
+                                       -1e-300, 0.2, 0.1 + 0.2]])
+    assert 2 * _distinct_bits(memo) <= memo.size        # memo path
+    assert _distinct_bits(plain) == plain.size          # plain path
+    assert np.signbit(neg_nan)                           # a second NaN
+    mixed = [True, False, np.bool_(True), np.bool_(False), 1, -7,
+             np.int64(3), np.int64(-2), None, 0.1, 2.5e-10, float("nan"),
+             1e22, np.float64(0.3), np.float32(0.1), 0]
+    strings = ["a,b", 'say "hi"', "cr\rhere", "lf\nhere", "", "plain",
+               '"', ",", "\r\n", " lead", "tab\tx", "", "é", "''", "x",
+               "end"]
+    header = ["memo", "plain", "mix,ed", 'str"ings']
+    table = cli.Table("adversarial", header, [memo, plain, mixed, strings])
+    got, record = _written_csv(tmp_path, table)
+    assert got == _oracle_csv(tmp_path / "oracle.csv", table)
+    assert record["rows"] == 16
+
+
+@pytest.mark.parametrize("table", [
+    cli.Table("empty", ["a", "b"], [np.zeros(0), []]),
+    cli.Table.of_rows("battery", ["pair", "name", "lhs"], []),
+    cli.Table("blocks", ["t", "w"], [np.full(2048, -0.0), np.arange(2048.0)]),
+], ids=["header-only", "empty-battery", "two-full-blocks"])
+def test_column_writer_edge_tables_match_row_oracle(tmp_path, table):
+    got, record = _written_csv(tmp_path, table)
+    assert got == _oracle_csv(tmp_path / "oracle.csv", table)
+    assert record["rows"] == len(table.columns[0])
+    if table.name == "battery":
+        assert table.columns == [[], [], []]
+
+
+@pytest.mark.parametrize("source", ["interpolate.yaml", "solve.yaml",
+                                    "gradient-map"])
+def test_scenario_csvs_match_row_oracle(tmp_path, source):
+    cfg = (valid_cfg(source) if source == "gradient-map"
+           else yaml.safe_load((_CONFIGS / source).read_text()))
+    norm = cli._normalize(cfg)
+    res = cli.SCENARIOS[norm["scenario"]].run(
+        norm, np.random.default_rng(norm.get("seed", 0)))
+    out = tmp_path / "out"
+    assert cli.run(cfg, out) == 0
+    _, rows = read_reports(out)
+    recorded = {r["name"]: r["rows"] for r in rows
+                if r.get("record") == "table"}
+    assert res.tables and list(recorded) == [t.name for t in res.tables]
+    for t in res.tables:
+        want = _oracle_csv(tmp_path / f"oracle-{t.name}.csv", t)
+        assert (out / f"{t.name}.csv").read_bytes() == want, t.name
+        assert recorded[t.name] == want.count(b"\r\n") - 1
+    if source == "interpolate.yaml":
+        assert res.tables[0].header == ["t", "x0", "x1", "weight"]
+        assert recorded["interpolation"] == 9 * 24 * 24
