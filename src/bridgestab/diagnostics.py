@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import curvature_factor
-from .measures import (DiscreteMeasure, Grid, ReferenceMeasure, difference,
-                       fisher_information, grad_sq_norm, relative_entropy,
+from .measures import (DiscreteMeasure, ReferenceMeasure, difference,
+                       fisher_information, gradient_energy, relative_entropy,
                        symmetric_entropy)
 from .reports import (InequalityReport, cross_check_rhs, make_equality_report,
                       make_report)
@@ -38,7 +38,7 @@ from .schrodinger import (EOTSolution, SchrodingerSolution,
 from .sobolev import h_minus_one_norm
 
 __all__ = [
-    "CorrectorEstimate", "corrector_check", "gradient_energy",
+    "CorrectorEstimate", "corrector_check",
     "plan_stability_check", "cost_stability_check",
     "quadratic_eot_stability_check", "StabilityIngredients",
     "stability_ingredients",
@@ -65,18 +65,6 @@ def _term(factor: float, norm: float) -> float:
 # ---------------------------------------------------------------------------
 # corrector estimates
 # ---------------------------------------------------------------------------
-
-def gradient_energy(v: np.ndarray, grid: Grid, weights: np.ndarray,
-                    floor: float = 0.0) -> float:
-    """∫ |∇v|² w  for a weight vector w on the grid, with the gradient taken
-    on the cells where w exceeds ``floor``.
-
-    The corrector left-hand sides and the drift curve α(t) apply it to a
-    slice log P_t e^φ from `SchrodingerSolution.log_slices`.
-    """
-    mask = weights > floor
-    return float(weights @ grad_sq_norm(v, grid, mask))
-
 
 @dataclass
 class CorrectorEstimate:

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import gradient_energy
 from .kernels import GibbsKernel
-from .measures import MASS_FLOOR, DiscreteMeasure, Grid, masked_gradient
+from .measures import (MASS_FLOOR, DiscreteMeasure, Grid, gradient_energy,
+                       masked_gradient)
 from .reports import InequalityReport, make_equality_report, make_report
 from .schrodinger import SchrodingerSolution, require_converged, solve
 from .sobolev import w2_atoms, wasserstein2_1d
@@ -232,8 +232,7 @@ def schrodinger_map(sol: SchrodingerSolution) -> tuple[np.ndarray, np.ndarray]:
     if sol.mu.grid.ndim != 1:
         raise ValueError("map experiments are one-dimensional")
     s = sol.mu.support()
-    v = np.where(s, sol.phi, 0.0)
-    grad = masked_gradient(v, sol.mu.grid, s)[0]
+    grad = masked_gradient(sol.phi, sol.mu.grid, s)[0]
     x = sol.mu.grid.axes[0]
     return np.flatnonzero(s), (x - 2.0 * sol.T * grad)[s]
 

@@ -381,50 +381,33 @@ def symmetric_entropy(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
     return relative_entropy(p, q) + relative_entropy(q, p)
 
 
-def _axis_spacing_matrix(grid: Grid, axis: int) -> np.ndarray:
-    """Midpoint coordinates broadcast along one axis, shaped like the grid."""
-    x = grid.axes[axis]
-    shape = [1] * grid.ndim
-    shape[axis] = x.size
-    return np.broadcast_to(x.reshape(shape), grid.shape)
-
-
 def masked_gradient(values: np.ndarray, grid: Grid,
                     mask: np.ndarray) -> list[np.ndarray]:
     """Per-axis finite differences of ``values`` restricted to ``mask``.
 
     Central differences where both neighbors are in the mask, one-sided at
     mask boundaries, zero where no in-mask neighbor exists.  Arrays are flat
-    (C order); entries off the mask are zero.
+    (C order); entries off the mask are zero, and values off the mask never
+    enter the result.
     """
     v = values.reshape(grid.shape)
     m = mask.reshape(grid.shape)
     grads = []
-    for ax in range(grid.ndim):
-        x = _axis_spacing_matrix(grid, ax)
-        vp = np.roll(v, -1, axis=ax)
-        vm = np.roll(v, 1, axis=ax)
-        xp = np.roll(x, -1, axis=ax)
-        xm = np.roll(x, 1, axis=ax)
-        has_p = np.roll(m, -1, axis=ax) & m
-        has_m = np.roll(m, 1, axis=ax) & m
-        # roll wraps around; kill the wrapped neighbor at the grid edge
-        edge = [slice(None)] * grid.ndim
-        edge[ax] = -1
-        has_p[tuple(edge)] = False
-        edge[ax] = 0
-        has_m[tuple(edge)] = False
-
-        g = np.zeros_like(v, dtype=float)
-        both = has_p & has_m
-        only_p = has_p & ~has_m
-        only_m = has_m & ~has_p
+    for ax, x in enumerate(grid.axes):
+        va = np.moveaxis(v, ax, -1)
+        ma = np.moveaxis(m, ax, -1)
+        e = ma[..., :-1] & ma[..., 1:]  # cells i and i+1 both in the mask
         with np.errstate(invalid="ignore", divide="ignore"):
-            g = np.where(both, (vp - vm) / (xp - xm), g)
-            g = np.where(only_p, (vp - v) / (xp - x), g)
-            g = np.where(only_m, (v - vm) / (x - xm), g)
-        g[~m] = 0.0
-        grads.append(np.nan_to_num(g, nan=0.0).ravel())
+            one = (va[..., 1:] - va[..., :-1]) / (x[1:] - x[:-1])
+            cen = (va[..., 2:] - va[..., :-2]) / (x[2:] - x[:-2])
+        # forward where the right neighbor is in the mask, backward where
+        # the left one is, central where both are
+        g = np.zeros(va.shape)
+        g[..., :-1] = np.where(e, one, 0.0)
+        g[..., 1:] = np.where(e, one, g[..., 1:])
+        g[..., 1:-1] = np.where(e[..., :-1] & e[..., 1:], cen, g[..., 1:-1])
+        np.nan_to_num(g, copy=False, nan=0.0)
+        grads.append(np.moveaxis(g, -1, ax).ravel())
     return grads
 
 
@@ -435,6 +418,18 @@ def grad_sq_norm(values: np.ndarray, grid: Grid,
     for g in masked_gradient(values, grid, mask):
         out += g ** 2
     return out
+
+
+def gradient_energy(v: np.ndarray, grid: Grid, weights: np.ndarray,
+                    floor: float = 0.0) -> float:
+    """∫ |∇v|² w  for a weight vector w on the grid, with the gradient taken
+    on the cells where w exceeds ``floor``.
+
+    The corrector left-hand sides and the drift curve α(t) apply it to a
+    slice log P_t e^φ from `SchrodingerSolution.log_slices`.
+    """
+    mask = weights > floor
+    return float(weights @ grad_sq_norm(v, grid, mask))
 
 
 def fisher_information(p: DiscreteMeasure, ref: ReferenceMeasure) -> float:

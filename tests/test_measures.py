@@ -1,6 +1,7 @@
 """Grids, discrete measures, entropies, Fisher information, moments, CSV I/O."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 import bridgestab as bs
-from bridgestab.measures import MASS_FLOOR, masked_gradient
+from bridgestab.measures import (MASS_FLOOR, fisher_information,
+                                 grad_sq_norm, gradient_energy,
+                                 masked_gradient)
 
 
 def test_grid_regular_layout():
@@ -217,6 +220,157 @@ def test_masked_gradient_2d_linear():
     gx, gy = masked_gradient(vals, g, np.ones(g.n_cells, dtype=bool))
     assert np.max(np.abs(gx - 2.0)) < 1e-12
     assert np.max(np.abs(gy + 1.5)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# masked_gradient against the wrap-around roll implementation it replaced
+# ---------------------------------------------------------------------------
+
+def _axis_spacing_matrix(grid, axis):
+    """Midpoint coordinates broadcast along one axis, shaped like the grid."""
+    x = grid.axes[axis]
+    shape = [1] * grid.ndim
+    shape[axis] = x.size
+    return np.broadcast_to(x.reshape(shape), grid.shape)
+
+
+def _masked_gradient_roll(values, grid, mask):
+    """Reference: neighbors by np.roll, the wrapped neighbor patched out."""
+    v = values.reshape(grid.shape)
+    m = mask.reshape(grid.shape)
+    grads = []
+    for ax in range(grid.ndim):
+        x = _axis_spacing_matrix(grid, ax)
+        vp = np.roll(v, -1, axis=ax)
+        vm = np.roll(v, 1, axis=ax)
+        xp = np.roll(x, -1, axis=ax)
+        xm = np.roll(x, 1, axis=ax)
+        has_p = np.roll(m, -1, axis=ax) & m
+        has_m = np.roll(m, 1, axis=ax) & m
+        # roll wraps around; kill the wrapped neighbor at the grid edge
+        edge = [slice(None)] * grid.ndim
+        edge[ax] = -1
+        has_p[tuple(edge)] = False
+        edge[ax] = 0
+        has_m[tuple(edge)] = False
+
+        g = np.zeros_like(v, dtype=float)
+        both = has_p & has_m
+        only_p = has_p & ~has_m
+        only_m = has_m & ~has_p
+        with np.errstate(invalid="ignore", divide="ignore"):
+            g = np.where(both, (vp - vm) / (xp - xm), g)
+            g = np.where(only_p, (vp - v) / (xp - x), g)
+            g = np.where(only_m, (v - vm) / (x - xm), g)
+        g[~m] = 0.0
+        grads.append(np.nan_to_num(g, nan=0.0).ravel())
+    return grads
+
+
+def _gradient_case(seed, on_mask_inf=True):
+    """Random (grid, mask, values): regular or non-uniform axes of 2 to 9
+    cells, masks with isolated cells or whole rows/columns off, -inf, NaN
+    or noise off the mask and (optionally) ±inf on it."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(rng.choice([2, 3, 4, 7, 9]))
+                  for _ in range(int(rng.integers(1, 3))))
+    if rng.random() < 0.5:
+        grid = bs.Grid.regular([(-3.0, 2.0)] * len(shape), shape)
+    else:
+        grid = bs.Grid.from_axes([np.cumsum(rng.uniform(0.05, 2.0, n)) - 4.0
+                                  for n in shape])
+    kind = seed % 4
+    if kind == 0:                                  # dense random
+        mask = rng.random(shape) < rng.uniform(0.5, 1.0)
+    elif kind == 1:                                # sparse: isolated cells
+        mask = rng.random(shape) < 0.25
+    elif kind == 2:                                # a whole row/column off
+        mask = np.ones(shape, dtype=bool)
+        ax = int(rng.integers(len(shape)))
+        cut = [slice(None)] * len(shape)
+        cut[ax] = int(rng.integers(shape[ax]))
+        mask[tuple(cut)] = False
+    else:                                          # every other cell
+        mask = np.zeros(shape, dtype=bool)
+        mask[::2] = True
+    mask = mask.ravel()
+    values = rng.normal(scale=rng.uniform(0.1, 10.0), size=grid.n_cells)
+    off = np.flatnonzero(~mask)
+    values[off] = rng.choice([-np.inf, np.nan, 7.0], size=off.size)
+    on = np.flatnonzero(mask)
+    if on_mask_inf and on.size and rng.random() < 0.3:
+        hit = rng.choice(on, size=min(2, on.size), replace=False)
+        values[hit] = rng.choice([np.inf, -np.inf], size=hit.size)
+    return grid, mask, values
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+def test_masked_gradient_matches_roll_oracle_bit_for_bit():
+    for seed in range(240):
+        grid, mask, values = _gradient_case(seed)
+        got = masked_gradient(values, grid, mask)
+        want = _masked_gradient_roll(values, grid, mask)
+        assert len(got) == len(want) == grid.ndim
+        for g, w in zip(got, want):
+            assert _same_bits(g, w), seed
+
+
+def test_gradient_integrals_match_roll_oracle_bit_for_bit():
+    for seed in range(240):
+        grid, mask, values = _gradient_case(seed, on_mask_inf=False)
+        rng = np.random.default_rng(seed)
+        sq = np.zeros(grid.n_cells)
+        for g in _masked_gradient_roll(values, grid, mask):
+            sq += g ** 2
+        assert _same_bits(grad_sq_norm(values, grid, mask), sq), seed
+
+        # weights on the mask, some below the floor
+        weights = np.where(mask, rng.uniform(0.0, 1.0, grid.n_cells), 0.0)
+        weights[mask & (rng.random(grid.n_cells) < 0.2)] = 0.5 * MASS_FLOOR
+        for floor in (0.0, MASS_FLOOR):
+            sq = np.zeros(grid.n_cells)
+            for g in _masked_gradient_roll(values, grid, weights > floor):
+                sq += g ** 2
+            assert gradient_energy(values, grid, weights, floor) \
+                == float(weights @ sq), seed
+
+        if not mask.any():
+            continue
+        p = bs.DiscreteMeasure.from_weights(
+            grid, np.where(mask, rng.uniform(0.01, 1.0, grid.n_cells), 0.0))
+        ref = (bs.ReferenceMeasure.lebesgue(grid) if seed % 2
+               else bs.ReferenceMeasure.gaussian(grid, kappa=0.7))
+        s = p.support()
+        v = np.zeros(grid.n_cells)
+        v[s] = np.log(p.weights[s]) - np.log(ref.cell_mass[s])
+        sq = np.zeros(grid.n_cells)
+        for g in _masked_gradient_roll(v, grid, s):
+            sq += g ** 2
+        assert fisher_information(p, ref) \
+            == float(np.sum(p.weights * sq)), seed
+
+
+def test_masked_gradient_ignores_values_off_the_mask():
+    for seed in range(120):
+        grid, mask, values = _gradient_case(seed)
+        base = masked_gradient(np.where(mask, values, 0.0), grid, mask)
+        rng = np.random.default_rng(seed)
+        off = ~mask
+        for fill in (rng.normal(scale=1e3, size=grid.n_cells),
+                     np.full(grid.n_cells, -np.inf),
+                     np.full(grid.n_cells, np.nan),
+                     rng.choice([-np.inf, np.nan, 1.0], size=grid.n_cells)):
+            v = values.copy()
+            v[off] = fill[off]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = masked_gradient(v, grid, mask)
+            for g, b in zip(got, base):
+                assert _same_bits(g, b), seed
 
 
 def test_smooth_zero_mean_field_properties(grid128, gauss_pair, rng):
