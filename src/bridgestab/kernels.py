@@ -15,11 +15,12 @@ Applying the semigroup to e^f adds the reference log masses:
     (log P_T e^f)_i = LSE_j( log p_T(x_i, x_j) + log m_j + f_j ),
 
 which never leaves the log domain.  The one exception is `AnchoredLSE`,
-the operator behind the Sinkhorn loop: near a cached anchor v̄ it computes
-the same LSE as a matrix product against the exp buffer of v̄ with bounded
-weights e^{v - v̄} (log-absorbed scaling, Schmitzer 2019,
-arXiv:1610.06519), and re-anchors in the log domain otherwise.  The
-curvature factor
+the operator behind the Sinkhorn loop.  It maps a compact vector on one
+support to the LSE values on another, with each factor restricted to the
+projections of the two supports.  Near a cached anchor v̄ it computes the
+LSE as a matrix product against the exp buffer of v̄ with bounded weights
+e^{v - v̄} (log-absorbed scaling, Schmitzer 2019, arXiv:1610.06519), and
+re-anchors in the log domain otherwise.  The curvature factor
 
     E_{2κ}(t) = ∫_0^t e^{2κs} ds = (e^{2κt} - 1) / (2κ)
 
@@ -130,8 +131,9 @@ class LogKernel:
     ``K[(i_0, i_1), (j_0, j_1)] = log_factors[0][i_0, j_0]
     + log_factors[1][i_1, j_1]``; a single factor is K itself.  `lse` is
     the one operator every consumer uses (the Sinkhorn loop through
-    `AnchoredLSE`, which re-anchors through the same per-axis reduction);
-    `log_matrix` is a dense view for the dense plans and the test oracles.
+    `AnchoredLSE`, which anchors by the same per-axis reduction over
+    factors restricted to two supports); `log_matrix` is a dense view for
+    the dense plans and the test oracles.
     """
 
     log_factors: tuple[np.ndarray, ...]
@@ -151,13 +153,6 @@ class LogKernel:
         """Dense K over cells; with one factor this is the factor itself
         (no copy), otherwise it is built on each access."""
         return _outer_sum(self.log_factors)
-
-    def scratch(self) -> tuple[np.ndarray, ...]:
-        """One `lse_matvec` buffer per axis, shaped for the batched
-        reduction of that axis in `lse`."""
-        s = self.shape
-        return tuple(np.empty(s[:k] + s[k + 1:] + f.shape)
-                     for k, f in enumerate(self.log_factors))
 
     def lse(self, v: np.ndarray) -> np.ndarray:
         """out_i = LSE_j(K_ij + v_j) over flat cells, one axis at a time
@@ -279,63 +274,117 @@ def lse_matvec(A: np.ndarray, v: np.ndarray,
 ANCHOR_RADIUS = 50.0
 
 
-class AnchoredLSE:
-    """`K.lse(v)` for a sequence of nearby v, from a cached anchor.
+def _support_box(mask: np.ndarray):
+    """The projections of a nonempty ``mask`` onto its axes (a slice where
+    one is an interval, else its indices), the shape of the box they span,
+    and the flat positions of the mask's cells in that box (None when the
+    mask fills it)."""
+    axes = range(mask.ndim)
+    idx = [np.flatnonzero(mask.any(axis=tuple(j for j in axes if j != k)))
+           for k in axes]
+    box = mask[np.ix_(*idx)]
+    pos = None if box.all() else np.flatnonzero(box)
+    ix = [slice(i[0], i[-1] + 1) if i[-1] - i[0] + 1 == i.size else i
+          for i in idx]
+    return ix, box.shape, pos
 
-    Re-anchoring at v̄ runs `K.lse(v̄)` through `lse_matvec`, which leaves
+
+def _restrict(F: np.ndarray, r, c) -> np.ndarray:
+    """F[r][:, c] for slices or index arrays r, c, copying at most once (a
+    view when both are slices)."""
+    if isinstance(c, slice):
+        return F[:, c][r]
+    if isinstance(r, slice):
+        return F[r][:, c]
+    return F[np.ix_(r, c)]
+
+
+class AnchoredLSE:
+    """`K.lse` from one support to another, for a sequence of nearby
+    inputs, from a cached anchor.
+
+    ``rows`` and ``cols`` are boolean masks over flat cells.  The operator
+    maps a compact vector v, one finite value per cell of ``cols`` (in
+    flat order), to  out_i = LSE_{j ∈ cols}(K_ij + v_j)  for each cell i of
+    ``rows``: `K.lse` of v extended by -inf, read on ``rows``.  Each axis
+    factor is restricted to the projections of the two supports onto its
+    axis, so on a 1D or single-factor kernel every product uses
+    F[rows][:, cols] only, and a full support costs what `K.lse` does.  In
+    ND, v is embedded in the box of the ``cols`` projections (-inf on its
+    other cells), reduced one axis at a time and read off on ``rows``.
+
+    Anchoring at v̄ runs that reduction through `lse_matvec`, which leaves
     E_k = exp(F_k + x̄_k - s_k) in the buffer of axis k, for that axis's
-    input x̄_k and row shifts s_k.  While v keeps the -inf pattern of v̄ and
-    max|v - v̄| ≤ τ on its other entries, each axis then returns
+    input x̄_k and row shifts s_k.  While max|v - v̄| ≤ τ, each axis then
+    returns
 
         LSE_j(F_k[i, j] + x_j) = s_k[i] + log Σ_j E_k[i, j] e^{x_j - x̄_j}
 
     (weight 0 where x̄_j = -inf): one batched matrix product, no exp of an
-    n×n array.  LSE is 1-Lipschitz in the sup norm and keeps -inf patterns,
-    so the input of every later axis stays within τ of its anchor as well.
-    Any other v re-anchors; ``n_anchors`` counts the anchors taken.
+    n×n array.  The -inf entries of every axis's input are fixed by
+    ``cols``, and LSE is 1-Lipschitz in the sup norm, so the input of
+    every later axis stays within τ of its anchor as well.  Any other v
+    (a non-finite one included) re-anchors; ``n_anchors`` counts the
+    anchors taken.
     """
 
-    def __init__(self, K: LogKernel):
+    def __init__(self, K: LogKernel, rows: np.ndarray, cols: np.ndarray):
         self.K = K
-        self.buf = K.scratch()
         self.n_anchors = 0
-        self._live: np.ndarray | None = None  # entries of v̄ above -inf
-        self._v_live: np.ndarray | None = None  # v̄ on those entries
-        # per axis in reduction order: (x̄ with +inf for -inf, row shifts)
-        self._axes: list[tuple[np.ndarray, np.ndarray]] = []
+        self._rows, _, self._row_pos = _support_box(rows.reshape(K.shape))
+        self._cols, self._box, self._col_pos = _support_box(
+            cols.reshape(K.shape))
+        # e^{v - v̄} on the box, 0 off ``cols``, when ``cols`` is no box
+        self._w = None if self._col_pos is None \
+            else np.zeros(math.prod(self._box))
+        self._buf: list[np.ndarray | None] = [None] * len(K.log_factors)
+        self._vbar: np.ndarray | None = None
+        # per axis in reduction order: (x̄ with +inf for -inf, None on the
+        # first axis, which weighs by e^{v - v̄}; row shifts)
+        self._axes: list[tuple[np.ndarray | None, np.ndarray]] = []
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        if not self._near(v):
+        d = None if self._vbar is None else v - self._vbar
+        if d is None or not np.abs(d).max() <= ANCHOR_RADIUS:  # NaN too
             return self._anchor(v)
-        x = v.reshape(self.K.shape)
-        for k, (xbar, shift) in zip(reversed(range(len(self.buf))),
-                                    self._axes):
-            # e^{x - x̄}; where x = x̄ = -inf this is e^{-inf - inf} = 0
-            w = np.exp(x.swapaxes(k, -1) - xbar)
-            s = np.matmul(self.buf[k], w[..., None])[..., 0]
-            with np.errstate(divide="ignore"):
+        w = np.exp(d)
+        if self._w is not None:
+            self._w[self._col_pos] = w
+            w = self._w
+        x = w.reshape(self._box)
+        # with 3+ axes a row of the first reduction can miss every cell of
+        # ``cols``: its sum is 0, its log -inf, as in `lse_matvec`
+        with np.errstate(divide="ignore"):
+            for k, (xbar, shift) in zip(reversed(range(len(self._buf))),
+                                        self._axes):
+                # e^{x - x̄}; where x = x̄ = -inf this is e^{-inf - inf} = 0
+                w = x.swapaxes(k, -1) if xbar is None \
+                    else np.exp(x.swapaxes(k, -1) - xbar)
+                s = np.matmul(self._buf[k], w[..., None])[..., 0]
                 x = (shift + np.log(s)).swapaxes(k, -1)
-        return x.reshape(-1)
+        return self._on_rows(x)
 
-    def _near(self, v: np.ndarray) -> bool:
-        """Same -inf pattern as v̄ and max|v - v̄| ≤ τ (False on NaN)."""
-        live = self._live
-        if live is None or not np.array_equal(~np.isneginf(v), live):
-            return False
-        d = np.abs(v[live] - self._v_live)
-        return bool(d.max(initial=0.0) <= ANCHOR_RADIUS)
+    def _on_rows(self, x: np.ndarray) -> np.ndarray:
+        out = x.reshape(-1)
+        return out if self._row_pos is None else out[self._row_pos]
 
     def _anchor(self, v: np.ndarray) -> np.ndarray:
         self.n_anchors += 1
-        self._live = ~np.isneginf(v)
-        self._v_live = v[self._live]
+        self._vbar = v.copy()
         self._axes = []
         floor = np.finfo(float).tiny * math.exp(ANCHOR_RADIUS)
-        x = v.reshape(self.K.shape)
-        for k in reversed(range(len(self.buf))):
+        if self._col_pos is None:
+            x = v.reshape(self._box)
+        else:
+            x = np.full(self._box, -np.inf)
+            x.reshape(-1)[self._col_pos] = v
+        for k in reversed(range(len(self._buf))):
+            A = _restrict(self.K.log_factors[k], self._rows[k], self._cols[k])
             xk = x.swapaxes(k, -1)
-            E = self.buf[k]
-            out = lse_matvec(self.K.log_factors[k], xk, E)
+            if self._buf[k] is None:
+                self._buf[k] = np.empty(xk.shape[:-1] + A.shape)
+            E = self._buf[k]
+            out = lse_matvec(A, xk, E)
             # s_k = out - log Σ_j E_k[i, j], so that v = v̄ returns out
             # itself; rows that are all -inf keep s_k = 0 and E_k = 0
             live = out > -np.inf
@@ -343,9 +392,12 @@ class AnchoredLSE:
             np.log(E.sum(axis=-1), out=shift, where=live)
             np.subtract(out, shift, out=shift, where=live)
             np.copyto(E, 0.0, where=E < floor)
-            self._axes.append((np.where(np.isneginf(xk), np.inf, xk), shift))
+            # the first axis takes its weights from v - v̄ directly
+            xbar = np.where(np.isneginf(xk), np.inf, xk) if self._axes \
+                else None
+            self._axes.append((xbar, shift))
             x = out.swapaxes(k, -1)
-        return x.reshape(-1)
+        return self._on_rows(x)
 
 
 def apply_semigroup(kernel: GibbsKernel, log_f: np.ndarray) -> np.ndarray:

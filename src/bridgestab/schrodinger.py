@@ -14,10 +14,12 @@ with ω = 1 (plain Sinkhorn) until the residual history shows a steady
 plain rate ρ and Young's factor ω = 2/(1 + √(1 - ρ)) after that.  The loop
 stops on the total-variation marginal residual, then re-centers to the
 symmetric normalization  ∫φ dμ - H(μ|m) = ∫ψ dν - H(ν|m).  Potentials stay
-in the log domain; each log P_T e^ψ is evaluated by `kernels.AnchoredLSE`
-as a matrix product against the exp buffer of a recent anchor ψ̄ with the
+in the log domain, and inside the loop they live on the supports only: φ
+as one value per cell of supp μ, ψ per cell of supp ν.  Each log P_T e^ψ
+on supp μ is evaluated by `kernels.AnchoredLSE` from supp ν to supp μ, as
+a matrix product against the exp buffer of a recent anchor ψ̄ with the
 weights e^{ψ - ψ̄} bounded by e^τ (log-absorbed scaling), re-anchoring in
-the log domain when ψ moves further.
+the log domain when ψ moves further; log P_T e^φ mirrors it.
 
 Quadratic EOT,  S^ε = inf ∫|x-y|² dπ + ε H(π | μ⊗ν),  is solved by the same
 iteration against the Gibbs factor e^{-|x-y|²/ε}: one loop, `_sinkhorn`,
@@ -246,9 +248,10 @@ def _sinkhorn(K: LogKernel, log_p: np.ndarray, log_q: np.ndarray,
 
     Each iteration takes the Sinkhorn half-step  f' = log μ - log p -
     K.lse(g + log q)  on supp μ and sets  f ← f + ω(f' - f)  there, then
-    does the mirror update for g on supp ν (both are -inf off the
-    supports).  It stops when the larger of the two L1 marginal residuals
-    of the plan of the relaxed (f, g) drops to ``tol``.
+    does the mirror update for g on supp ν.  It stops when the larger of
+    the two L1 marginal residuals of the plan of the relaxed (f, g) drops
+    to ``tol``.  f, g, μ̂, ν̂ and the residual are computed on the supports
+    only (f and g are -inf off them); grid vectors are built on return.
 
     ω starts at 1, plain Sinkhorn.  When two consecutive windows of the
     residual history agree on a plain rate ρ (`_implied_omega`), ω rises to
@@ -262,11 +265,12 @@ def _sinkhorn(K: LogKernel, log_p: np.ndarray, log_q: np.ndarray,
     ω = 1; it relaxes again only once the residual is below `_RETRY`
     times theirs.
 
-    Each side evaluates K.lse through its own `AnchoredLSE`, so most
-    half-steps are a matrix product against the exp buffer of a recent
-    anchor.  ``init_g`` is a start for g from `_warm_start` (zero when
-    None).  Returns (f, g, mu_hat, nu_hat, n_iter, history, converged,
-    omega), where mu_hat and nu_hat are the marginals of the final plan
+    Each side evaluates K.lse through its own `AnchoredLSE` from one
+    support to the other, so most half-steps are a matrix product against
+    the exp buffer of a recent anchor.  ``init_g`` is a start for g on
+    supp ν from `_warm_start`; None is the cold start g = 0 on every cell.
+    Returns (f, g, mu_hat, nu_hat, n_iter, history, converged, omega) on
+    the grid, where mu_hat and nu_hat are the marginals of the final plan
     that the stopping rule compared with μ and ν, and omega is the ω of
     the last iteration.
     """
@@ -274,42 +278,40 @@ def _sinkhorn(K: LogKernel, log_p: np.ndarray, log_q: np.ndarray,
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    log_mu = mu.log_weights()
-    log_nu = nu.log_weights()
+    # everything below lives on the supports: f, μ̂ on supp μ; g, ν̂ on supp ν
     s_mu, s_nu = mu.support(), nu.support()
-    lse_on_f, lse_on_g = AnchoredLSE(K), AnchoredLSE(K)
-    n = mu.grid.n_cells
+    lp, lq = log_p[s_mu], log_q[s_nu]
+    a = mu.log_weights()[s_mu] - lp              # log μ - log p
+    b = nu.log_weights()[s_nu] - lq              # log ν - log q
+    w_mu, w_nu = mu.weights[s_mu], nu.weights[s_nu]
+    lse_on_f = AnchoredLSE(K, s_nu, s_mu)        # supp μ → supp ν
+    lse_on_g = AnchoredLSE(K, s_mu, s_nu)        # supp ν → supp μ
 
-    g = np.zeros(n) if init_g is None else init_g
-    lse_g = lse_on_g(g + log_q)
+    # the cold start is g = 0 on every cell; where q has no mass off supp ν
+    # (a full supp ν, or q = ν) that is g = 0 on supp ν, which anchors there
+    if init_g is None and np.all(np.isneginf(log_q[~s_nu])):
+        init_g = np.zeros(lq.size)
+    lse_g = K.lse(log_q)[s_mu] if init_g is None else lse_on_g(init_g + lq)
 
     history = []
     converged = False
-    mu_hat = np.zeros(n)
-    nu_hat = np.zeros(n)
     omega, since, retry_below = 1.0, 0, math.inf
     n_done = 0
     for n_done in range(1, max_iter + 1):
         # at ω = 1 the half-step is taken as is: plain Sinkhorn bit for bit
-        f_new = log_mu[s_mu] - log_p[s_mu] - lse_g[s_mu]
-        if omega != 1.0:
-            f_new = f[s_mu] + omega * (f_new - f[s_mu])
-        f = np.full(n, -np.inf)
-        f[s_mu] = f_new
-        lse_f = lse_on_f(f + log_p)
-        g_new = log_nu[s_nu] - log_q[s_nu] - lse_f[s_nu]
-        if omega != 1.0:
-            g_new = g[s_nu] + omega * (g_new - g[s_nu])
-        g = np.full(n, -np.inf)
-        g[s_nu] = g_new
-        lse_g = lse_on_g(g + log_q)
+        f_new = a - lse_g
+        f = f_new if omega == 1.0 else f + omega * (f_new - f)
+        fp = f + lp
+        lse_f = lse_on_f(fp)
+        g_new = b - lse_f
+        g = g_new if omega == 1.0 else g + omega * (g_new - g)
+        gq = g + lq
+        lse_g = lse_on_g(gq)
 
-        mu_hat.fill(0.0)
-        mu_hat[s_mu] = np.exp(f[s_mu] + log_p[s_mu] + lse_g[s_mu])
-        nu_hat.fill(0.0)
-        nu_hat[s_nu] = np.exp(g[s_nu] + log_q[s_nu] + lse_f[s_nu])
-        res = max(float(np.abs(mu_hat - mu.weights).sum()),
-                  float(np.abs(nu_hat - nu.weights).sum()))
+        mu_hat = np.exp(fp + lse_g)
+        nu_hat = np.exp(gq + lse_f)
+        res = max(float(np.abs(mu_hat - w_mu).sum()),
+                  float(np.abs(nu_hat - w_nu).sum()))
         if omega != 1.0:
             if res <= _FALLBACK * best:             # False on NaN
                 best = min(best, res)
@@ -323,13 +325,22 @@ def _sinkhorn(K: LogKernel, log_p: np.ndarray, log_q: np.ndarray,
         if n_done - since > 2 * _RATE_WINDOW and res <= retry_below:
             w = _implied_omega(history, omega)
             if w > omega:
-                start = (f, g, lse_g, mu_hat.copy(), nu_hat.copy(), res)
+                start = (f, g, lse_g, mu_hat, nu_hat, res)
                 omega, since, best = w, n_done, res
-    return f, g, mu_hat, nu_hat, n_done, history, converged, omega
+    return (_on_grid(f, s_mu, -np.inf), _on_grid(g, s_nu, -np.inf),
+            _on_grid(mu_hat, s_mu, 0.0), _on_grid(nu_hat, s_nu, 0.0),
+            n_done, history, converged, omega)
+
+
+def _on_grid(x: np.ndarray, support: np.ndarray, fill: float) -> np.ndarray:
+    """The compact ``x`` on ``support`` as a grid vector, ``fill`` off it."""
+    out = np.full(support.shape, fill)
+    out[support] = x
+    return out
 
 
 def _warm_start(init, nu: DiscreteMeasure, name: str) -> np.ndarray | None:
-    """A warm start for the ν-side potential, -inf off supp ν.
+    """A warm start for the ν-side potential: its values on supp ν.
 
     Raises ValueError unless ``init`` has shape (n_cells,) and is finite on
     supp ν; its values off supp ν are ignored.  None stays None (cold).
@@ -341,7 +352,7 @@ def _warm_start(init, nu: DiscreteMeasure, name: str) -> np.ndarray | None:
     if init.shape != s_nu.shape or not np.all(np.isfinite(init[s_nu])):
         raise ValueError(f"{name} needs shape (n_cells,) and finite values "
                          "on supp ν")
-    return np.where(s_nu, init, -np.inf)
+    return init[s_nu]
 
 
 def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, kernel: GibbsKernel,

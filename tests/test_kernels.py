@@ -321,85 +321,128 @@ def test_kernel_factor_shapes_are_checked():
 
 
 def _anchored_cases(rng):
-    """(kernel, anchor input) pairs: 1D heat at small time, 1D OU, and the
-    asymmetric 12×9 grid with -inf entries and whole -inf grid lines."""
+    """(name, kernel, rows, cols, compact input on cols): 1D heat at small
+    time and 1D OU between two different interval supports, 2D heat and OU
+    on a 12×9 grid between supports with scattered holes and whole grid
+    lines off (so a projection has gaps), a full 2D support, and a kernel
+    of three factors."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BandwidthWarning)
         g1 = bs.Grid.regular([(-8.0, 10.0)], [320])
         x = g1.axes[0]
+        rows, cols = (x > -3.0) & (x < 6.0), (x > -5.0) & (x < 4.5)
         # potential-like input: a drift of order 1/T over a Gaussian log mass
         v1 = 25.0 * x - 0.5 * x ** 2 + rng.normal(0.0, 1.0, x.size)
-        yield "heat-1d", bs.GibbsKernel.heat(g1, 0.02), v1
-        yield "ou-1d", bs.GibbsKernel.ou(g1, 0.3, 1.0), 0.2 * v1
+        yield "heat-1d", bs.GibbsKernel.heat(g1, 0.02), rows, cols, v1[cols]
+        yield ("ou-1d", bs.GibbsKernel.ou(g1, 0.3, 1.0), cols, rows,
+               0.2 * v1[rows])
         g2 = bs.Grid.regular([(-2.5, 3.5), (-1.0, 2.6)], [12, 9])
         n = g2.n_cells
+        rows, cols = rng.random(n) > 0.2, rng.random(n) > 0.3
+        cols.reshape(g2.shape)[4, :] = False
+        cols.reshape(g2.shape)[:, 2] = False
+        rows.reshape(g2.shape)[:, 0] = False
         v2 = rng.normal(0.0, 3.0, n)
-        v2[rng.random(n) < 0.3] = -np.inf
-        v2.reshape(g2.shape)[4, :] = -np.inf
-        v2.reshape(g2.shape)[:, 2] = -np.inf
-        yield "heat-2d", bs.GibbsKernel.heat(g2, 1.0 / 16), v2
-        yield "ou-2d", bs.GibbsKernel.ou(g2, 0.25, 0.7), v2
+        yield ("heat-2d", bs.GibbsKernel.heat(g2, 1.0 / 16), rows, cols,
+               v2[cols])
+        yield "ou-2d", bs.GibbsKernel.ou(g2, 0.25, 0.7), cols, rows, v2[rows]
+        full = np.ones(n, dtype=bool)
+        yield "ou-2d-full", bs.GibbsKernel.ou(g2, 0.25, 0.7), full, full, v2
+        # three factors: a line (1, 2, :) without cells of cols leaves a
+        # row of the first reduction with no live entry
+        shape = (5, 4, 6)
+        K3 = LogKernel(tuple(kernels._squared_distances(
+            np.linspace(-2.0, 2.0, m)) / -0.5 for m in shape))
+        n = math.prod(shape)
+        rows, cols = rng.random(n) > 0.3, rng.random(n) > 0.6
+        cols.reshape(shape)[1, 2, :] = False
+        cols.reshape(shape)[:, 0, :] = False
+        yield "3-factors", K3, rows, cols, rng.normal(0.0, 2.0, cols.sum())
 
 
-def _assert_matches_lse(got, K, v):
-    want = K.lse(v)
+def _grid_lse(K, rows, cols, v):
+    """`K.lse` of the compact v extended by -inf off ``cols``, on ``rows``."""
+    x = np.full(cols.size, -np.inf)
+    x[cols] = v
+    return K.lse(x)[rows]
+
+
+def _assert_matches_lse(got, K, rows, cols, v):
+    want = _grid_lse(K, rows, cols, v)
+    assert got.shape == want.shape == (rows.sum(),)
     assert np.array_equal(np.isneginf(got), np.isneginf(want))
     assert _rel_err(got, want) <= 1e-13
 
 
 def test_anchored_lse_matches_lse_near_its_anchor(rng):
     tau = kernels.ANCHOR_RADIUS
-    for name, K, v in _anchored_cases(rng):
-        op = AnchoredLSE(K)
-        _assert_matches_lse(op(v), K, v)
-        live = np.isfinite(v)
+    for name, K, rows, cols, v in _anchored_cases(rng):
+        op = AnchoredLSE(K, rows, cols)
+        _assert_matches_lse(op(v), K, rows, cols, v)
         for scale in (1e-6, 1.0, 0.45 * tau, 0.99 * tau):
-            w = v.copy()
-            w[live] += rng.uniform(-scale, scale, live.sum())
-            _assert_matches_lse(op(w), K, w)
+            w = v + rng.uniform(-scale, scale, v.size)
+            got = op(w)
+            assert np.all(np.isfinite(got)), name
+            _assert_matches_lse(got, K, rows, cols, w)
         assert op.n_anchors == 1, name
 
 
 def test_anchored_lse_reanchors_past_the_radius(rng):
     tau = kernels.ANCHOR_RADIUS
-    for name, K, v in _anchored_cases(rng):
-        op = AnchoredLSE(K)
+    for name, K, rows, cols, v in _anchored_cases(rng):
+        op = AnchoredLSE(K, rows, cols)
         op(v)
-        i = int(np.flatnonzero(np.isfinite(v))[5])
         for step in (1.01 * tau, -1.01 * tau):
             w = v.copy()
-            w[i] += step
-            _assert_matches_lse(op(w), K, w)
+            w[5] += step
+            _assert_matches_lse(op(w), K, rows, cols, w)
         assert op.n_anchors == 3, name
         # the last anchor serves its own neighbourhood again
-        _assert_matches_lse(op(w + 0.5), K, w + 0.5)
+        _assert_matches_lse(op(w + 0.5), K, rows, cols, w + 0.5)
         assert op.n_anchors == 3, name
-
-
-def test_anchored_lse_reanchors_on_a_new_inf_pattern(rng):
-    for name, K, v in _anchored_cases(rng):
-        op = AnchoredLSE(K)
-        op(v)
-        fin = np.flatnonzero(np.isfinite(v))
-        w = v.copy()
-        w[fin[3]] = -np.inf                  # one more -inf entry
-        _assert_matches_lse(op(w), K, w)
+        # a non-finite input re-anchors, and so does the next finite one,
+        # which is not within τ of it; -inf is zero mass as in `K.lse`
         u = w.copy()
-        u[fin[3]] = w[fin[4]]                # live again: the pattern of v
-        _assert_matches_lse(op(u), K, u)
-        assert op.n_anchors == 3, name
-        dead = np.full(v.size, -np.inf)      # no mass at all
-        assert np.all(np.isneginf(op(dead)))
-        assert np.all(np.isneginf(op(dead)))
-        assert op.n_anchors == 4, name
+        u[3] = -np.inf
+        _assert_matches_lse(op(u), K, rows, cols, u)
+        _assert_matches_lse(op(w), K, rows, cols, w)
+        assert op.n_anchors == 5, name
+
+
+def _restricted_lse(K, rows, cols, v):
+    """The reduction `AnchoredLSE` anchors with, written out: v on the box
+    of the projections of ``cols`` (-inf on its other cells), each axis
+    factor restricted to the projections of ``rows`` and ``cols``, read off
+    on ``rows``."""
+    r, c = rows.reshape(K.shape), cols.reshape(K.shape)
+    axes = range(r.ndim)
+
+    def proj(m):
+        return [np.flatnonzero(m.any(axis=tuple(j for j in axes if j != k)))
+                for k in axes]
+
+    ri, ci = proj(r), proj(c)
+    x = np.full(c.shape, -np.inf)
+    x[c] = v
+    x = x[np.ix_(*ci)]
+    for k in reversed(axes):
+        A = K.log_factors[k][np.ix_(ri[k], ci[k])]
+        x = lse_matvec(A, x.swapaxes(k, -1)).swapaxes(k, -1)
+    return x[r[np.ix_(*ri)]]
 
 
 def test_forced_reanchor_is_lse_bit_for_bit(rng, monkeypatch):
-    # with a negative radius every call re-anchors: the log-domain path
+    # with a negative radius every call re-anchors: the log-domain
+    # reduction over the restricted factors, and `K.lse` itself on a full
+    # support
     monkeypatch.setattr(kernels, "ANCHOR_RADIUS", -1.0)
-    for name, K, v in _anchored_cases(rng):
-        op = AnchoredLSE(K)
+    for name, K, rows, cols, v in _anchored_cases(rng):
+        op = AnchoredLSE(K, rows, cols)
         for w in (v, v + 1e-9, v - 3.0):
-            assert np.array_equal(op(w).view(np.uint64),
-                                  K.lse(w).view(np.uint64)), name
+            got = op(w).view(np.uint64)
+            assert np.array_equal(
+                got, _restricted_lse(K, rows, cols, w).view(np.uint64)), name
+            if rows.all() and cols.all():
+                assert np.array_equal(got, K.lse(w).view(np.uint64)), name
         assert op.n_anchors == 3, name
+

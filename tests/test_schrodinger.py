@@ -445,7 +445,7 @@ def _cost(sol):
         "partial-nu", "ou-2d"])
 def test_anchored_sinkhorn_matches_log_domain_loop(run, monkeypatch):
     # the oracle re-anchors on every call, which is the log-domain loop
-    # (K.lse through lse_matvec) bit for bit
+    # (lse_matvec over the factors restricted to the supports) bit for bit
     calls = []
     real = kernels.lse_matvec
 
@@ -469,6 +469,147 @@ def test_anchored_sinkhorn_matches_log_domain_loop(run, monkeypatch):
         fin = np.isfinite(b)
         assert np.array_equal(np.isfinite(a), fin)
         assert np.max(np.abs(a[fin] - b[fin])) <= 1e-12
+
+
+def _full_grid_sinkhorn(K, log_p, log_q, mu, nu, tol, max_iter,
+                        init_g=None):
+    """`schrodinger._sinkhorn` on full-grid vectors (test oracle): every
+    half-step is `K.lse` of a grid vector that is -inf off the support, and
+    μ̂, ν̂ and the residual are taken over all cells.  Same signature and
+    results; ``init_g`` is compact on supp ν, as `_warm_start` returns it."""
+    log_mu, log_nu = mu.log_weights(), nu.log_weights()
+    s_mu, s_nu = mu.support(), nu.support()
+    n = mu.grid.n_cells
+    if init_g is None:
+        g = np.zeros(n)
+    else:
+        g = np.full(n, -np.inf)
+        g[s_nu] = init_g
+    lse_g = K.lse(g + log_q)
+    history, converged = [], False
+    mu_hat, nu_hat = np.zeros(n), np.zeros(n)
+    omega, since, retry_below = 1.0, 0, math.inf
+    for n_done in range(1, max_iter + 1):
+        f_new = log_mu[s_mu] - log_p[s_mu] - lse_g[s_mu]
+        if omega != 1.0:
+            f_new = f[s_mu] + omega * (f_new - f[s_mu])
+        f = np.full(n, -np.inf)
+        f[s_mu] = f_new
+        lse_f = K.lse(f + log_p)
+        g_new = log_nu[s_nu] - log_q[s_nu] - lse_f[s_nu]
+        if omega != 1.0:
+            g_new = g[s_nu] + omega * (g_new - g[s_nu])
+        g = np.full(n, -np.inf)
+        g[s_nu] = g_new
+        lse_g = K.lse(g + log_q)
+        mu_hat.fill(0.0)
+        mu_hat[s_mu] = np.exp(f[s_mu] + log_p[s_mu] + lse_g[s_mu])
+        nu_hat.fill(0.0)
+        nu_hat[s_nu] = np.exp(g[s_nu] + log_q[s_nu] + lse_f[s_nu])
+        res = max(float(np.abs(mu_hat - mu.weights).sum()),
+                  float(np.abs(nu_hat - nu.weights).sum()))
+        if omega != 1.0:
+            if res <= schrodinger._FALLBACK * best:
+                best = min(best, res)
+            else:
+                f, g, lse_g, mu_hat, nu_hat, res = start
+                omega, since = 1.0, n_done
+                retry_below = schrodinger._RETRY * res
+        history.append(res)
+        if res <= tol:
+            converged = True
+            break
+        if n_done - since > 2 * schrodinger._RATE_WINDOW \
+                and res <= retry_below:
+            w = schrodinger._implied_omega(history, omega)
+            if w > omega:
+                start = (f, g, lse_g, mu_hat.copy(), nu_hat.copy(), res)
+                omega, since, best = w, n_done, res
+    return f, g, mu_hat, nu_hat, n_done, history, converged, omega
+
+
+def _holes(g, seed, frac=0.25, line=None):
+    """A Gaussian on the 2D grid ``g`` with a random ``frac`` of its cells
+    and, optionally, the grid line ``line = (axis, index)`` taken off."""
+    w = bs.gaussian_measure(g, [0.2, -0.3], [1.2, 1.0]).weights.copy()
+    w[np.random.default_rng(seed).random(w.size) < frac] = 0.0
+    if line is not None:
+        np.moveaxis(w.reshape(g.shape), line[0], 0)[line[1]] = 0.0
+    return bs.DiscreteMeasure.from_weights(g, w)
+
+
+def _sp_problem(mu, nu, ker):
+    u = ker.reference.log_mass()
+    return ker, u, u, mu, nu
+
+
+def _eot_problem(mu, nu, epsilon):
+    K = kernels.LogKernel(tuple(kernels._squared_distances(x) / -epsilon
+                                for x in mu.grid.axes))
+    return K, mu.log_weights(), nu.log_weights(), mu, nu
+
+
+def _oracle_cases():
+    g1 = bs.Grid.regular([(-8.0, 10.0)], [320])
+    g2 = bs.Grid.regular([(-4.0, 4.5), (-3.5, 3.0)], [16, 12])
+    gauss1 = (bs.gaussian_measure(g1, [-1.0], 1.0),
+              bs.gaussian_measure(g1, [1.0], 1.0))
+    box1 = (bs.uniform_measure(g1, -1.5, 0.5), bs.uniform_measure(g1, 0.2, 2.5))
+    ou2 = bs.GibbsKernel.ou(g2, T=0.8, kappa=1.0)
+    holes = (_holes(g2, 1, line=(0, 5)), _holes(g2, 2, line=(1, 3)))
+    g_eot = bs.Grid.regular([(-4.0, 4.0)], [160])
+    eot1 = (bs.uniform_measure(g_eot, -1.0, 1.5),
+            bs.gaussian_measure(g_eot, [0.5], 0.8))
+    return {
+        # the Gaussian tails reach the mass floor: 245 and 246 of 320 cells
+        "sp-1d-tails": _sp_problem(*gauss1, bs.GibbsKernel.heat(g1, 0.02)),
+        "sp-1d-boxes": _sp_problem(*box1, bs.GibbsKernel.heat(g1, 0.05)),
+        "sp-1d-ou": _sp_problem(*box1[::-1], bs.GibbsKernel.ou(g1, 0.1, 1.0)),
+        # a full supp ν: the cold start anchors the ν side at g = 0
+        "sp-1d-full-nu": _sp_problem(
+            box1[0], bs.gaussian_measure(g1, [1.0], 3.0),
+            bs.GibbsKernel.heat(g1, 0.05)),
+        "eot-1d": _eot_problem(*eot1, 0.3),
+        "sp-2d-box": _sp_problem(
+            bs.gaussian_measure(g2, [-0.8, 0.3], [0.9, 1.1]),
+            bs.uniform_measure(g2, [-1.0, -1.5], [2.5, 2.0]), ou2),
+        "sp-2d-holes": _sp_problem(*holes, ou2),
+        "eot-2d-holes": _eot_problem(*holes, 1.5),
+        # one dense factor over all 16×12 cells
+        "sp-2d-dense": _sp_problem(*holes, _dense_view(ou2)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_oracle_cases()))
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_sinkhorn_on_supports_matches_full_grid_oracle(name, warm):
+    problem = _oracle_cases()[name]
+    nu = problem[4]
+    init_g = None
+    if warm:
+        # the potential of a nearby problem: g of the cold solve, shifted
+        g = schrodinger._sinkhorn(*problem, 1e-9, 100_000)[1]
+        init_g = schrodinger._warm_start(0.9 * g + 0.3, nu, "init_g")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", bs.BandwidthWarning)
+        got = schrodinger._sinkhorn(*problem, 1e-9, 100_000, init_g)
+        want = _full_grid_sinkhorn(*problem, 1e-9, 100_000, init_g)
+    f, g, mu_hat, nu_hat, n_iter, history, converged, omega = got
+    mu = problem[3]
+    assert not mu.support().all() or not nu.support().all()
+    assert converged and want[6]
+    assert n_iter == want[4] and omega == want[7]
+    assert len(history) == len(want[5])
+    # at T = 0.02 the potentials reach ~350, where the anchored products of
+    # the full-grid loop were already 2e-12 off the oracle: relative bound
+    for a, b in zip((f, g), want[:2]):
+        assert np.array_equal(np.isneginf(a), np.isneginf(b))
+        fin = np.isfinite(b)
+        err = np.abs(a[fin] - b[fin]) / np.maximum(1.0, np.abs(b[fin]))
+        assert np.max(err) <= 1e-12
+    for a, b, m in zip((mu_hat, nu_hat), want[2:4], (mu, nu)):
+        assert np.array_equal(a > 0, m.support())
+        assert np.max(np.abs(a - b)) <= 1e-12
 
 
 # plain Sinkhorn, the loop with ω held at 1 (an _OMEGA_MAX of 1), is the
