@@ -8,19 +8,26 @@ Heat and OU log transition densities on a tensor grid are sums of per-axis
 against a reference measure: heat transition densities are taken w.r.t.
 Lebesgue, OU transition densities w.r.t. the stationary Gaussian N(0, I/κ).
 Every use of a kernel goes through one operator, `LogKernel.lse`, which
-computes LSE_j(K_ij + v_j) one axis at a time (Solomon et al. 2015,
-*Convolutional Wasserstein Distances*) and never forms the n×n matrix.
-Applying the semigroup to e^f adds the reference log masses:
+computes LSE_j(K_ij + v_j) one axis at a time and never forms the n×n
+matrix.  A 1D kernel is reduced in the log domain by `lse_matvec`.  An ND
+kernel reduces each axis by one matrix product against a shared exp
+factor exp(F_k - r_k), r_k the row maxima of F_k, built once per kernel
+(Solomon et al. 2015, *Convolutional Wasserstein Distances*), with the
+inputs' row maxima taken out so that nothing overflows; the few entries
+whose sums are too small to keep their accuracy are reduced again by
+`lse_matvec`, which stays the log-domain oracle.  Applying the semigroup
+to e^f adds the reference log masses:
 
     (log P_T e^f)_i = LSE_j( log p_T(x_i, x_j) + log m_j + f_j ),
 
-which never leaves the log domain.  The one exception is `AnchoredLSE`,
-the operator behind the Sinkhorn loop.  It maps a compact vector on one
-support to the LSE values on another, with each factor restricted to the
-projections of the two supports.  Near a cached anchor v̄ it computes the
-LSE as a matrix product against the exp buffer of v̄ with bounded weights
-e^{v - v̄} (log-absorbed scaling, Schmitzer 2019, arXiv:1610.06519), and
-re-anchors in the log domain otherwise.  The curvature factor
+with every exponential taken of a shifted, non-positive exponent.  The
+one exception is `AnchoredLSE`, the operator behind the Sinkhorn
+loop.  It maps a compact vector on one support to the LSE values on
+another, with each factor restricted to the projections of the two
+supports.  Near a cached anchor v̄ it computes the LSE as a matrix product
+against the exp buffer of v̄ with bounded weights e^{v - v̄} (log-absorbed
+scaling, Schmitzer 2019, arXiv:1610.06519), and re-anchors in the log
+domain by `lse_matvec` otherwise.  The curvature factor
 
     E_{2κ}(t) = ∫_0^t e^{2κs} ds = (e^{2κt} - 1) / (2κ)
 
@@ -33,6 +40,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -130,10 +138,13 @@ class LogKernel:
     Over cells in flat C order,
     ``K[(i_0, i_1), (j_0, j_1)] = log_factors[0][i_0, j_0]
     + log_factors[1][i_1, j_1]``; a single factor is K itself.  `lse` is
-    the one operator every consumer uses (the Sinkhorn loop through
-    `AnchoredLSE`, which anchors by the same per-axis reduction over
-    factors restricted to two supports); `log_matrix` is a dense view for
-    the dense plans and the test oracles.
+    the one operator every consumer uses: a single factor is reduced by
+    `lse_matvec`, two or more by one matrix product per axis against the
+    shared exp factors (`_lse_shared`), which are built on first use and
+    held on the instance.  The Sinkhorn loop goes through `AnchoredLSE`,
+    which anchors by the per-axis `lse_matvec` reduction over factors
+    restricted to two supports.  `log_matrix` is a dense view for the
+    dense plans and the test oracles.
     """
 
     log_factors: tuple[np.ndarray, ...]
@@ -154,13 +165,37 @@ class LogKernel:
         (no copy), otherwise it is built on each access."""
         return _outer_sum(self.log_factors)
 
+    @cached_property
+    def _exp_factors(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per factor F_k, the shared factor E_k = exp(F_k - r_k) of
+        `_lse_shared` and the row maxima r_k (0 on rows that are all -inf).
+        Entries of E_k below e^{2·_LOG_SUM_FLOOR} are flushed to 0: they
+        change a kept sum by less than m·e^_LOG_SUM_FLOOR relative, and
+        their products with the inputs' weights can be subnormal, which
+        makes a matrix product several times slower.  Cached on the
+        instance outside the fields, so `dataclasses.replace` builds its
+        own."""
+        out = []
+        for F in self.log_factors:
+            r = F.max(axis=1)
+            r[np.isneginf(r)] = 0.0
+            E = np.exp(F - r[:, None])
+            E[E < math.exp(2.0 * _LOG_SUM_FLOOR)] = 0.0
+            out.append((E, r))
+        return tuple(out)
+
     def lse(self, v: np.ndarray) -> np.ndarray:
         """out_i = LSE_j(K_ij + v_j) over flat cells, one axis at a time
-        (last axis first); -inf entries of v carry zero mass."""
+        (last axis first); -inf entries of v carry zero mass.  A single
+        factor is reduced by `lse_matvec`; with two or more, each axis is
+        one matrix product against its shared exp factor
+        (`_lse_shared`)."""
         x = v.reshape(self.shape)
+        if len(self.log_factors) == 1:
+            return lse_matvec(self.log_factors[0], x)
         for k in reversed(range(len(self.log_factors))):
-            x = lse_matvec(self.log_factors[k],
-                           x.swapaxes(k, -1)).swapaxes(k, -1)
+            x = _lse_shared(self.log_factors[k], *self._exp_factors[k],
+                            x.swapaxes(k, -1)).swapaxes(k, -1)
         return x.reshape(-1)
 
 
@@ -266,6 +301,46 @@ def lse_matvec(A: np.ndarray, v: np.ndarray,
     return out
 
 
+# Smallest sum S that `_lse_shared` keeps, as a log.  The terms that
+# dominate S have exponents F - r and x - M of size |log S| or more, so
+# rounding them, log S and r + M costs about eps·|log S| absolute, where
+# the log-domain reduction costs about eps·|out|.  Keeping log S ≥ -100
+# bounds that by ~2e-14, and a kept sum is too large for underflowed or
+# flushed terms to matter.  (A floor of m·tiny·1e16, which guards against
+# underflow only, gave twice the log-domain error on steep inputs at small
+# T.)
+_LOG_SUM_FLOOR = -100.0
+
+
+def _lse_shared(F: np.ndarray, E: np.ndarray, r: np.ndarray,
+                x: np.ndarray) -> np.ndarray:
+    """`lse_matvec(F, x)` for a batch x, by one matrix product against the
+    shared factor E = exp(F - r) of `LogKernel._exp_factors`:
+
+        out[b, i] = r_i + M_b + log Σ_j E[i, j] e^{x_bj - M_b},
+
+    with M_b the maximum of input row b.  Every factor of a term is at
+    most 1, so nothing overflows, and a row that is all -inf gives -inf.
+    An entry whose sum falls below e^_LOG_SUM_FLOOR (or is NaN) is reduced
+    again in the log domain by `lse_matvec`, its terms F[i, j] + x_bj
+    taken as one row.
+    """
+    m = x.max(axis=-1, keepdims=True)
+    empty = m == -np.inf
+    shift = np.where(empty, 0.0, m)
+    s = np.exp(x - shift) @ E.T
+    ok = s >= math.exp(_LOG_SUM_FLOOR)
+    out = np.full(s.shape, -np.inf)
+    np.log(s, out=out, where=ok)
+    out += r + shift
+    redo = ~(ok | empty)
+    if redo.any():
+        *b, i = np.nonzero(redo)
+        out[redo] = lse_matvec(np.zeros((1, F.shape[1])),
+                               F[i] + x[tuple(b)])[:, 0]
+    return out
+
+
 # sup-norm radius τ of an `AnchoredLSE` anchor.  Weights e^{v - v̄} stay in
 # [e^-τ, e^τ] and a live row sum stays above e^-τ, so flushing the entries
 # of an anchor's exp buffer below tiny·e^τ (subnormal products make a matrix
@@ -352,17 +427,24 @@ class AnchoredLSE:
             self._w[self._col_pos] = w
             w = self._w
         x = w.reshape(self._box)
+        if len(self._buf) < 3:
+            return self._on_rows(self._products(x))
         # with 3+ axes a row of the first reduction can miss every cell of
         # ``cols``: its sum is 0, its log -inf, as in `lse_matvec`
         with np.errstate(divide="ignore"):
-            for k, (xbar, shift) in zip(reversed(range(len(self._buf))),
-                                        self._axes):
-                # e^{x - x̄}; where x = x̄ = -inf this is e^{-inf - inf} = 0
-                w = x.swapaxes(k, -1) if xbar is None \
-                    else np.exp(x.swapaxes(k, -1) - xbar)
-                s = np.matmul(self._buf[k], w[..., None])[..., 0]
-                x = (shift + np.log(s)).swapaxes(k, -1)
-        return self._on_rows(x)
+            return self._on_rows(self._products(x))
+
+    def _products(self, x: np.ndarray) -> np.ndarray:
+        """The near-anchor reduction of the weights x = e^{v - v̄} on the
+        box, one matrix product per axis."""
+        for k, (xbar, shift) in zip(reversed(range(len(self._buf))),
+                                    self._axes):
+            # e^{x - x̄}; where x = x̄ = -inf this is e^{-inf - inf} = 0
+            w = x.swapaxes(k, -1) if xbar is None \
+                else np.exp(x.swapaxes(k, -1) - xbar)
+            s = np.matmul(self._buf[k], w[..., None])[..., 0]
+            x = (shift + np.log(s)).swapaxes(k, -1)
+        return x
 
     def _on_rows(self, x: np.ndarray) -> np.ndarray:
         out = x.reshape(-1)

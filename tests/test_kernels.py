@@ -320,6 +320,115 @@ def test_kernel_factor_shapes_are_checked():
         dataclasses.replace(ker, log_factors=(ker.log_matrix,))
 
 
+def _assert_matches_dense(K, v):
+    """`K.lse(v)` against the log-domain oracle over the dense matrix:
+    identical -inf patterns, within 1e-13 relative elsewhere."""
+    got, want = K.lse(v), lse_matvec(K.log_matrix, v)
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    assert np.all(np.isneginf(want)) or _rel_err(got, want) <= 1e-13
+
+
+def _fallback_spy(monkeypatch):
+    """Count the `lse_matvec` calls made from `kernels`."""
+    calls = []
+
+    def spy(A, v, buf=None):
+        calls.append(v.shape)
+        return lse_matvec(A, v, buf)
+
+    monkeypatch.setattr(kernels, "lse_matvec", spy)
+    return calls
+
+
+def test_shared_factor_lse_matches_dense_oracle(rng, monkeypatch):
+    # 32×32 heat and OU from resolved to well under-resolved times (the
+    # cell width is 0.375); inputs: noise with -inf holes and whole -inf
+    # grid lines, a concave potential and a drift of order 1/T over the
+    # log mass, a single live cell, and an input that is all -inf
+    g = bs.Grid.regular([(-6.0, 6.0), (-6.0, 6.0)], [32, 32])
+    n = g.n_cells
+    x0, x1 = g.points().T
+    noise = rng.normal(0.0, 3.0, n)
+    noise[rng.random(n) < 0.3] = -np.inf
+    noise.reshape(g.shape)[7, :] = -np.inf
+    noise.reshape(g.shape)[:, 20] = -np.inf
+    spike = np.full(n, -np.inf)
+    spike[300] = 1.5
+    for kind, T, kappa, K in _kernels(g, (3.0, 1.0, 0.1, 0.02, 0.005)):
+        log_m = K.reference.log_mass()
+        bowl = -((x0 - 1.0) ** 2 + 0.5 * (x1 + 2.0) ** 2) / (4.0 * T)
+        calls = _fallback_spy(monkeypatch)
+        for v in (noise, bowl + log_m, (3.0 * x0 - x1) / T + log_m, spike,
+                  np.full(n, -np.inf)):
+            _assert_matches_dense(K, v)
+        monkeypatch.undo()
+        # at resolved times every sum clears the guard: no entry is
+        # reduced in the log domain
+        assert T < 1.0 or calls == [], (kind, T)
+
+
+def test_shared_factor_guard_falls_back_to_the_log_domain(rng, monkeypatch):
+    # one live cell at 0 and the rest near -1600: the terms e^{x - M} of
+    # every other cell underflow, so at small T the rows whose kernel mass
+    # near that cell is below the guard are reduced again in the log
+    # domain, and their true values come from the cells near -1600
+    g = bs.Grid.regular([(-6.0, 6.0), (-6.0, 6.0)], [32, 32])
+    n = g.n_cells
+    v = -1600.0 + rng.uniform(-1.0, 1.0, n)
+    v[0] = 0.0
+    wide = v.copy()
+    wide[5::7] = rng.uniform(-1600.0, 0.0, wide[5::7].size)
+    for kind, T, kappa, K in _kernels(g, (0.05, 0.02, 0.005)):
+        for w in (v, wide):
+            calls = _fallback_spy(monkeypatch)
+            _assert_matches_dense(K, w)
+            assert calls, (kind, T)
+            monkeypatch.undo()
+
+
+def test_three_factor_lse_matches_dense_oracle(rng):
+    # a -inf factor row and a -inf factor entry: the row maxima stay
+    # finite and those rows reduce to -inf
+    shape = (5, 4, 6)
+    factors = [kernels._squared_distances(np.linspace(-2.0, 2.0, m)) / -0.5
+               for m in shape]
+    factors[1][2, :] = -np.inf
+    factors[2][0, 3] = -np.inf
+    K = LogKernel(tuple(factors))
+    n = math.prod(shape)
+    v = rng.normal(0.0, 2.0, n)
+    v.reshape(shape)[1, 2, :] = -np.inf
+    v.reshape(shape)[:, 0, :] = -np.inf
+    spread = v.copy()
+    spread[::3] -= 1500.0
+    for w in (v, spread, np.zeros(n), np.full(n, -np.inf)):
+        _assert_matches_dense(K, w)
+
+
+def test_1d_lse_is_lse_matvec_bit_for_bit(rng):
+    g = bs.Grid.regular([(-8.0, 10.0)], [320])
+    v = rng.normal(0.0, 3.0, 320)
+    v[rng.random(320) < 0.2] = -np.inf
+    for kind, T, kappa, K in _kernels(g, (1.0, 0.02, 0.005)):
+        for w in (v, v - 1500.0 * rng.random(320)):
+            assert np.array_equal(
+                K.lse(w).view(np.uint64),
+                lse_matvec(K.log_factors[0], w).view(np.uint64)), (kind, T)
+
+
+def test_replaced_kernel_builds_its_own_exp_factors(rng):
+    g = bs.Grid.regular([(-3.0, 3.0), (-2.0, 2.0)], [12, 9])
+    K = bs.GibbsKernel.ou(g, 0.5, 1.0)
+    other = bs.GibbsKernel.ou(g, 2.0, 1.0)
+    v = rng.normal(0.0, 2.0, g.n_cells)
+    before = K.lse(v)
+    moved = dataclasses.replace(K, log_factors=other.log_factors)
+    assert np.array_equal(moved.lse(v), other.lse(v))
+    assert not np.allclose(moved.lse(v), before)
+    # the original keeps its own factors
+    assert np.array_equal(K.lse(v), before)
+
+
 def _anchored_cases(rng):
     """(name, kernel, rows, cols, compact input on cols): 1D heat at small
     time and 1D OU between two different interval supports, 2D heat and OU
@@ -433,16 +542,19 @@ def _restricted_lse(K, rows, cols, v):
 
 def test_forced_reanchor_is_lse_bit_for_bit(rng, monkeypatch):
     # with a negative radius every call re-anchors: the log-domain
-    # reduction over the restricted factors, and `K.lse` itself on a full
-    # support
+    # reduction over the restricted factors (on a full support, the
+    # per-axis `lse_matvec` reduction over the full factors); `K.lse`
+    # reduces 2D kernels by shared-factor products, so it is matched to
+    # 1e-13 there
     monkeypatch.setattr(kernels, "ANCHOR_RADIUS", -1.0)
     for name, K, rows, cols, v in _anchored_cases(rng):
         op = AnchoredLSE(K, rows, cols)
         for w in (v, v + 1e-9, v - 3.0):
-            got = op(w).view(np.uint64)
+            got = op(w)
             assert np.array_equal(
-                got, _restricted_lse(K, rows, cols, w).view(np.uint64)), name
+                got.view(np.uint64),
+                _restricted_lse(K, rows, cols, w).view(np.uint64)), name
             if rows.all() and cols.all():
-                assert np.array_equal(got, K.lse(w).view(np.uint64)), name
+                _assert_matches_lse(got, K, rows, cols, w)
         assert op.n_anchors == 3, name
 
