@@ -737,12 +737,22 @@ def _csv_quote(s: str) -> str:
     return s
 
 
+# a float64 column whose first _CSV_HEAD entries are distinct is formatted
+# cell by cell without looking for repeats
+_CSV_HEAD = 64
+
+
 def _csv_column(col) -> Iterable[str]:
     """The CSV cells of one column, in order.  A float64 array is written
-    as the repr of each float; when at most half of its entries are
+    as the repr of each float.  Unless its first _CSV_HEAD entries are
     distinct, each distinct bit pattern (so -0.0 apart from 0.0) is
-    formatted once.  Any other column is formatted cell by cell."""
+    formatted once when at most half of its entries are distinct; both
+    ways write the same bytes.  Any other column is formatted cell by
+    cell."""
     if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        head = col[:_CSV_HEAD].tolist()
+        if len(set(head)) == len(head):
+            return map(repr, col.tolist())
         bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
         if 2 * bits.size <= col.size:
             text = np.array(list(map(repr, bits.view(np.float64).tolist())),

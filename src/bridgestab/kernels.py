@@ -20,14 +20,20 @@ to e^f adds the reference log masses:
 
     (log P_T e^f)_i = LSE_j( log p_T(x_i, x_j) + log m_j + f_j ),
 
-with every exponential taken of a shifted, non-positive exponent.  The
-one exception is `AnchoredLSE`, the operator behind the Sinkhorn
-loop.  It maps a compact vector on one support to the LSE values on
-another, with each factor restricted to the projections of the two
-supports.  Near a cached anchor v̄ it computes the LSE as a matrix product
-against the exp buffer of v̄ with bounded weights e^{v - v̄} (log-absorbed
-scaling, Schmitzer 2019, arXiv:1610.06519), and re-anchors in the log
-domain by `lse_matvec` otherwise.  The curvature factor
+with every exponential taken of a shifted, non-positive exponent, first
+raised to a floor of -700 (`_EXP_FLOOR`): numpy's `exp` (2.4, x86-64)
+takes about 1 ns per entry for a normal result but 6 ns at -inf, 18 ns
+below -745 and over 100 ns for a subnormal result, where most entries of
+a steep kernel lie at small T.  No output bit moves, since a raised entry
+is either flushed to 0 later or added to a sum far too large to change.
+
+The one exception to the log domain is `AnchoredLSE`, the operator
+behind the Sinkhorn loop.  It maps a compact vector on one support to the
+LSE values on another, with each factor restricted to the projections of
+the two supports.  Near a cached anchor v̄ it computes the LSE as a matrix
+product against the exp buffer of v̄ with bounded weights e^{v - v̄}
+(log-absorbed scaling, Schmitzer 2019, arXiv:1610.06519), and re-anchors
+in the log domain by `lse_matvec` otherwise.  The curvature factor
 
     E_{2κ}(t) = ∫_0^t e^{2κs} ds = (e^{2κt} - 1) / (2κ)
 
@@ -115,7 +121,10 @@ def _squared_distances(x: np.ndarray) -> np.ndarray:
     """|x_i - x_j|² over one axis of midpoints, exactly symmetric (each
     entry is one product and commutative sums) and clamped at 0."""
     sq = x ** 2
-    d2 = sq[:, None] + sq[None, :] - 2.0 * np.multiply.outer(x, x)
+    d2 = np.add.outer(sq, sq)
+    xx = np.multiply.outer(x, x)
+    xx *= 2.0
+    d2 -= xx
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -179,7 +188,9 @@ class LogKernel:
         for F in self.log_factors:
             r = F.max(axis=1)
             r[np.isneginf(r)] = 0.0
-            E = np.exp(F - r[:, None])
+            E = np.subtract(F, r[:, None])
+            np.maximum(E, _EXP_FLOOR, out=E)
+            np.exp(E, out=E)
             E[E < math.exp(2.0 * _LOG_SUM_FLOOR)] = 0.0
             out.append((E, r))
         return tuple(out)
@@ -237,9 +248,13 @@ class GibbsKernel(LogKernel):
         if T <= 0:
             raise ValueError("kernel needs T > 0")
         c = -0.5 * math.log(4.0 * math.pi * T)
-        factors = tuple(c - _squared_distances(x) / (4.0 * T)
-                        for x in grid.axes)
-        return GibbsKernel(factors, grid, ReferenceMeasure.lebesgue(grid),
+        factors = []
+        for x in grid.axes:
+            F = _squared_distances(x)
+            F /= 4.0 * T
+            factors.append(np.subtract(c, F, out=F))
+        return GibbsKernel(tuple(factors), grid,
+                           ReferenceMeasure.lebesgue(grid),
                            "heat", float(T), 0.0,
                            GibbsKernel._bandwidth_flag(grid, T))
 
@@ -252,9 +267,14 @@ class GibbsKernel(LogKernel):
         e = 2.0 * math.exp(kappa * T)
         factors = []
         for x in grid.axes:
+            # c - w·(x_i² + x_j² - e·x_i·x_j) on two n×n arrays
             sq = x ** 2
-            quad = sq[:, None] + sq[None, :] - e * np.multiply.outer(x, x)
-            factors.append(c - w * quad)
+            F = np.add.outer(sq, sq)
+            xx = np.multiply.outer(x, x)
+            xx *= e
+            F -= xx
+            F *= w
+            factors.append(np.subtract(c, F, out=F))
         return GibbsKernel(tuple(factors), grid,
                            ReferenceMeasure.gaussian(grid, kappa),
                            "ou", float(T), float(kappa),
@@ -275,29 +295,42 @@ class GibbsKernel(LogKernel):
         return float(np.max(np.abs(np.exp(rows) - 1.0)))
 
 
-def lse_matvec(A: np.ndarray, v: np.ndarray,
-               buf: np.ndarray | None = None) -> np.ndarray:
+# Floor on the shifted exponents of every large `exp` (module docstring).
+# e^_EXP_FLOOR is normal and below the flush thresholds of the exp buffers
+# (e^{2·_LOG_SUM_FLOOR} in `LogKernel._exp_factors`, tiny·e^ANCHOR_RADIUS
+# ≈ e^-658 in `AnchoredLSE`), so a raised entry is flushed to 0 there or
+# added to a row sum of `lse_matvec`, which is at least 1: m·e^-700 is far
+# below half an ulp of it, and no output bit moves.
+_EXP_FLOOR = -700.0
+
+
+def lse_matvec(A: np.ndarray, v: np.ndarray, buf: np.ndarray | None = None,
+               log_sums: np.ndarray | None = None) -> np.ndarray:
     """Row-wise log-sum-exp of A + v: out_i = LSE_j(A_ij + v_j).
 
     ``v`` is (m,) for one vector or (k, m) for a batch, giving (n,) or
     (k, n); each batch row is reduced exactly as a single call would.
     Handles -inf entries (treated as zero mass); rows that are entirely -inf
-    come out as -inf.  ``buf`` optionally reuses a v.shape[:-1] + (n, m)
-    scratch array; on return it holds exp(A_ij + v_j - M_i), with M_i the
-    row maximum (0 on rows that are all -inf).
+    come out as -inf, and a row with a NaN term comes out NaN.  ``buf``
+    optionally reuses a v.shape[:-1] + (n, m) scratch array; on return it
+    holds exp(max(A_ij + v_j - M_i, _EXP_FLOOR)), with M_i the row maximum
+    (0 on rows that are all -inf): the floor keeps `exp` off its slow path
+    and moves no output bit (see `_EXP_FLOOR`).  ``log_sums`` optionally
+    receives the log row sums of ``buf``, so that out = M + log_sums on
+    rows that are not all -inf.
     """
     if buf is None:
         buf = np.empty(v.shape[:-1] + A.shape)
     np.add(A, v[..., None, :], out=buf)
     m = np.max(buf, axis=-1)
-    finite = m > -np.inf
-    shift = np.where(finite, m, 0.0)
+    empty = m == -np.inf
+    shift = np.where(empty, 0.0, m)
     np.subtract(buf, shift[..., None], out=buf)
+    np.maximum(buf, _EXP_FLOOR, out=buf)
     np.exp(buf, out=buf)
-    s = buf.sum(axis=-1)
-    with np.errstate(divide="ignore"):
-        out = shift + np.log(s)
-    out[~finite] = -np.inf
+    log_sums = buf.sum(axis=-1, out=log_sums)
+    out = shift + np.log(log_sums, out=log_sums)
+    out[empty] = -np.inf
     return out
 
 
@@ -321,6 +354,9 @@ def _lse_shared(F: np.ndarray, E: np.ndarray, r: np.ndarray,
 
     with M_b the maximum of input row b.  Every factor of a term is at
     most 1, so nothing overflows, and a row that is all -inf gives -inf.
+    The weights' exponents are floored at _EXP_FLOOR - 2·_LOG_SUM_FLOOR,
+    so that no product with E is subnormal; a raised weight adds at most
+    m·e^-500 to a kept sum, which moves no bit.
     An entry whose sum falls below e^_LOG_SUM_FLOOR (or is NaN) is reduced
     again in the log domain by `lse_matvec`, its terms F[i, j] + x_bj
     taken as one row.
@@ -328,7 +364,9 @@ def _lse_shared(F: np.ndarray, E: np.ndarray, r: np.ndarray,
     m = x.max(axis=-1, keepdims=True)
     empty = m == -np.inf
     shift = np.where(empty, 0.0, m)
-    s = np.exp(x - shift) @ E.T
+    w = np.subtract(x, shift)
+    np.maximum(w, _EXP_FLOOR - 2.0 * _LOG_SUM_FLOOR, out=w)
+    s = np.exp(w, out=w) @ E.T
     ok = s >= math.exp(_LOG_SUM_FLOOR)
     out = np.full(s.shape, -np.inf)
     np.log(s, out=out, where=ok)
@@ -390,17 +428,18 @@ class AnchoredLSE:
 
     Anchoring at v̄ runs that reduction through `lse_matvec`, which leaves
     E_k = exp(F_k + x̄_k - s_k) in the buffer of axis k, for that axis's
-    input x̄_k and row shifts s_k.  While max|v - v̄| ≤ τ, each axis then
-    returns
+    input x̄_k and row shifts s_k, and the log row sums that give s_k.
+    While max|v - v̄| ≤ τ, each axis then returns
 
         LSE_j(F_k[i, j] + x_j) = s_k[i] + log Σ_j E_k[i, j] e^{x_j - x̄_j}
 
     (weight 0 where x̄_j = -inf): one batched matrix product, no exp of an
-    n×n array.  The -inf entries of every axis's input are fixed by
-    ``cols``, and LSE is 1-Lipschitz in the sup norm, so the input of
-    every later axis stays within τ of its anchor as well.  Any other v
-    (a non-finite one included) re-anchors; ``n_anchors`` counts the
-    anchors taken.
+    n×n array; a single-factor kernel takes it as one matrix-vector
+    product, E_0 @ e^{v - v̄}.  The -inf entries of every axis's input are
+    fixed by ``cols``, and LSE is 1-Lipschitz in the sup norm, so the
+    input of every later axis stays within τ of its anchor as well.  Any
+    other v (a non-finite one included) re-anchors; ``n_anchors`` counts
+    the anchors taken.
     """
 
     def __init__(self, K: LogKernel, rows: np.ndarray, cols: np.ndarray):
@@ -426,11 +465,14 @@ class AnchoredLSE:
         if self._w is not None:
             self._w[self._col_pos] = w
             w = self._w
+        if len(self._buf) == 1:
+            _, shift = self._axes[0]
+            return self._on_rows(shift + np.log(self._buf[0] @ w))
         x = w.reshape(self._box)
         if len(self._buf) < 3:
             return self._on_rows(self._products(x))
         # with 3+ axes a row of the first reduction can miss every cell of
-        # ``cols``: its sum is 0, its log -inf, as in `lse_matvec`
+        # ``cols``: its sum is 0 and its log -inf, as `lse_matvec` gives
         with np.errstate(divide="ignore"):
             return self._on_rows(self._products(x))
 
@@ -466,13 +508,13 @@ class AnchoredLSE:
             if self._buf[k] is None:
                 self._buf[k] = np.empty(xk.shape[:-1] + A.shape)
             E = self._buf[k]
-            out = lse_matvec(A, xk, E)
+            shift = np.empty(E.shape[:-1])
+            out = lse_matvec(A, xk, E, shift)
             # s_k = out - log Σ_j E_k[i, j], so that v = v̄ returns out
             # itself; rows that are all -inf keep s_k = 0 and E_k = 0
             live = out > -np.inf
-            shift = np.zeros(out.shape)
-            np.log(E.sum(axis=-1), out=shift, where=live)
             np.subtract(out, shift, out=shift, where=live)
+            shift[~live] = 0.0
             np.copyto(E, 0.0, where=E < floor)
             # the first axis takes its weights from v - v̄ directly
             xbar = np.where(np.isneginf(xk), np.inf, xk) if self._axes \

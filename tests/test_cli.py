@@ -748,3 +748,44 @@ def test_scenario_csvs_match_row_oracle(tmp_path, source):
     if source == "interpolate.yaml":
         assert res.tables[0].header == ["t", "x0", "x1", "weight"]
         assert recorded["interpolation"] == 9 * 24 * 24
+
+
+def _head_then_repeats(head):
+    """A 64-entry head as given, then 400 entries that repeat it."""
+    head = np.asarray(head, dtype=float)
+    return np.concatenate([head, np.tile(head[:8], 50)])
+
+
+_DISTINCT_HEAD = np.linspace(-3.0, 5.0, 64) ** 3
+
+
+@pytest.mark.parametrize("col,sorted_", [
+    (_head_then_repeats(_DISTINCT_HEAD), False),
+    (np.random.default_rng(5).normal(size=9216), False),
+    (np.repeat(np.linspace(0.0, 1.0, 9), 576), True),
+    (_head_then_repeats(np.where(np.arange(64) % 2, 0.0, -0.0)
+                        + np.arange(64) // 2), True),
+    (_head_then_repeats(np.concatenate([[np.nan, -np.float64("nan")],
+                                        _DISTINCT_HEAD[2:]])), False),
+    (np.array([0.0, -0.0, np.nan, 0.1, 0.1]), True),
+    (np.array([np.nan, np.nan, 2.5]), False),
+], ids=["distinct-head-then-repeats", "all-distinct", "repeats",
+        "signed-zeros", "nans-in-head", "short-with-repeats", "short-nans"])
+def test_column_writer_skips_the_sort_on_distinct_heads(tmp_path, monkeypatch,
+                                                         col, sorted_):
+    # the head check only decides whether repeats are looked for: either
+    # way the bytes are those of the row oracle
+    calls = []
+    unique = np.unique
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    table = cli.Table("col", ["x", "i"], [col, list(range(col.size))])
+    got, record = _written_csv(tmp_path, table)
+    monkeypatch.undo()
+    assert got == _oracle_csv(tmp_path / "oracle.csv", table)
+    assert record["rows"] == col.size
+    assert bool(calls) == sorted_

@@ -558,3 +558,204 @@ def test_forced_reanchor_is_lse_bit_for_bit(rng, monkeypatch):
                 _assert_matches_lse(got, K, rows, cols, w)
         assert op.n_anchors == 3, name
 
+
+
+# ---------------------------------------------------------------------------
+# The exponent floor: every output bit against the unclamped formulas
+# ---------------------------------------------------------------------------
+
+def _lse_matvec_unclamped(A, v, buf=None):
+    """`lse_matvec` without the exponent floor, as it was written before
+    (test oracle): exp of every shifted exponent, subnormal and -inf ones
+    included."""
+    if buf is None:
+        buf = np.empty(v.shape[:-1] + A.shape)
+    np.add(A, v[..., None, :], out=buf)
+    m = np.max(buf, axis=-1)
+    finite = m > -np.inf
+    shift = np.where(finite, m, 0.0)
+    np.subtract(buf, shift[..., None], out=buf)
+    np.exp(buf, out=buf)
+    s = buf.sum(axis=-1)
+    with np.errstate(divide="ignore"):
+        out = shift + np.log(s)
+    out[~finite] = -np.inf
+    return out
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_exponent_floor_moves_no_lse_matvec_bit(rng):
+    # each row of A + v has its maximum at 0 and terms spread over the
+    # subnormal range [-745, -708], below -745, at -inf and (row 4) well
+    # inside the normal range; row 5 of A is all -inf, and so are batch
+    # row 2 of V and every row of A + V[3]
+    n, m = 9, 40
+    A = np.zeros((n, m))
+    A[0] = rng.uniform(-745.0, -708.0, m)
+    A[1] = rng.uniform(-2000.0, -745.0, m)
+    A[2, ::2] = -np.inf
+    A[2, 1::2] = rng.uniform(-760.0, -690.0, m // 2)
+    A[3] = np.where(rng.random(m) < 0.5, -np.inf,
+                    rng.uniform(-800.0, -700.0, m))
+    A[4] = rng.uniform(-40.0, 0.0, m)
+    A[5] = -np.inf
+    A[6] = np.linspace(-1e4, 0.0, m)
+    A[7] = rng.uniform(-720.0, -699.0, m)
+    A[8] = rng.uniform(-708.5, -707.5, m)
+    A[:5, 0] = A[6:, 0] = 0.0
+    V = rng.uniform(-1.0, 1.0, (4, m))
+    V[1] = 0.0
+    V[2] = -np.inf
+    V[3, :] = -np.inf
+    V[3, 5] = 3.0
+    V[0, rng.random(m) < 0.3] = -np.inf
+    for v in (V[1], V[0], V[2], V, V.T.copy().T):
+        want = _lse_matvec_unclamped(A, v)
+        old = np.empty(v.shape[:-1] + A.shape)
+        _lse_matvec_unclamped(A, v, old)
+        log_sums = np.empty(want.shape)
+        got = lse_matvec(A, v, None, log_sums)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(lse_matvec(A, v)), _bits(want))
+        live = want > -np.inf
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(_bits(log_sums[live]),
+                                  _bits(np.log(old.sum(axis=-1))[live]))
+    # the heat and OU factors at small time with potential-like inputs
+    g = bs.Grid.regular([(-8.0, 10.0)], [320])
+    x = g.axes[0]
+    for kind, T, kappa, K in _kernels(g, (0.05, 0.01, 0.002)):
+        F = K.log_factors[0][40:277, 30:283]
+        for v in (x[30:283] ** 2 / (4.0 * T), 30.0 * x[30:283] / T):
+            assert np.array_equal(_bits(lse_matvec(F, v)),
+                                  _bits(_lse_matvec_unclamped(F, v)))
+
+
+def test_exponent_floor_keeps_exp_factors_and_shared_lse(rng, monkeypatch):
+    # the shared exp factors against exp(F - r) flushed below e^-200, and
+    # `K.lse` on steep inputs with -inf holes against the same kernel
+    # with the floor off
+    g = bs.Grid.regular([(-6.0, 6.0), (-6.0, 6.0)], [32, 32])
+    n = g.n_cells
+    x0, x1 = g.points().T
+    holes = rng.random(n) < 0.3
+    shape = (5, 4, 6)
+    K3 = LogKernel(tuple(kernels._squared_distances(
+        np.linspace(-2.0, 2.0, m)) / -0.5 for m in shape))
+    K3.log_factors[1][2, :] = -np.inf
+    cases = [(K, kind, T) for kind, T, _, K in _kernels(g, (1.0, 0.02,
+                                                            0.002))]
+    for K, kind, T in cases + [(K3, "3-factors", 1.0)]:
+        for F, (E, r) in zip(K.log_factors, K._exp_factors):
+            r_old = F.max(axis=1)
+            r_old[np.isneginf(r_old)] = 0.0
+            E_old = np.exp(F - r_old[:, None])
+            E_old[E_old < math.exp(2.0 * kernels._LOG_SUM_FLOOR)] = 0.0
+            assert np.array_equal(_bits(r), _bits(r_old)), (kind, T)
+            assert np.array_equal(_bits(E), _bits(E_old)), (kind, T)
+        if K is K3:
+            continue
+        drift = (3.0 * x0 - x1) / T + K.reference.log_mass()
+        bowl = -((x0 - 1.0) ** 2 + 0.5 * (x1 + 2.0) ** 2) / (4.0 * T)
+        inputs = [drift, np.where(holes, -np.inf, bowl),
+                  np.where(holes, -np.inf, drift - 800.0 * (x0 > 0))]
+        got = [K.lse(v) for v in inputs]
+        with monkeypatch.context() as mp, np.errstate(divide="ignore"):
+            mp.setattr(kernels, "_EXP_FLOOR", -np.inf)
+            off = LogKernel(K.log_factors)
+            for v, out in zip(inputs, got):
+                assert np.array_equal(_bits(out), _bits(off.lse(v))), \
+                    (kind, T)
+
+
+def test_exponent_floor_keeps_the_anchor_buffers(rng):
+    # each axis's exp buffer after the flush and its row shifts, against
+    # the anchoring reduction written with the unclamped `lse_matvec`
+    tiny_floor = np.finfo(float).tiny * math.exp(kernels.ANCHOR_RADIUS)
+    for name, K, rows, cols, v in _anchored_cases(rng):
+        for w in (v, 8.0 * v):
+            op = AnchoredLSE(K, rows, cols)
+            got = op(w)
+            r, _, _ = kernels._support_box(rows.reshape(K.shape))
+            c, box, pos = kernels._support_box(cols.reshape(K.shape))
+            x = np.full(box, -np.inf)
+            x.reshape(-1)[slice(None) if pos is None else pos] = w
+            for i, k in enumerate(reversed(range(len(K.log_factors)))):
+                A = kernels._restrict(K.log_factors[k], r[k], c[k])
+                xk = x.swapaxes(k, -1)
+                E = np.empty(xk.shape[:-1] + A.shape)
+                out = _lse_matvec_unclamped(A, xk, E)
+                live = out > -np.inf
+                shift = np.zeros(out.shape)
+                with np.errstate(divide="ignore"):
+                    np.log(E.sum(axis=-1), out=shift, where=live)
+                np.subtract(out, shift, out=shift, where=live)
+                np.copyto(E, 0.0, where=E < tiny_floor)
+                assert np.array_equal(_bits(op._buf[k]), _bits(E)), name
+                assert np.array_equal(_bits(op._axes[i][1]), _bits(shift)), \
+                    name
+                x = out.swapaxes(k, -1)
+            assert np.array_equal(_bits(got), _bits(_restricted_lse(
+                K, rows, cols, w))), name
+
+
+def test_single_factor_anchored_call_is_the_axis_product(rng):
+    # the single-factor shortcut E @ w against the per-axis product it
+    # replaced, near the anchor; and a plain matrix-vector product against
+    # a product with one column on the shapes the loops meet
+    for name, K, rows, cols, v in _anchored_cases(rng):
+        if len(K.log_factors) != 1:
+            continue
+        op = AnchoredLSE(K, rows, cols)
+        op(v)
+        for scale in (1e-6, 1.0, 0.9 * kernels.ANCHOR_RADIUS):
+            w = v + rng.uniform(-scale, scale, v.size)
+            want = op._on_rows(op._products(np.exp(w - op._vbar)))
+            assert np.array_equal(_bits(op(w)), _bits(want)), name
+        assert op.n_anchors == 1, name
+    for shape in ((237, 253), (256, 256), (320, 320), (32, 32)):
+        E = rng.random(shape)
+        w = np.exp(rng.uniform(-50.0, 50.0, shape[1]))
+        assert np.array_equal(_bits(E @ w),
+                              _bits(np.matmul(E, w[:, None])[:, 0]))
+
+
+def test_nan_in_nan_out(rng):
+    # one NaN entry: every output it reaches is NaN, never -inf; rows
+    # whose terms are all -inf stay -inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BandwidthWarning)
+        g2 = bs.Grid.regular([(-3.0, 3.0), (-2.0, 2.0)], [24, 18])
+        K2 = bs.GibbsKernel.ou(g2, 0.3, 1.0)
+        K1 = bs.GibbsKernel.ou(bs.Grid.regular([(-3.0, 3.0)], [24]), 0.3,
+                               1.0)
+    A = K2.log_factors[0][:, :18].copy()
+    A[3, :] = -np.inf
+    V = rng.normal(0.0, 2.0, (3, 18))
+    V[0, 7] = np.nan
+    V[1, :] = -np.inf
+    out = lse_matvec(A, V)
+    assert np.all(np.isnan(out[0]))
+    assert np.all(np.isneginf(out[1]))
+    assert np.array_equal(_bits(out[2]), _bits(lse_matvec(A, V[2])))
+    assert np.isneginf(out[2, 3])
+    assert np.all(np.isfinite(np.delete(out[2], 3)))
+    for K in (K1, K2):
+        n = math.prod(K.shape)
+        v = rng.normal(0.0, 2.0, n)
+        v[rng.random(n) < 0.2] = -np.inf
+        v[n // 3] = np.nan
+        assert np.all(np.isnan(K.lse(v)))
+        assert np.all(np.isneginf(K.lse(np.full(n, -np.inf))))
+        full = np.ones(n, dtype=bool)
+        op = AnchoredLSE(K, full, full)
+        u = rng.normal(0.0, 2.0, n)
+        op(u)
+        bad = u.copy()
+        bad[n // 2] = np.nan
+        assert np.all(np.isnan(op(bad)))
+        _assert_matches_lse(op(u), K, full, full, u)
+        assert op.n_anchors == 3
