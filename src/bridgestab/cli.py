@@ -751,13 +751,14 @@ def _csv_column(col) -> Iterable[str]:
     cell."""
     if isinstance(col, np.ndarray) and col.dtype == np.float64:
         head = col[:_CSV_HEAD].tolist()
-        if len(set(head)) == len(head):
-            return map(repr, col.tolist())
-        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-        if 2 * bits.size <= col.size:
-            text = np.array(list(map(repr, bits.view(np.float64).tolist())),
-                            dtype=object)
-            return text[inverse]
+        if len(set(head)) < len(head):
+            bits, inverse = np.unique(col.view(np.int64),
+                                      return_inverse=True)
+            if 2 * bits.size <= col.size:
+                text = np.array(
+                    list(map(repr, bits.view(np.float64).tolist())),
+                    dtype=object)
+                return text[inverse]
         return map(repr, col.tolist())
     return (_csv_quote(_csv_cell(v)) for v in col)
 

@@ -20,12 +20,13 @@ to e^f adds the reference log masses:
 
     (log P_T e^f)_i = LSE_j( log p_T(x_i, x_j) + log m_j + f_j ),
 
-with every exponential taken of a shifted, non-positive exponent, first
-raised to a floor of -700 (`_EXP_FLOOR`): numpy's `exp` (2.4, x86-64)
-takes about 1 ns per entry for a normal result but 6 ns at -inf, 18 ns
-below -745 and over 100 ns for a subnormal result, where most entries of
-a steep kernel lie at small T.  No output bit moves, since a raised entry
-is either flushed to 0 later or added to a sum far too large to change.
+with every exponential taken of a shifted, non-positive exponent.
+`lse_matvec` first raises its exponents to a floor of -700
+(`_EXP_FLOOR`): numpy's `exp` (2.4, x86-64) takes about 1 ns per entry
+for a normal result but 6 ns at -inf, 18 ns below -745 and over 100 ns
+for a subnormal result, where most entries of a steep kernel lie at small
+T.  No output bit moves, since a raised entry is either flushed to 0 later
+or added to a row sum far too large to change.
 
 The one exception to the log domain is `AnchoredLSE`, the operator
 behind the Sinkhorn loop.  It maps a compact vector on one support to the
@@ -188,9 +189,7 @@ class LogKernel:
         for F in self.log_factors:
             r = F.max(axis=1)
             r[np.isneginf(r)] = 0.0
-            E = np.subtract(F, r[:, None])
-            np.maximum(E, _EXP_FLOOR, out=E)
-            np.exp(E, out=E)
+            E = np.exp(F - r[:, None])
             E[E < math.exp(2.0 * _LOG_SUM_FLOOR)] = 0.0
             out.append((E, r))
         return tuple(out)
@@ -295,12 +294,12 @@ class GibbsKernel(LogKernel):
         return float(np.max(np.abs(np.exp(rows) - 1.0)))
 
 
-# Floor on the shifted exponents of every large `exp` (module docstring).
-# e^_EXP_FLOOR is normal and below the flush thresholds of the exp buffers
-# (e^{2·_LOG_SUM_FLOOR} in `LogKernel._exp_factors`, tiny·e^ANCHOR_RADIUS
-# ≈ e^-658 in `AnchoredLSE`), so a raised entry is flushed to 0 there or
-# added to a row sum of `lse_matvec`, which is at least 1: m·e^-700 is far
-# below half an ulp of it, and no output bit moves.
+# Floor on the shifted exponents of `lse_matvec` (module docstring).
+# e^_EXP_FLOOR is normal and below the flush threshold of the anchor
+# buffers (tiny·e^ANCHOR_RADIUS ≈ e^-658 in `AnchoredLSE`), so a raised
+# entry is flushed to 0 there or added to a row sum of `lse_matvec`, which
+# is at least 1: m·e^-700 is far below half an ulp of it, and no output
+# bit moves.
 _EXP_FLOOR = -700.0
 
 
@@ -354,9 +353,6 @@ def _lse_shared(F: np.ndarray, E: np.ndarray, r: np.ndarray,
 
     with M_b the maximum of input row b.  Every factor of a term is at
     most 1, so nothing overflows, and a row that is all -inf gives -inf.
-    The weights' exponents are floored at _EXP_FLOOR - 2·_LOG_SUM_FLOOR,
-    so that no product with E is subnormal; a raised weight adds at most
-    m·e^-500 to a kept sum, which moves no bit.
     An entry whose sum falls below e^_LOG_SUM_FLOOR (or is NaN) is reduced
     again in the log domain by `lse_matvec`, its terms F[i, j] + x_bj
     taken as one row.
@@ -364,9 +360,7 @@ def _lse_shared(F: np.ndarray, E: np.ndarray, r: np.ndarray,
     m = x.max(axis=-1, keepdims=True)
     empty = m == -np.inf
     shift = np.where(empty, 0.0, m)
-    w = np.subtract(x, shift)
-    np.maximum(w, _EXP_FLOOR - 2.0 * _LOG_SUM_FLOOR, out=w)
-    s = np.exp(w, out=w) @ E.T
+    s = np.exp(x - shift) @ E.T
     ok = s >= math.exp(_LOG_SUM_FLOOR)
     out = np.full(s.shape, -np.inf)
     np.log(s, out=out, where=ok)
@@ -434,12 +428,11 @@ class AnchoredLSE:
         LSE_j(F_k[i, j] + x_j) = s_k[i] + log Σ_j E_k[i, j] e^{x_j - x̄_j}
 
     (weight 0 where x̄_j = -inf): one batched matrix product, no exp of an
-    n×n array; a single-factor kernel takes it as one matrix-vector
-    product, E_0 @ e^{v - v̄}.  The -inf entries of every axis's input are
-    fixed by ``cols``, and LSE is 1-Lipschitz in the sup norm, so the
-    input of every later axis stays within τ of its anchor as well.  Any
-    other v (a non-finite one included) re-anchors; ``n_anchors`` counts
-    the anchors taken.
+    n×n array.  The -inf entries of every axis's input are fixed by
+    ``cols``, and LSE is 1-Lipschitz in the sup norm, so the input of
+    every later axis stays within τ of its anchor as well.  Any other v
+    (a non-finite one included) re-anchors; ``n_anchors`` counts the
+    anchors taken.
     """
 
     def __init__(self, K: LogKernel, rows: np.ndarray, cols: np.ndarray):
@@ -465,9 +458,6 @@ class AnchoredLSE:
         if self._w is not None:
             self._w[self._col_pos] = w
             w = self._w
-        if len(self._buf) == 1:
-            _, shift = self._axes[0]
-            return self._on_rows(shift + np.log(self._buf[0] @ w))
         x = w.reshape(self._box)
         if len(self._buf) < 3:
             return self._on_rows(self._products(x))

@@ -634,30 +634,15 @@ def test_exponent_floor_moves_no_lse_matvec_bit(rng):
                                   _bits(_lse_matvec_unclamped(F, v)))
 
 
-def test_exponent_floor_keeps_exp_factors_and_shared_lse(rng, monkeypatch):
-    # the shared exp factors against exp(F - r) flushed below e^-200, and
-    # `K.lse` on steep inputs with -inf holes against the same kernel
-    # with the floor off
+def test_exponent_floor_keeps_shared_lse_fallback(rng, monkeypatch):
+    # `K.lse` of 2D kernels on steep inputs with -inf holes, whose small
+    # sums go back to `lse_matvec`, against the same kernel with the floor
+    # off
     g = bs.Grid.regular([(-6.0, 6.0), (-6.0, 6.0)], [32, 32])
     n = g.n_cells
     x0, x1 = g.points().T
     holes = rng.random(n) < 0.3
-    shape = (5, 4, 6)
-    K3 = LogKernel(tuple(kernels._squared_distances(
-        np.linspace(-2.0, 2.0, m)) / -0.5 for m in shape))
-    K3.log_factors[1][2, :] = -np.inf
-    cases = [(K, kind, T) for kind, T, _, K in _kernels(g, (1.0, 0.02,
-                                                            0.002))]
-    for K, kind, T in cases + [(K3, "3-factors", 1.0)]:
-        for F, (E, r) in zip(K.log_factors, K._exp_factors):
-            r_old = F.max(axis=1)
-            r_old[np.isneginf(r_old)] = 0.0
-            E_old = np.exp(F - r_old[:, None])
-            E_old[E_old < math.exp(2.0 * kernels._LOG_SUM_FLOOR)] = 0.0
-            assert np.array_equal(_bits(r), _bits(r_old)), (kind, T)
-            assert np.array_equal(_bits(E), _bits(E_old)), (kind, T)
-        if K is K3:
-            continue
+    for kind, T, _, K in _kernels(g, (1.0, 0.02, 0.002)):
         drift = (3.0 * x0 - x1) / T + K.reference.log_mass()
         bowl = -((x0 - 1.0) ** 2 + 0.5 * (x1 + 2.0) ** 2) / (4.0 * T)
         inputs = [drift, np.where(holes, -np.inf, bowl),
@@ -700,27 +685,6 @@ def test_exponent_floor_keeps_the_anchor_buffers(rng):
                 x = out.swapaxes(k, -1)
             assert np.array_equal(_bits(got), _bits(_restricted_lse(
                 K, rows, cols, w))), name
-
-
-def test_single_factor_anchored_call_is_the_axis_product(rng):
-    # the single-factor shortcut E @ w against the per-axis product it
-    # replaced, near the anchor; and a plain matrix-vector product against
-    # a product with one column on the shapes the loops meet
-    for name, K, rows, cols, v in _anchored_cases(rng):
-        if len(K.log_factors) != 1:
-            continue
-        op = AnchoredLSE(K, rows, cols)
-        op(v)
-        for scale in (1e-6, 1.0, 0.9 * kernels.ANCHOR_RADIUS):
-            w = v + rng.uniform(-scale, scale, v.size)
-            want = op._on_rows(op._products(np.exp(w - op._vbar)))
-            assert np.array_equal(_bits(op(w)), _bits(want)), name
-        assert op.n_anchors == 1, name
-    for shape in ((237, 253), (256, 256), (320, 320), (32, 32)):
-        E = rng.random(shape)
-        w = np.exp(rng.uniform(-50.0, 50.0, shape[1]))
-        assert np.array_equal(_bits(E @ w),
-                              _bits(np.matmul(E, w[:, None])[:, 0]))
 
 
 def test_nan_in_nan_out(rng):
