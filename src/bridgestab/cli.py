@@ -265,7 +265,7 @@ def _run_corrector(cfg, rng) -> ScenarioResult:
             raise InfeasibleProblem(f"corrector pair {i}: {exc}") from exc
         sol = solve(mu, nu, ker, **_section(cfg, "solver"))
         if res.converged(sol, f"pair {i}: "):
-            res.add_checks({"pair": i}, corrector_check(sol).reports)
+            res.add_checks({"pair": i}, corrector_check(sol))
     res.battery_table("pair")
     return res
 
@@ -281,6 +281,8 @@ def _run_smalltime(cfg, rng) -> ScenarioResult:
     except NotConverged as exc:
         res.not_converged(str(exc))
         return res
+    except ValueError as exc:  # e.g. μ = ν, where no relative gap exists
+        raise InfeasibleProblem(f"marginals: {exc}") from exc
     gaps = [abs(r["rel_gap"]) for r in rows]
     res.reports.append(make_report(
         "smalltime_monotone", max(gaps[i + 1] - gaps[i]

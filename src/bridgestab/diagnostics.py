@@ -1,6 +1,6 @@
 """Quantitative estimates for Schrödinger bridges, checked numerically.
 
-Each function turns one displayed estimate into an `InequalityReport`:
+Each check returns a pair of `InequalityReport`s for one displayed estimate:
 
 * corrector bounds      ∫|∇log P_T e^φ|² dν ≤ (C_T - H(ν|m)) / E_{2κ}(T)
   (and the mirror with ψ, μ);
@@ -25,20 +25,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .kernels import curvature_factor
 from .measures import (DiscreteMeasure, ReferenceMeasure, difference,
                        fisher_information, gradient_energy, relative_entropy,
                        symmetric_entropy)
-from .reports import (InequalityReport, cross_check_rhs, make_equality_report,
-                      make_report)
+from .reports import InequalityReport, cross_check_rhs, make_report
 from .schrodinger import (EOTSolution, SchrodingerSolution,
                           plan_symmetric_entropy, require_converged)
 from .sobolev import h_minus_one_norm
 
 __all__ = [
-    "CorrectorEstimate", "corrector_check",
+    "corrector_check",
     "plan_stability_check", "cost_stability_check",
     "quadratic_eot_stability_check", "StabilityIngredients",
     "stability_ingredients",
@@ -66,25 +63,8 @@ def _term(factor: float, norm: float) -> float:
 # corrector estimates
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CorrectorEstimate:
-    """Both corrector bounds for one solved bridge."""
-
-    lhs_nu: float
-    rhs_nu: float
-    lhs_mu: float
-    rhs_mu: float
-    entropic_cost: float
-    curvature_factor: float
-    report_nu: InequalityReport
-    report_mu: InequalityReport
-
-    @property
-    def reports(self) -> list[InequalityReport]:
-        return [self.report_nu, self.report_mu]
-
-
-def corrector_check(sol: SchrodingerSolution) -> CorrectorEstimate:
+def corrector_check(sol: SchrodingerSolution
+                    ) -> tuple[InequalityReport, InequalityReport]:
     """Check ∫|∇log P_T e^φ|²dν ≤ (C_T - H(ν|m))/E_{2κ}(T) and its mirror."""
     require_converged(sol)
     E = curvature_factor(sol.kernel.kappa, sol.T)
@@ -114,20 +94,14 @@ def corrector_check(sol: SchrodingerSolution) -> CorrectorEstimate:
     rhs_nu = max(rhs_nu, 0.0)
     rhs_mu = max(rhs_mu, 0.0)
 
-    rep_nu = make_report(
-        "corrector_nu", lhs_nu, rhs_nu,
-        extras={"lhs_vs_plan_marginal": lhs_nu_plan,
-                "entropic_cost": ct, "entropy": sol.h_nu,
-                "curvature_factor": E})
-    rep_mu = make_report(
-        "corrector_mu", lhs_mu, rhs_mu,
-        extras={"lhs_vs_plan_marginal": lhs_mu_plan,
-                "entropic_cost": ct, "entropy": sol.h_mu,
-                "curvature_factor": E})
-    return CorrectorEstimate(lhs_nu=lhs_nu, rhs_nu=rhs_nu, lhs_mu=lhs_mu,
-                             rhs_mu=rhs_mu, entropic_cost=ct,
-                             curvature_factor=E, report_nu=rep_nu,
-                             report_mu=rep_mu)
+    return (make_report("corrector_nu", lhs_nu, rhs_nu,
+                        extras={"lhs_vs_plan_marginal": lhs_nu_plan,
+                                "entropic_cost": ct, "entropy": sol.h_nu,
+                                "curvature_factor": E}),
+            make_report("corrector_mu", lhs_mu, rhs_mu,
+                        extras={"lhs_vs_plan_marginal": lhs_mu_plan,
+                                "entropic_cost": ct, "entropy": sol.h_mu,
+                                "curvature_factor": E}))
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +135,8 @@ class StabilityIngredients:
 
 def _compatible_pair(sol_a: SchrodingerSolution, sol_b: SchrodingerSolution):
     ka, kb = sol_a.kernel, sol_b.kernel
-    if not (ka.grid.same_as(kb.grid) and ka.kind == kb.kind
-            and ka.T == kb.T and ka.kappa == kb.kappa):
+    if not (ka.grid.same_as(kb.grid) and ka.T == kb.T
+            and ka.kappa == kb.kappa):
         raise ValueError("stability checks need two solutions of the same "
                          "kernel on the same grid")
 

@@ -176,19 +176,22 @@ def small_time_cost_curve(mu: DiscreteMeasure, nu: DiscreteMeasure,
     """T·C_T against W2²/4 along decreasing times (1D grids).
 
     Returns one row per T with the relative gap; rows keep the order of
-    ``T_list``.  κ = 0 uses the heat kernel, κ > 0 the OU kernel.
+    ``T_list``.  κ = 0 uses the heat kernel, κ > 0 the OU kernel.  Raises
+    ValueError when W2(μ, ν) = 0, where the relative gap is undefined.
     """
     if mu.grid.ndim != 1:
         raise ValueError("the small-time curve uses the exact 1D W2")
-    w2 = wasserstein2_1d(mu, nu)
-    target = 0.25 * w2 ** 2
+    target = 0.25 * wasserstein2_1d(mu, nu) ** 2
+    if not target > 0.0:
+        raise ValueError("mu and nu coincide (W2 = 0), so the relative gap "
+                         "of the small-time curve is undefined")
     rows = []
     for sol in _solves_along(mu, nu, T_list, kappa, tol, max_iter):
         tct = sol.T * sol.entropic_cost()
         gap = tct - target
         rows.append({
             "T": float(sol.T), "t_times_cost": tct, "w2sq_over_4": target,
-            "gap": gap, "rel_gap": gap / target if target > 0 else math.inf,
+            "gap": gap, "rel_gap": gap / target,
             "residual": sol.marginal_residual, "n_iter": sol.n_iter,
             "underresolved": sol.kernel.underresolved,
         })

@@ -9,8 +9,9 @@ against a reference measure: heat transition densities are taken w.r.t.
 Lebesgue, OU transition densities w.r.t. the stationary Gaussian N(0, I/κ).
 Every use of a kernel goes through one operator, `LogKernel.lse`, which
 computes LSE_j(K_ij + v_j) one axis at a time and never forms the n×n
-matrix.  A 1D kernel is reduced in the log domain by `lse_matvec`.  An ND
-kernel reduces each axis by one matrix product against a shared exp
+matrix.  A kernel has one or two factors, as a grid has one or two axes.
+A 1D kernel is reduced in the log domain by `lse_matvec`.  A 2D kernel
+reduces each axis by one matrix product against a shared exp
 factor exp(F_k - r_k), r_k the row maxima of F_k, built once per kernel
 (Solomon et al. 2015, *Convolutional Wasserstein Distances*), with the
 inputs' row maxima taken out so that nothing overflows; the few entries
@@ -147,19 +148,21 @@ class LogKernel:
 
     Over cells in flat C order,
     ``K[(i_0, i_1), (j_0, j_1)] = log_factors[0][i_0, j_0]
-    + log_factors[1][i_1, j_1]``; a single factor is K itself.  `lse` is
-    the one operator every consumer uses: a single factor is reduced by
-    `lse_matvec`, two or more by one matrix product per axis against the
-    shared exp factors (`_lse_shared`), which are built on first use and
-    held on the instance.  The Sinkhorn loop goes through `AnchoredLSE`,
-    which anchors by the per-axis `lse_matvec` reduction over factors
-    restricted to two supports.  `log_matrix` is a dense view for the
-    dense plans and the test oracles.
+    + log_factors[1][i_1, j_1]``; a single factor is K itself, and no
+    other count is accepted.  `lse` is the one operator every consumer
+    uses: a single factor is reduced by `lse_matvec`, two by one matrix
+    product per axis against the shared exp factors (`_lse_shared`), which
+    are built on first use and held on the instance.  The Sinkhorn loop
+    goes through `AnchoredLSE`, which anchors by the per-axis `lse_matvec`
+    reduction over factors restricted to two supports.  `log_matrix` is a
+    dense view for the dense plans and the test oracles.
     """
 
     log_factors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        if len(self.log_factors) not in (1, 2):
+            raise ValueError("a kernel has one or two log factors")
         for f in self.log_factors:
             if f.ndim != 2 or f.shape[0] != f.shape[1]:
                 raise ValueError("log factors must be square matrices")
@@ -197,9 +200,8 @@ class LogKernel:
     def lse(self, v: np.ndarray) -> np.ndarray:
         """out_i = LSE_j(K_ij + v_j) over flat cells, one axis at a time
         (last axis first); -inf entries of v carry zero mass.  A single
-        factor is reduced by `lse_matvec`; with two or more, each axis is
-        one matrix product against its shared exp factor
-        (`_lse_shared`)."""
+        factor is reduced by `lse_matvec`; with two, each axis is one matrix
+        product against its shared exp factor (`_lse_shared`)."""
         x = v.reshape(self.shape)
         if len(self.log_factors) == 1:
             return lse_matvec(self.log_factors[0], x)
@@ -216,12 +218,11 @@ class GibbsKernel(LogKernel):
     ``log_matrix[i, j] = log p_T(x_i, x_j)`` against ``reference``; every
     factor is exactly symmetric by construction.  ``underresolved`` is set
     when the kernel bandwidth sqrt(2T) falls below twice the largest cell
-    width.
+    width.  κ = 0 is the heat kernel, κ > 0 the OU kernel.
     """
 
     grid: Grid
     reference: ReferenceMeasure
-    kind: str
     T: float
     kappa: float = 0.0
     underresolved: bool = False
@@ -253,8 +254,7 @@ class GibbsKernel(LogKernel):
             F /= 4.0 * T
             factors.append(np.subtract(c, F, out=F))
         return GibbsKernel(tuple(factors), grid,
-                           ReferenceMeasure.lebesgue(grid),
-                           "heat", float(T), 0.0,
+                           ReferenceMeasure.lebesgue(grid), float(T), 0.0,
                            GibbsKernel._bandwidth_flag(grid, T))
 
     @staticmethod
@@ -276,17 +276,14 @@ class GibbsKernel(LogKernel):
             factors.append(np.subtract(c, F, out=F))
         return GibbsKernel(tuple(factors), grid,
                            ReferenceMeasure.gaussian(grid, kappa),
-                           "ou", float(T), float(kappa),
+                           float(T), float(kappa),
                            GibbsKernel._bandwidth_flag(grid, T))
 
     def at_time(self, t: float) -> "GibbsKernel":
         """Same family and grid at a different time."""
-        if self.kind == "heat":
+        if self.kappa == 0.0:
             return GibbsKernel.heat(self.grid, t)
         return GibbsKernel.ou(self.grid, t, self.kappa)
-
-    def curvature_factor(self) -> float:
-        return curvature_factor(self.kappa, self.T)
 
     def row_mass_defect(self) -> float:
         """max_i |Σ_j p(x_i,x_j) m_j - 1| (quadrature quality diagnostic)."""
@@ -415,10 +412,10 @@ class AnchoredLSE:
     flat order), to  out_i = LSE_{j ∈ cols}(K_ij + v_j)  for each cell i of
     ``rows``: `K.lse` of v extended by -inf, read on ``rows``.  Each axis
     factor is restricted to the projections of the two supports onto its
-    axis, so on a 1D or single-factor kernel every product uses
-    F[rows][:, cols] only, and a full support costs what `K.lse` does.  In
-    ND, v is embedded in the box of the ``cols`` projections (-inf on its
-    other cells), reduced one axis at a time and read off on ``rows``.
+    axis, so on a 1D kernel every product uses F[rows][:, cols] only, and a
+    full support costs what `K.lse` does.  In 2D, v is embedded in the box
+    of the ``cols`` projections (-inf on its other cells), reduced one axis
+    at a time and read off on ``rows``.
 
     Anchoring at v̄ runs that reduction through `lse_matvec`, which leaves
     E_k = exp(F_k + x̄_k - s_k) in the buffer of axis k, for that axis's
@@ -458,13 +455,7 @@ class AnchoredLSE:
         if self._w is not None:
             self._w[self._col_pos] = w
             w = self._w
-        x = w.reshape(self._box)
-        if len(self._buf) < 3:
-            return self._on_rows(self._products(x))
-        # with 3+ axes a row of the first reduction can miss every cell of
-        # ``cols``: its sum is 0 and its log -inf, as `lse_matvec` gives
-        with np.errstate(divide="ignore"):
-            return self._on_rows(self._products(x))
+        return self._on_rows(self._products(w.reshape(self._box)))
 
     def _products(self, x: np.ndarray) -> np.ndarray:
         """The near-anchor reduction of the weights x = e^{v - v̄} on the

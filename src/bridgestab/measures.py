@@ -136,16 +136,14 @@ def _check_same_grid(a, b):
 class ReferenceMeasure:
     """Reference measure m given by a positive mass per cell.
 
-    ``kind`` is "lebesgue" (mass = cell volume) or "gaussian" (N(0, I/κ)
-    density times cell volume).  Gaussian reference masses are *not*
-    renormalized: on a generous grid they sum to 1 up to truncation error,
-    and that defect is part of what the diagnostics see.
+    `lebesgue` gives mass = cell volume, `gaussian` the N(0, I/κ) density
+    times cell volume.  Gaussian reference masses are *not* renormalized:
+    on a generous grid they sum to 1 up to truncation error, and that
+    defect is part of what the diagnostics see.
     """
 
     grid: Grid
     cell_mass: np.ndarray
-    kind: str = "custom"
-    kappa: float | None = None
 
     def __post_init__(self):
         if self.cell_mass.shape != (self.grid.n_cells,):
@@ -155,7 +153,7 @@ class ReferenceMeasure:
 
     @staticmethod
     def lebesgue(grid: Grid) -> "ReferenceMeasure":
-        return ReferenceMeasure(grid, grid.cell_volumes(), kind="lebesgue")
+        return ReferenceMeasure(grid, grid.cell_volumes())
 
     @staticmethod
     def gaussian(grid: Grid, kappa: float) -> "ReferenceMeasure":
@@ -167,7 +165,7 @@ class ReferenceMeasure:
         logdens = 0.5 * d * math.log(kappa / (2.0 * math.pi)) \
             - 0.5 * kappa * np.sum(pts ** 2, axis=1)
         mass = np.exp(logdens) * grid.cell_volumes()
-        return ReferenceMeasure(grid, mass, kind="gaussian", kappa=float(kappa))
+        return ReferenceMeasure(grid, mass)
 
     def log_mass(self) -> np.ndarray:
         """log cell masses, -inf where the mass underflows to zero."""

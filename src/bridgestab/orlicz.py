@@ -42,18 +42,6 @@ def _weights_of(x) -> np.ndarray:
     return np.asarray(getattr(x, "weights", x), dtype=float).ravel()
 
 
-_YOUNG = {"theta": theta, "theta_star": theta_star}
-
-
-def _young_fn(which):
-    if isinstance(which, str):
-        if which not in _YOUNG:
-            raise ValueError(f"unknown Young function {which!r}; "
-                             f"pick from {tuple(_YOUNG)}")
-        return _YOUNG[which]
-    return which
-
-
 def _check_probability(q: np.ndarray, name: str):
     if np.any(q < 0) or not np.all(np.isfinite(q)):
         raise ValueError(f"{name} must be finite and nonnegative")
@@ -65,11 +53,10 @@ def luxemburg_norm(f: np.ndarray, base, young=theta) -> float:
     """Luxemburg norm of f over the probability base, by bisection.
 
     ``base`` is a DiscreteMeasure or a plain weight vector; ``young`` is a
-    callable or one of the names "theta" / "theta_star".  The returned value
+    Young function such as `theta` or `theta_star`.  The returned value
     b satisfies ∫ young(|f|/b) d(base) ∈ [1 - 1e-8, 1] and the final bracket
     has relative width ≤ 1e-10.
     """
-    young = _young_fn(young)
     f = np.abs(np.asarray(f, dtype=float)).ravel()
     q = _weights_of(base)
     _check_probability(q, "base measure")
@@ -169,14 +156,11 @@ class OrliczContext:
             raise ValueError("H(p|q) must be finite (supp p ⊆ supp q)")
 
     def entropy(self) -> float:
-        return relative_entropy_weights(np.asarray(self.p_weights, float),
-                                        np.asarray(self.q_weights, float))
+        return relative_entropy_weights(self.p_weights, self.q_weights)
 
     def lhs(self) -> float:
-        p = np.asarray(self.p_weights, dtype=float)
-        h = np.asarray(self.h, dtype=float)
-        s = p > 0
-        return float(p[s] @ np.abs(np.log(h[s])))
+        s = self.p_weights > 0
+        return float(self.p_weights[s] @ np.abs(np.log(self.h[s])))
 
 
 def _lp_norm(values: np.ndarray, q: np.ndarray, e: float) -> float:
@@ -233,9 +217,7 @@ def log_integrability_bound(ctx: OrliczContext, variant: str = "B1"):
     from .reports import make_report
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; pick from {VARIANTS}")
-    q = np.asarray(ctx.q_weights, dtype=float)
-    h = np.asarray(ctx.h, dtype=float)
-    pe, qe = ctx.p_exp, ctx.q_exp
+    q, h, pe, qe = ctx.q_weights, ctx.h, ctx.p_exp, ctx.q_exp
 
     ent = ctx.entropy()
     coeff = 2.0 * math.exp(ent - 1.0)

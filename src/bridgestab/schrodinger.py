@@ -505,7 +505,7 @@ def eot_cost_from_sp(sol: SchrodingerSolution, epsilon: float) -> float:
           + (1 - e^{-κT})·(M2(μ) + M2(ν)).
     """
     kappa, T, d = sol.kernel.kappa, sol.T, sol.mu.grid.ndim
-    if sol.kernel.kind != "ou":
+    if kappa == 0.0:
         raise ValueError("the dictionary needs an OU kernel")
     core = epsilon * (sol.entropic_cost() - sol.h_mu - sol.h_nu)
     log_term = -0.5 * d * epsilon * math.log(-math.expm1(-2.0 * kappa * T))

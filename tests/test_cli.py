@@ -632,6 +632,22 @@ def test_corrector_pair_without_mass_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_smalltime_with_equal_marginals_exits_2(tmp_path, capsys):
+    # W2(μ, ν) = 0 leaves the relative gap undefined; the run used to write
+    # a NaN monotonicity report and rel_gap = inf, and exit 1
+    out = tmp_path / "out"
+    cfg = _smalltime_cfg(out)
+    same = {"family": "gaussian", "mean": [0.5], "sigma": 1.0}
+    cfg.update(grid={"bounds": [-8.0, 10.0], "shape": 160},
+               marginals={"mu": same, "nu": same},
+               smalltime={"T_list": [0.1, 0.05]})
+    assert cli.main(["--config", str(write_cfg(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    assert "config error: problem data: marginals:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_readme_scenario_table_matches_list_scenarios(capsys):
     readme = Path(__file__).resolve().parent.parent / "README.md"
     rows = [ln.split("|") for ln in readme.read_text().splitlines()

@@ -1,6 +1,8 @@
 """Corrector bounds and plan/cost stability estimates on solved bridges."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,16 +34,54 @@ def test_cross_check_rhs_guard():
         cross_check_rhs(3.1, {"a": 1.0, "b": 2.0}, "mismatch")
 
 
+def _benchmark_gate():
+    """perfbench/gate.py, which names the reports each scenario writes."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gate.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gate", path)
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    return gate
+
+
+_CHECKS = {"corrector": "corrector_check", "stability": "plan_stability_check",
+           "cost-stability": "cost_stability_check",
+           "eot-stability": "quadratic_eot_stability_check"}
+
+
+@pytest.mark.parametrize("scenario", list(_CHECKS))
+def test_checks_return_the_reports_the_gate_expects(scenario, grid128,
+                                                    gauss_pair, ou_kernel,
+                                                    ou_sol):
+    mu, nu = gauss_pair
+    rng = np.random.default_rng(3)
+    mu_b = bs.perturbed_measure(
+        mu, bs.smooth_zero_mean_field(grid128, mu, rng), 0.1)
+    if scenario == "corrector":
+        args = (ou_sol,)
+    elif scenario == "eot-stability":
+        args = (bs.eot_quadratic_direct(mu, nu, 0.5),
+                bs.eot_quadratic_direct(mu_b, nu, 0.5))
+    else:
+        args = (ou_sol, bs.solve(mu_b, nu, ou_kernel))
+    reports = getattr(bs, _CHECKS[scenario])(*args)
+    names, _ = _benchmark_gate().expected({
+        "scenario": scenario, "corrector": {"n_pairs": 1},
+        "perturbation": {"n_seeds": 1, "epsilons": [0.1]}})
+    assert type(reports) is tuple
+    assert all(isinstance(r, bs.InequalityReport) for r in reports)
+    assert [r.name for r in reports] == list(names)
+    assert all(r.passed and not r.vacuous for r in reports)
+
+
 def test_corrector_trivial_when_marginals_match_reference(grid128):
     ref = bs.ReferenceMeasure.gaussian(grid128, kappa=1.0)
     m = bs.DiscreteMeasure.from_weights(grid128, ref.cell_mass)
     ker = bs.GibbsKernel.ou(grid128, T=0.5, kappa=1.0)
     sol = bs.solve(m, m, ker)
-    est = bs.corrector_check(sol)
     # potentials are constant, so the gradient terms vanish
-    assert est.lhs_nu < 1e-12
-    assert est.lhs_mu < 1e-12
-    assert est.report_nu.passed and est.report_mu.passed
+    for rep in bs.corrector_check(sol):
+        assert rep.lhs < 1e-12
+        assert rep.passed
 
 
 def test_corrector_heat_rhs_is_cost_gap_over_time(gauss_pair):
@@ -50,11 +90,12 @@ def test_corrector_heat_rhs_is_cost_gap_over_time(gauss_pair):
     T = 0.3
     ker = bs.GibbsKernel.heat(g, T=T)
     sol = bs.solve(mu, nu, ker)
-    est = bs.corrector_check(sol)
-    assert est.curvature_factor == T
+    rep_nu, rep_mu = bs.corrector_check(sol)
     ct = sol.entropic_cost()
-    assert abs(est.rhs_nu - (ct - sol.h_nu) / T) < 1e-12
-    assert abs(est.rhs_mu - (ct - sol.h_mu) / T) < 1e-12
+    for rep, h in ((rep_nu, sol.h_nu), (rep_mu, sol.h_mu)):
+        assert rep.extras["curvature_factor"] == T
+        assert rep.extras["entropic_cost"] == ct
+        assert abs(rep.rhs - (ct - h) / T) < 1e-12
 
 
 def test_corrector_battery(grid128):
@@ -64,19 +105,17 @@ def test_corrector_battery(grid128):
         mu, nu = bs.random_smooth_pair(grid128, rng)
         for T, ker in ker_by_T.items():
             sol = bs.solve(mu, nu, ker)
-            est = bs.corrector_check(sol)
-            for rep in est.reports:
+            for rep in bs.corrector_check(sol):
                 assert rep.relative_slack >= -1e-4, (seed, T, rep.name)
                 assert rep.passed
 
 
 def test_corrector_lhs_agrees_with_plan_marginal_route(ou_sol):
-    est = bs.corrector_check(ou_sol)
-    for rep, lhs in ((est.report_nu, est.lhs_nu), (est.report_mu, est.lhs_mu)):
+    for rep in bs.corrector_check(ou_sol):
         other = rep.extras["lhs_vs_plan_marginal"]
         # the plan's realized marginals sit within the Sinkhorn residual of the
         # prescribed ones, so the two integrals agree to that order
-        assert abs(lhs - other) <= 1e-6 * max(1.0, abs(lhs))
+        assert abs(rep.lhs - other) <= 1e-6 * max(1.0, abs(rep.lhs))
 
 
 def test_stability_identical_pair_is_zero(ou_sol):

@@ -87,8 +87,8 @@ def test_gronwall_decay_heat_monotone(gauss_pair):
 
 def test_gronwall_final_alpha_matches_corrector(ou_sol):
     _, rows = bs.gronwall_decay_check(ou_sol)
-    est = bs.corrector_check(ou_sol)
-    assert abs(rows[-1]["alpha"] - est.lhs_nu) < 1e-8
+    rep_nu, _ = bs.corrector_check(ou_sol)
+    assert abs(rows[-1]["alpha"] - rep_nu.lhs) < 1e-8
 
 
 def test_checks_share_the_time_slices_of_one_solution(gauss_pair,
@@ -123,12 +123,15 @@ def test_checks_share_the_time_slices_of_one_solution(gauss_pair,
 
 
 def test_small_time_identical_marginals(grid128):
+    # W2 = 0 leaves the relative gap undefined, so the curve refuses μ = ν
     mu = bs.gaussian_measure(grid128, [0.2], 0.8)
-    rows = bs.small_time_cost_curve(mu, mu, [0.4, 0.2, 0.1], kappa=1.0)
-    gaps = [r["gap"] for r in rows]
-    assert rows[0]["w2sq_over_4"] == 0.0
-    assert all(r["t_times_cost"] >= -1e-10 for r in rows)
-    assert gaps[0] >= gaps[1] >= gaps[2]
+    with pytest.raises(ValueError, match="W2 = 0"):
+        bs.small_time_cost_curve(mu, mu, [0.4, 0.2, 0.1], kappa=1.0)
+    # T·C_T itself still falls to the target 0 from above
+    tct = [T * bs.solve(mu, mu, bs.GibbsKernel.ou(grid128, T, 1.0))
+           .entropic_cost() for T in (0.4, 0.2, 0.1)]
+    assert all(v >= -1e-10 for v in tct)
+    assert tct[0] >= tct[1] >= tct[2]
 
 
 def test_small_time_translated_uniform():

@@ -208,7 +208,11 @@ def test_at_time_rescales():
     direct = bs.GibbsKernel.ou(g, T=0.3, kappa=0.9)
     assert early.T == 0.3
     assert np.allclose(early.log_matrix, direct.log_matrix, atol=1e-12)
-    assert abs(ker.curvature_factor() - bs.curvature_factor(0.9, 1.0)) < 1e-15
+    # κ = 0 names the heat kernel
+    heat = bs.GibbsKernel.heat(g, T=1.0).at_time(0.3)
+    assert heat.kappa == 0.0
+    assert np.array_equal(heat.log_matrix,
+                          bs.GibbsKernel.heat(g, T=0.3).log_matrix)
 
 
 def _old_dense_log_matrix(grid, kind, T, kappa=0.0):
@@ -386,19 +390,29 @@ def test_shared_factor_guard_falls_back_to_the_log_domain(rng, monkeypatch):
             monkeypatch.undo()
 
 
-def test_three_factor_lse_matches_dense_oracle(rng):
+def test_log_kernel_takes_one_or_two_factors():
+    # grids are 1D or 2D, and so are kernels
+    F = kernels._squared_distances(np.linspace(-2.0, 2.0, 5)) / -0.5
+    for count in (1, 2):
+        assert LogKernel((F,) * count).shape == (5,) * count
+    for count in (0, 3):
+        with pytest.raises(ValueError, match="one or two"):
+            LogKernel((F,) * count)
+
+
+def test_lse_with_inf_factor_entries_matches_dense_oracle(rng):
     # a -inf factor row and a -inf factor entry: the row maxima stay
     # finite and those rows reduce to -inf
-    shape = (5, 4, 6)
+    shape = (5, 6)
     factors = [kernels._squared_distances(np.linspace(-2.0, 2.0, m)) / -0.5
                for m in shape]
-    factors[1][2, :] = -np.inf
-    factors[2][0, 3] = -np.inf
+    factors[0][2, :] = -np.inf
+    factors[1][0, 3] = -np.inf
     K = LogKernel(tuple(factors))
     n = math.prod(shape)
     v = rng.normal(0.0, 2.0, n)
-    v.reshape(shape)[1, 2, :] = -np.inf
-    v.reshape(shape)[:, 0, :] = -np.inf
+    v.reshape(shape)[1, :] = -np.inf
+    v.reshape(shape)[:, 4] = -np.inf
     spread = v.copy()
     spread[::3] -= 1500.0
     for w in (v, spread, np.zeros(n), np.full(n, -np.inf)):
@@ -433,8 +447,7 @@ def _anchored_cases(rng):
     """(name, kernel, rows, cols, compact input on cols): 1D heat at small
     time and 1D OU between two different interval supports, 2D heat and OU
     on a 12×9 grid between supports with scattered holes and whole grid
-    lines off (so a projection has gaps), a full 2D support, and a kernel
-    of three factors."""
+    lines off (so a projection has gaps), and a full 2D support."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BandwidthWarning)
         g1 = bs.Grid.regular([(-8.0, 10.0)], [320])
@@ -457,16 +470,6 @@ def _anchored_cases(rng):
         yield "ou-2d", bs.GibbsKernel.ou(g2, 0.25, 0.7), cols, rows, v2[rows]
         full = np.ones(n, dtype=bool)
         yield "ou-2d-full", bs.GibbsKernel.ou(g2, 0.25, 0.7), full, full, v2
-        # three factors: a line (1, 2, :) without cells of cols leaves a
-        # row of the first reduction with no live entry
-        shape = (5, 4, 6)
-        K3 = LogKernel(tuple(kernels._squared_distances(
-            np.linspace(-2.0, 2.0, m)) / -0.5 for m in shape))
-        n = math.prod(shape)
-        rows, cols = rng.random(n) > 0.3, rng.random(n) > 0.6
-        cols.reshape(shape)[1, 2, :] = False
-        cols.reshape(shape)[:, 0, :] = False
-        yield "3-factors", K3, rows, cols, rng.normal(0.0, 2.0, cols.sum())
 
 
 def _grid_lse(K, rows, cols, v):

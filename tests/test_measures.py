@@ -112,7 +112,7 @@ def test_relative_entropy_nonnegative(seed):
     w_q = rng.uniform(0.01, 1.0, 16)
     p = bs.DiscreteMeasure.from_weights(g, w_p)
     q = bs.DiscreteMeasure.from_weights(g, w_q)
-    ref = bs.ReferenceMeasure(g, q.weights, kind="custom")
+    ref = bs.ReferenceMeasure(g, q.weights)
     assert bs.relative_entropy(p, ref) >= -2e-6
 
 
@@ -151,7 +151,7 @@ def test_fisher_information_lebesgue_scale_invariance():
     g = bs.Grid.regular([(-6.0, 6.0)], [256])
     mu = bs.gaussian_measure(g, [0.3], 1.0)
     ref = bs.ReferenceMeasure.lebesgue(g)
-    scaled = bs.ReferenceMeasure(g, 2.0 * g.cell_volumes(), kind="custom")
+    scaled = bs.ReferenceMeasure(g, 2.0 * g.cell_volumes())
     assert abs(bs.fisher_information(mu, ref) - bs.fisher_information(mu, scaled)) < 1e-12
 
 

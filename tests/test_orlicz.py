@@ -196,12 +196,17 @@ def test_context_accepts_discrete_measures(grid128):
     assert abs(math.log(got) + 1.0 - H) < 1e-6
 
 
-def test_young_function_by_name(rng):
-    q = dirichlet(rng, 16)
-    f = np.abs(rng.normal(0.0, 1.0, 16)) + 0.1
-    assert luxemburg_norm(f, q, young="theta") == luxemburg_norm(f, q, young=theta)
-    assert luxemburg_norm(f, q, young="theta_star") == luxemburg_norm(
-        f, q, young=theta_star)
+def test_context_coerces_its_fields_once():
+    # lists, column arrays and int arrays become flat float arrays in
+    # __post_init__, which every later method relies on
+    ctx = OrliczContext(q_weights=[0.5, 0.5], p_weights=[[0.25], [0.75]],
+                        h=np.array([2, 1]), p_exp=1.0, q_exp=2.0)
+    for a in (ctx.q_weights, ctx.p_weights, ctx.h):
+        assert a.dtype == float and a.shape == (2,)
+    assert ctx.lhs() == 0.25 * math.log(2.0)
+    assert abs(ctx.entropy() - (0.25 * math.log(0.5)
+                                + 0.75 * math.log(1.5))) < 1e-15
+    assert log_integrability_bound(ctx).passed
 
 
 def test_context_validation():

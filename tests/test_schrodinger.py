@@ -310,10 +310,8 @@ def test_separable_2d_solve_matches_dense_oracle():
         assert np.max(np.abs(a[fin] - b[fin])) <= 1e-12
     for a, b in ((sep.mu_hat, ref.mu_hat), (sep.nu_hat, ref.nu_hat)):
         assert np.max(np.abs(a - b)) <= 1e-12
-    ce_sep, ce_ref = bs.corrector_check(sep), bs.corrector_check(ref)
-    for side in ("lhs_nu", "lhs_mu"):
-        a, b = getattr(ce_sep, side), getattr(ce_ref, side)
-        assert abs(a - b) <= 1e-12 * abs(b)
+    for a, b in zip(bs.corrector_check(sep), bs.corrector_check(ref)):
+        assert abs(a.lhs - b.lhs) <= 1e-12 * abs(b.lhs)
 
 
 def test_eot_cost_fine_grid_reference():
@@ -465,10 +463,14 @@ def test_anchored_sinkhorn_matches_log_domain_loop(run, monkeypatch):
     assert sol.n_iter == ref.n_iter
     # the anchored run really took the matrix-product path
     assert fast_calls < len(calls) - fast_calls
+    # relaxed runs carry rounding ~10-30x further than plain ones, so the
+    # bound scales with the potentials: 16 ulps of max(1, max|b|), never
+    # looser than 1e-12 (measured up to 7.3 ulps, at heat T = 0.05)
     for a, b in zip(_potentials(sol), _potentials(ref)):
         fin = np.isfinite(b)
         assert np.array_equal(np.isfinite(a), fin)
-        assert np.max(np.abs(a[fin] - b[fin])) <= 1e-12
+        ulps = np.finfo(float).eps * max(1.0, np.max(np.abs(b[fin])))
+        assert np.max(np.abs(a[fin] - b[fin])) <= min(1e-12, 16.0 * ulps)
 
 
 def _full_grid_sinkhorn(K, log_p, log_q, mu, nu, tol, max_iter,
