@@ -66,7 +66,6 @@ from .sobolev import (
 from .reports import InequalityReport, make_report, make_equality_report
 from .diagnostics import (
     corrector_check,
-    stability_ingredients,
     plan_stability_check,
     cost_stability_check,
     quadratic_eot_stability_check,
@@ -110,8 +109,8 @@ __all__ = [
     "h_minus_one_norm", "WeightedPoissonProblem", "wasserstein2_1d",
     "wasserstein2_exact_small", "w2_h_minus_one_comparison",
     "InequalityReport", "make_report", "make_equality_report",
-    "corrector_check", "stability_ingredients", "plan_stability_check",
-    "cost_stability_check", "quadratic_eot_stability_check",
+    "corrector_check", "plan_stability_check", "cost_stability_check",
+    "quadratic_eot_stability_check",
     "EntropicInterpolation", "interpolate", "dynamic_cost_check",
     "gronwall_decay_check", "small_time_cost_curve",
     "monotone_rearrangement", "schrodinger_map",

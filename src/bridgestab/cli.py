@@ -565,9 +565,8 @@ def _normalize(cfg: dict) -> dict:
         b = g.get("bounds")
         if (isinstance(b, list) and len(b) == 2 and all(_is_num(v) for v in b)):
             g["bounds"] = [b]
-        s = g.get("shape")
-        if _is_num(s):
-            g["shape"] = [int(s)]
+        if _is_num(g.get("shape")):
+            g["shape"] = [g["shape"]]
     if isinstance(out.setdefault("solver", {}), dict):
         out["solver"] = {**out["solver"], **_section(out, "solver")}
     return out
@@ -670,12 +669,13 @@ def validate(cfg) -> list[str]:
                 f"got {name!r}"]
     scen = SCENARIOS[name]
     errs: list[str] = []
-    if scen.seeded and not _is_num(cfg.get("seed"), int):
-        errs.append("seed: integer seed is mandatory for randomized "
-                    f"scenario {name!r}")
-    if "seed" in cfg and not _is_num(cfg["seed"], int):
+    if "seed" not in cfg:
+        if scen.seeded:
+            errs.append("seed: integer seed is mandatory for randomized "
+                        f"scenario {name!r}")
+    elif not _is_num(cfg["seed"], int):
         errs.append("seed: integer required")
-    elif cfg.get("seed", 0) < 0:
+    elif cfg["seed"] < 0:
         errs.append("seed: integer >= 0 required")
     ndim = 0
     if (scen.kernel or scen.marginals) and _check_block(cfg, "grid", errs):
@@ -690,8 +690,9 @@ def validate(cfg) -> list[str]:
     elif scen.marginals:
         for side in scen.marginals:
             _check_marginal(m.get(side), f"marginals.{side}", ndim, errs)
-        if any(isinstance(v, dict) and v.get("family") == "random"
-               for v in m.values()) and not _is_num(cfg.get("seed"), int):
+        if "seed" not in cfg and not scen.seeded and any(
+                isinstance(v, dict) and v.get("family") == "random"
+                for v in m.values()):
             errs.append("seed: required when a marginal family is 'random'")
     for block in (*scen.blocks, "solver", "output"):
         _check_block(cfg, block, errs)

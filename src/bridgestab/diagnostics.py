@@ -10,20 +10,22 @@ Each check returns a pair of `InequalityReport`s for one displayed estimate:
 * quadratic-EOT stability in the κ-free form with the dimensional constant
   C_ε = (dε/2)·log(4πε), for both values and plans.
 
-Every right-hand side is assembled twice — once as a vectorized expression,
-once as an independently summed dict of named terms — and the two must agree
-to 1e-10 before a report is emitted.  A right-hand side of +inf yields a
-*vacuous* report (flagged, never counted as evidence).
+The six stability right-hand sides share one shape, head + scale·Σ_k
+factor_k·‖Δ_k‖_{Ḣ⁻¹} over the four marginals k = μ, ν, μ̄, ν̄, and one
+builder (`_bound`) makes them all.  It assembles each twice — once as a
+factored expression, once as an fsum of named terms with the scale folded
+into each — and the two must agree to 1e-10 before a report is emitted.  A
+right-hand side of +inf yields a *vacuous* report (flagged, never counted
+as evidence).
 
 Values and realized marginals come from the solutions' potentials and
-stored marginals; only the two plan-stability checks build dense plans
-(`log_plan`), for H^sym of the plans.
+stored marginals; only the plan lhs (`stab_plans*`, `eot_plan_stab`) build
+dense plans (`log_plan`), for H^sym of the plans.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .kernels import curvature_factor
 from .measures import (DiscreteMeasure, ReferenceMeasure, difference,
@@ -35,10 +37,8 @@ from .schrodinger import (EOTSolution, SchrodingerSolution,
 from .sobolev import h_minus_one_norm
 
 __all__ = [
-    "corrector_check",
-    "plan_stability_check", "cost_stability_check",
-    "quadratic_eot_stability_check", "StabilityIngredients",
-    "stability_ingredients",
+    "corrector_check", "plan_stability_check", "cost_stability_check",
+    "quadratic_eot_stability_check",
 ]
 
 
@@ -105,47 +105,18 @@ def corrector_check(sol: SchrodingerSolution
 
 
 # ---------------------------------------------------------------------------
-# stability of plans and costs (Schrödinger form)
+# the one stability bound: head + scale·Σ factor·‖Δ‖_{Ḣ⁻¹} over 4 marginals
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StabilityIngredients:
-    """Everything the stability right-hand sides need for one solution pair."""
-
-    e_factor: float
-    hsym_mu: float            # H^sym(μ, μ̄)
-    hsym_nu: float            # H^sym(ν, ν̄)
-    ct_a: float
-    ct_b: float
-    st_a: float
-    st_b: float
-    h_mu_a: float
-    h_nu_a: float
-    h_mu_b: float
-    h_nu_b: float
-    norm_mu: float            # ‖μ - μ̄‖_{Ḣ^{-1}(μ)}
-    norm_nu: float
-    norm_mu_bar: float        # ‖μ̄ - μ‖_{Ḣ^{-1}(μ̄)}
-    norm_nu_bar: float
-    fisher_mu: float
-    fisher_nu: float
-    fisher_mu_bar: float
-    fisher_nu_bar: float
-
-
-def _compatible_pair(sol_a: SchrodingerSolution, sol_b: SchrodingerSolution):
-    ka, kb = sol_a.kernel, sol_b.kernel
-    if not (ka.grid.same_as(kb.grid) and ka.T == kb.T
-            and ka.kappa == kb.kappa):
-        raise ValueError("stability checks need two solutions of the same "
-                         "kernel on the same grid")
+_SIDES = ("mu", "nu", "mu_bar", "nu_bar")
 
 
 def _marginal_terms(mu: DiscreteMeasure, nu: DiscreteMeasure,
                     mu_b: DiscreteMeasure, nu_b: DiscreteMeasure
                     ) -> dict[str, float]:
     """H^sym(μ, μ̄), H^sym(ν, ν̄) and the four weighted Ḣ⁻¹ norms of the
-    marginal changes, shared by the SP and the EOT stability checks."""
+    marginal changes (‖μ - μ̄‖_{Ḣ⁻¹(μ)}, ..., ‖ν̄ - ν‖_{Ḣ⁻¹(ν̄)}), shared by
+    the SP and the EOT stability checks."""
     return {
         "hsym_mu": symmetric_entropy(mu, mu_b),
         "hsym_nu": symmetric_entropy(nu, nu_b),
@@ -156,126 +127,89 @@ def _marginal_terms(mu: DiscreteMeasure, nu: DiscreteMeasure,
     }
 
 
-def stability_ingredients(sol_a: SchrodingerSolution,
-                          sol_b: SchrodingerSolution) -> StabilityIngredients:
-    _compatible_pair(sol_a, sol_b)
+def _bound(label: str, head: dict[str, float], factor: dict[str, float],
+           terms: dict[str, float], scale: float) -> float:
+    """Σ head + scale·Σ_k factor[k]·terms["norm_k"] over the four marginals
+    k, assembled as one factored expression and as an fsum of named terms
+    with the scale folded into each; `cross_check_rhs` compares the two."""
+    norms = {k: terms["norm_" + k] for k in _SIDES}
+    rhs = sum(head.values()) + scale * sum(_term(factor[k], norms[k])
+                                           for k in _SIDES)
+    return cross_check_rhs(rhs, dict(head, **{
+        k + "_term": _term(scale * factor[k], norms[k]) for k in _SIDES}),
+        label)
+
+
+# ---------------------------------------------------------------------------
+# stability of plans and costs (Schrödinger form)
+# ---------------------------------------------------------------------------
+
+def _sp_pair(sol_a: SchrodingerSolution, sol_b: SchrodingerSolution):
+    """(marginal terms, the four √(C_T - H(·|m)) roots clamped at zero, the
+    four Fisher informations, E_{2κ}(T)) of two converged solutions of one
+    kernel."""
+    ka, kb = sol_a.kernel, sol_b.kernel
+    if not (ka.grid.same_as(kb.grid) and ka.T == kb.T
+            and ka.kappa == kb.kappa):
+        raise ValueError("stability checks need two solutions of the same "
+                         "kernel on the same grid")
     require_converged(sol_a)
     require_converged(sol_b)
-    ref = sol_a.reference
-    mu, nu = sol_a.mu, sol_a.nu
-    mu_b, nu_b = sol_b.mu, sol_b.nu
-    return StabilityIngredients(
-        e_factor=curvature_factor(sol_a.kernel.kappa, sol_a.T),
-        ct_a=sol_a.entropic_cost(), ct_b=sol_b.entropic_cost(),
-        st_a=sol_a.schrodinger_cost(), st_b=sol_b.schrodinger_cost(),
-        h_mu_a=sol_a.h_mu, h_nu_a=sol_a.h_nu,
-        h_mu_b=sol_b.h_mu, h_nu_b=sol_b.h_nu,
-        fisher_mu=fisher_information(mu, ref),
-        fisher_nu=fisher_information(nu, ref),
-        fisher_mu_bar=fisher_information(mu_b, ref),
-        fisher_nu_bar=fisher_information(nu_b, ref),
-        **_marginal_terms(mu, nu, mu_b, nu_b))
+    ct_a, ct_b = sol_a.entropic_cost(), sol_b.entropic_cost()
+    sides = {"mu": (ct_a, sol_a.h_mu, sol_a.mu),
+             "nu": (ct_a, sol_a.h_nu, sol_a.nu),
+             "mu_bar": (ct_b, sol_b.h_mu, sol_b.mu),
+             "nu_bar": (ct_b, sol_b.h_nu, sol_b.nu)}
+    fisher = {"fisher_" + k: fisher_information(m, sol_a.reference)
+              for k, (_, _, m) in sides.items()}
+    terms = _marginal_terms(sol_a.mu, sol_a.nu, sol_b.mu, sol_b.nu)
+    roots = {k: sqrt_clamped(ct - h, f"C_T - H({k}|m)")
+             for k, (ct, h, _) in sides.items()}
+    return terms, roots, fisher, curvature_factor(ka.kappa, sol_a.T)
 
 
-def _corrector_roots(ing: StabilityIngredients) -> dict[str, float]:
-    """The four √(C_T - H(·|m)) factors, clamped at zero."""
-    return {
-        "mu": sqrt_clamped(ing.ct_a - ing.h_mu_a, "C_T - H(mu|m)"),
-        "nu": sqrt_clamped(ing.ct_a - ing.h_nu_a, "C_T - H(nu|m)"),
-        "mu_bar": sqrt_clamped(ing.ct_b - ing.h_mu_b, "C_T - H(mu_bar|m)"),
-        "nu_bar": sqrt_clamped(ing.ct_b - ing.h_nu_b, "C_T - H(nu_bar|m)"),
-    }
-
-
-def _fisher_rhs(ing: StabilityIngredients, roots: dict[str, float],
-                label: str) -> float:
-    """Σ (√I + √(C_T - H)) · ‖·‖_{Ḣ⁻¹} / √E over the four marginals: the
-    Fisher-form bound shared by the plan and the C_T stability checks."""
-    se = math.sqrt(ing.e_factor)
-    fr = {k: math.sqrt(v) for k, v in (
-        ("mu", ing.fisher_mu), ("nu", ing.fisher_nu),
-        ("mu_bar", ing.fisher_mu_bar), ("nu_bar", ing.fisher_nu_bar))}
-    rhs = (_term(fr["mu"] + roots["mu"], ing.norm_mu)
-           + _term(fr["mu_bar"] + roots["mu_bar"], ing.norm_mu_bar)
-           + _term(fr["nu"] + roots["nu"], ing.norm_nu)
-           + _term(fr["nu_bar"] + roots["nu_bar"], ing.norm_nu_bar)) / se
-    return cross_check_rhs(rhs, {
-        "mu_term": _term((fr["mu"] + roots["mu"]) / se, ing.norm_mu),
-        "mu_bar_term": _term((fr["mu_bar"] + roots["mu_bar"]) / se,
-                             ing.norm_mu_bar),
-        "nu_term": _term((fr["nu"] + roots["nu"]) / se, ing.norm_nu),
-        "nu_bar_term": _term((fr["nu_bar"] + roots["nu_bar"]) / se,
-                             ing.norm_nu_bar),
-    }, label)
+def _fisher_factor(roots: dict[str, float], fisher: dict[str, float]
+                   ) -> dict[str, float]:
+    """√I + √(C_T - H): the per-marginal factor of the Fisher forms."""
+    return {k: math.sqrt(fisher["fisher_" + k]) + roots[k] for k in _SIDES}
 
 
 def plan_stability_check(sol_a: SchrodingerSolution,
                          sol_b: SchrodingerSolution
                          ) -> tuple[InequalityReport, InequalityReport]:
     """H^sym of the two bridge plans against the two stability bounds."""
-    ing = stability_ingredients(sol_a, sol_b)
-    se = math.sqrt(ing.e_factor)
-    roots = _corrector_roots(ing)
+    terms, roots, fisher, e_factor = _sp_pair(sol_a, sol_b)
+    scale = 1.0 / math.sqrt(e_factor)
     lhs = plan_symmetric_entropy(sol_a.log_plan(), sol_b.log_plan())
-
-    rhs_plain = ing.hsym_mu + ing.hsym_nu + (
-        _term(roots["mu"], ing.norm_mu) + _term(roots["nu"], ing.norm_nu)
-        + _term(roots["mu_bar"], ing.norm_mu_bar)
-        + _term(roots["nu_bar"], ing.norm_nu_bar)) / se
-    rhs_plain = cross_check_rhs(rhs_plain, {
-        "hsym_mu": ing.hsym_mu,
-        "hsym_nu": ing.hsym_nu,
-        "mu_term": _term(roots["mu"] / se, ing.norm_mu),
-        "nu_term": _term(roots["nu"] / se, ing.norm_nu),
-        "mu_bar_term": _term(roots["mu_bar"] / se, ing.norm_mu_bar),
-        "nu_bar_term": _term(roots["nu_bar"] / se, ing.norm_nu_bar),
-    }, "stab_plans")
-
-    rhs_fisher = _fisher_rhs(ing, roots, "stab_plans_fisher")
-
-    extras = {"hsym_plans": lhs, "hsym_mu": ing.hsym_mu,
-              "hsym_nu": ing.hsym_nu, "norm_mu": ing.norm_mu,
-              "norm_nu": ing.norm_nu, "norm_mu_bar": ing.norm_mu_bar,
-              "norm_nu_bar": ing.norm_nu_bar, "e_factor": ing.e_factor}
+    hsym = {k: terms[k] for k in ("hsym_mu", "hsym_nu")}
+    rhs_plain = _bound("stab_plans", hsym, roots, terms, scale)
+    rhs_fisher = _bound("stab_plans_fisher", {},
+                        _fisher_factor(roots, fisher), terms, scale)
+    extras = dict(terms, hsym_plans=lhs, e_factor=e_factor)
     return (make_report("stab_plans", lhs, rhs_plain, extras=extras),
             make_report("stab_plans_fisher", lhs, rhs_fisher,
-                        extras=dict(extras,
-                                    fisher_mu=ing.fisher_mu,
-                                    fisher_nu=ing.fisher_nu,
-                                    fisher_mu_bar=ing.fisher_mu_bar,
-                                    fisher_nu_bar=ing.fisher_nu_bar)))
+                        extras=dict(extras, **fisher)))
 
 
 def cost_stability_check(sol_a: SchrodingerSolution,
                          sol_b: SchrodingerSolution
                          ) -> tuple[InequalityReport, InequalityReport]:
     """|ΔS_T| and |ΔC_T| against their stability bounds."""
-    ing = stability_ingredients(sol_a, sol_b)
+    terms, roots, fisher, e_factor = _sp_pair(sol_a, sol_b)
     T = sol_a.T
-    se = math.sqrt(ing.e_factor)
-    roots = _corrector_roots(ing)
-
-    lhs_st = abs(ing.st_b - ing.st_a)
-    rhs_st = T * min(ing.hsym_mu, ing.hsym_nu) + (T / se) * (
-        _term(roots["mu"], ing.norm_mu) + _term(roots["nu"], ing.norm_nu)
-        + _term(roots["mu_bar"], ing.norm_mu_bar)
-        + _term(roots["nu_bar"], ing.norm_nu_bar))
-    rhs_st = cross_check_rhs(rhs_st, {
-        "hsym_min": T * min(ing.hsym_mu, ing.hsym_nu),
-        "mu_term": _term(T * roots["mu"] / se, ing.norm_mu),
-        "nu_term": _term(T * roots["nu"] / se, ing.norm_nu),
-        "mu_bar_term": _term(T * roots["mu_bar"] / se, ing.norm_mu_bar),
-        "nu_bar_term": _term(T * roots["nu_bar"] / se, ing.norm_nu_bar),
-    }, "stab_cost")
-
-    lhs_ct = abs(ing.ct_b - ing.ct_a)
-    rhs_ct = _fisher_rhs(ing, roots, "stab_cost_fisher")
-
-    extras = {"st_a": ing.st_a, "st_b": ing.st_b,
-              "ct_a": ing.ct_a, "ct_b": ing.ct_b,
-              "e_factor": ing.e_factor, "T": T}
-    return (make_report("stab_cost", lhs_st, rhs_st, extras=extras),
-            make_report("stab_cost_fisher", lhs_ct, rhs_ct, extras=extras))
+    scale = 1.0 / math.sqrt(e_factor)
+    st_a, st_b = sol_a.schrodinger_cost(), sol_b.schrodinger_cost()
+    ct_a, ct_b = sol_a.entropic_cost(), sol_b.entropic_cost()
+    rhs_st = _bound("stab_cost",
+                    {"hsym_min": T * min(terms["hsym_mu"], terms["hsym_nu"])},
+                    roots, terms, T * scale)
+    rhs_ct = _bound("stab_cost_fisher", {}, _fisher_factor(roots, fisher),
+                    terms, scale)
+    extras = {"st_a": st_a, "st_b": st_b, "ct_a": ct_a, "ct_b": ct_b,
+              "e_factor": e_factor, "T": T}
+    return (make_report("stab_cost", abs(st_b - st_a), rhs_st, extras=extras),
+            make_report("stab_cost_fisher", abs(ct_b - ct_a), rhs_ct,
+                        extras=extras))
 
 
 # ---------------------------------------------------------------------------
@@ -301,53 +235,31 @@ def quadratic_eot_stability_check(eot_a: EOTSolution, eot_b: EOTSolution
     d = eot_a.mu.grid.ndim
     c_eps = 0.5 * d * eps * math.log(4.0 * math.pi * eps)
     leb = ReferenceMeasure.lebesgue(eot_a.mu.grid)
-
-    mu, nu = eot_a.mu, eot_a.nu
-    mu_b, nu_b = eot_b.mu, eot_b.nu
-    terms = _marginal_terms(mu, nu, mu_b, nu_b)
-    hsym_mu, hsym_nu = terms["hsym_mu"], terms["hsym_nu"]
-    n_mu, n_nu = terms["norm_mu"], terms["norm_nu"]
-    n_mu_bar, n_nu_bar = terms["norm_mu_bar"], terms["norm_nu_bar"]
-
     s_a, s_b = eot_a.cost, eot_b.cost
     guard = 1e-8 * max(1.0, abs(s_a), abs(s_b), abs(c_eps))
-    root = {
-        # crossed pairing: the μ-norm factor carries H(ν|Leb)
-        "mu": sqrt_clamped(s_a + eps * relative_entropy(nu, leb) + c_eps,
-                           "S + eps*H(nu|Leb) + C_eps", guard),
-        "nu": sqrt_clamped(s_a + eps * relative_entropy(mu, leb) + c_eps,
-                           "S + eps*H(mu|Leb) + C_eps", guard),
-        "mu_bar": sqrt_clamped(s_b + eps * relative_entropy(nu_b, leb) + c_eps,
-                               "S_bar + eps*H(nu_bar|Leb) + C_eps", guard),
-        "nu_bar": sqrt_clamped(s_b + eps * relative_entropy(mu_b, leb) + c_eps,
-                               "S_bar + eps*H(mu_bar|Leb) + C_eps", guard),
-    }
-    bracket = 2.0 * (_term(root["mu"], n_mu) + _term(root["nu"], n_nu)) \
-        + 2.0 * (_term(root["mu_bar"], n_mu_bar)
-                 + _term(root["nu_bar"], n_nu_bar))
-    bracket_terms = {
-        "mu_term": _term(2.0 * root["mu"], n_mu),
-        "nu_term": _term(2.0 * root["nu"], n_nu),
-        "mu_bar_term": _term(2.0 * root["mu_bar"], n_mu_bar),
-        "nu_bar_term": _term(2.0 * root["nu_bar"], n_nu_bar),
-    }
+    terms = _marginal_terms(eot_a.mu, eot_a.nu, eot_b.mu, eot_b.nu)
 
-    lhs_cost = abs(s_b - s_a)
-    rhs_cost = eps * min(hsym_mu, hsym_nu) + bracket
-    rhs_cost = cross_check_rhs(
-        rhs_cost, dict(bracket_terms,
-                       hsym_min=eps * min(hsym_mu, hsym_nu)),
-        "eot_cost_stab")
+    # crossed pairing: the root of side k carries the entropy of side k_x
+    roots = {}
+    for k, s, S, k_x, m_x in (("mu", s_a, "S", "nu", eot_a.nu),
+                              ("nu", s_a, "S", "mu", eot_a.mu),
+                              ("mu_bar", s_b, "S_bar", "nu_bar", eot_b.nu),
+                              ("nu_bar", s_b, "S_bar", "mu_bar", eot_b.mu)):
+        roots[k] = sqrt_clamped(s + eps * relative_entropy(m_x, leb) + c_eps,
+                                f"{S} + eps*H({k_x}|Leb) + C_eps", guard)
 
+    hsym_mu, hsym_nu = terms["hsym_mu"], terms["hsym_nu"]
+    rhs_cost = _bound("eot_cost_stab",
+                      {"hsym_min": eps * min(hsym_mu, hsym_nu)},
+                      roots, terms, 2.0)
     lhs_plan = eps * plan_symmetric_entropy(eot_a.log_plan(),
                                             eot_b.log_plan())
-    rhs_plan = eps * hsym_mu + eps * hsym_nu + bracket
-    rhs_plan = cross_check_rhs(
-        rhs_plan, dict(bracket_terms,
-                       hsym_mu=eps * hsym_mu, hsym_nu=eps * hsym_nu),
-        "eot_plan_stab")
+    rhs_plan = _bound("eot_plan_stab", {"hsym_mu": eps * hsym_mu,
+                                        "hsym_nu": eps * hsym_nu},
+                      roots, terms, 2.0)
 
     extras = {"epsilon": eps, "c_eps": c_eps, "cost_a": s_a, "cost_b": s_b,
               **terms}
-    return (make_report("eot_cost_stab", lhs_cost, rhs_cost, extras=extras),
+    return (make_report("eot_cost_stab", abs(s_b - s_a), rhs_cost,
+                        extras=extras),
             make_report("eot_plan_stab", lhs_plan, rhs_plan, extras=extras))

@@ -504,6 +504,11 @@ _MESSAGES = [
     ("sobolev", {"solver": "fast"}, ["solver: mapping expected"]),
     # YAML booleans are ints to Python; a count or seed must refuse them
     ("solve", {"seed": True}, ["seed: integer required"]),
+    # a seeded scenario names a bad seed once; "mandatory" means missing
+    ("stability", {"seed": "abc"}, ["seed: integer required"]),
+    ("stability", {"seed": True}, ["seed: integer required"]),
+    ("sobolev", {"seed": _DROP},
+     ["seed: integer seed is mandatory for randomized scenario 'sobolev'"]),
 ]
 
 
@@ -569,6 +574,9 @@ _DATA_ERRORS = [
     ("solve", {"solver": {"max_iter": True}}, "solver.max_iter"),
     ("corrector", {"corrector.n_pairs": True}, "corrector.n_pairs"),
     ("stability", {"perturbation.n_seeds": True}, "perturbation.n_seeds"),
+    # a bare fractional 1D shape used to run on int(shape) cells
+    ("solve", {"grid.shape": 32.5},
+     "grid.shape: list of integers >= 2 required"),
 ]
 
 

@@ -253,3 +253,160 @@ def test_stability_rejects_mismatched_kernels(grid128, gauss_pair):
     sol_b = bs.solve(mu, nu, k2)
     with pytest.raises(ValueError):
         bs.plan_stability_check(sol_a, sol_b)
+
+
+# ---------------------------------------------------------------------------
+# each stability rhs against its displayed formula, written out by hand
+# ---------------------------------------------------------------------------
+
+_SP_EXTRAS = {"hsym_plans", "hsym_mu", "hsym_nu", "norm_mu", "norm_nu",
+              "norm_mu_bar", "norm_nu_bar", "e_factor"}
+_EXTRAS = {
+    "stab_plans": _SP_EXTRAS,
+    "stab_plans_fisher": _SP_EXTRAS | {"fisher_mu", "fisher_nu",
+                                       "fisher_mu_bar", "fisher_nu_bar"},
+    "stab_cost": {"st_a", "st_b", "ct_a", "ct_b", "e_factor", "T"},
+    "stab_cost_fisher": {"st_a", "st_b", "ct_a", "ct_b", "e_factor", "T"},
+    "eot_cost_stab": {"epsilon", "c_eps", "cost_a", "cost_b", "hsym_mu",
+                      "hsym_nu", "norm_mu", "norm_nu", "norm_mu_bar",
+                      "norm_nu_bar"},
+}
+_EXTRAS["eot_plan_stab"] = _EXTRAS["eot_cost_stab"]
+
+
+def _norms(mu, nu, mu_b, nu_b):
+    """‖μ-μ̄‖_{Ḣ⁻¹(μ)}, ‖ν-ν̄‖_{Ḣ⁻¹(ν)}, ‖μ̄-μ‖_{Ḣ⁻¹(μ̄)}, ‖ν̄-ν‖_{Ḣ⁻¹(ν̄)}."""
+    return (bs.h_minus_one_norm(bs.difference(mu, mu_b), mu),
+            bs.h_minus_one_norm(bs.difference(nu, nu_b), nu),
+            bs.h_minus_one_norm(bs.difference(mu_b, mu), mu_b),
+            bs.h_minus_one_norm(bs.difference(nu_b, nu), nu_b))
+
+
+def _sp_reports(a, b):
+    return {r.name: r for r in (*bs.plan_stability_check(a, b),
+                                *bs.cost_stability_check(a, b))}
+
+
+def _eot_reports(a, b):
+    return {r.name: r for r in bs.quadratic_eot_stability_check(a, b)}
+
+
+def _sp_formulas(a, b):
+    """The four SP right-hand sides with E = E_{2κ}(T), r = √(C_T - H(·|m)):
+    H^sym(μ,μ̄) + H^sym(ν,ν̄) + Σ r·‖Δ‖ / √E, Σ (√I + r)·‖Δ‖ / √E and
+    T·min(H^sym(μ,μ̄), H^sym(ν,ν̄)) + (T/√E)·Σ r·‖Δ‖."""
+    se = math.sqrt(bs.curvature_factor(a.kernel.kappa, a.T))
+    n_mu, n_nu, n_mub, n_nub = _norms(a.mu, a.nu, b.mu, b.nu)
+    r_mu = math.sqrt(a.entropic_cost() - a.h_mu)
+    r_nu = math.sqrt(a.entropic_cost() - a.h_nu)
+    r_mub = math.sqrt(b.entropic_cost() - b.h_mu)
+    r_nub = math.sqrt(b.entropic_cost() - b.h_nu)
+    ref = a.reference
+    f_mu = math.sqrt(bs.fisher_information(a.mu, ref))
+    f_nu = math.sqrt(bs.fisher_information(a.nu, ref))
+    f_mub = math.sqrt(bs.fisher_information(b.mu, ref))
+    f_nub = math.sqrt(bs.fisher_information(b.nu, ref))
+    hs_mu = bs.symmetric_entropy(a.mu, b.mu)
+    hs_nu = bs.symmetric_entropy(a.nu, b.nu)
+    plain = r_mu * n_mu + r_nu * n_nu + r_mub * n_mub + r_nub * n_nub
+    fisher = ((f_mu + r_mu) * n_mu + (f_nu + r_nu) * n_nu
+              + (f_mub + r_mub) * n_mub + (f_nub + r_nub) * n_nub) / se
+    return {"stab_plans": hs_mu + hs_nu + plain / se,
+            "stab_plans_fisher": fisher,
+            "stab_cost": a.T * min(hs_mu, hs_nu) + a.T / se * plain,
+            "stab_cost_fisher": fisher}
+
+
+def _eot_formulas(a, b):
+    """The two EOT right-hand sides with C_ε = (dε/2)·log(4πε) and crossed
+    roots ρ_μ = √(S + εH(ν|Leb) + C_ε), ..., ρ_ν̄ = √(S̄ + εH(μ̄|Leb) + C_ε):
+    ε·min(H^sym(μ,μ̄), H^sym(ν,ν̄)) + 2Σ ρ·‖Δ‖ and
+    ε·(H^sym(μ,μ̄) + H^sym(ν,ν̄)) + 2Σ ρ·‖Δ‖."""
+    eps = a.epsilon
+    c_eps = 0.5 * a.mu.grid.ndim * eps * math.log(4.0 * math.pi * eps)
+    leb = bs.ReferenceMeasure.lebesgue(a.mu.grid)
+    n_mu, n_nu, n_mub, n_nub = _norms(a.mu, a.nu, b.mu, b.nu)
+    p_mu = math.sqrt(a.cost + eps * bs.relative_entropy(a.nu, leb) + c_eps)
+    p_nu = math.sqrt(a.cost + eps * bs.relative_entropy(a.mu, leb) + c_eps)
+    p_mub = math.sqrt(b.cost + eps * bs.relative_entropy(b.nu, leb) + c_eps)
+    p_nub = math.sqrt(b.cost + eps * bs.relative_entropy(b.mu, leb) + c_eps)
+    hs_mu = bs.symmetric_entropy(a.mu, b.mu)
+    hs_nu = bs.symmetric_entropy(a.nu, b.nu)
+    bracket = 2.0 * (p_mu * n_mu + p_nu * n_nu + p_mub * n_mub
+                     + p_nub * n_nub)
+    return {"eot_cost_stab": eps * min(hs_mu, hs_nu) + bracket,
+            "eot_plan_stab": eps * (hs_mu + hs_nu) + bracket}
+
+
+def _assert_rhs(reports, formulas):
+    assert set(reports) == set(formulas)
+    for name, rep in reports.items():
+        assert set(rep.extras) == _EXTRAS[name], name
+        assert rep.rhs == pytest.approx(formulas[name], rel=1e-13, abs=0.0), \
+            name
+        assert rep.passed and not rep.vacuous, name
+
+
+def test_stability_rhs_match_displayed_formulas(grid128, gauss_pair,
+                                                ou_kernel, ou_sol):
+    mu, nu = gauss_pair
+    other = perturbed_pair(grid128, mu, nu, ou_kernel, 0.15, 4)
+    _assert_rhs(_sp_reports(ou_sol, other), _sp_formulas(ou_sol, other))
+    a = bs.eot_quadratic_direct(mu, nu, 0.5)
+    b = bs.eot_quadratic_direct(other.mu, other.nu, 0.5)
+    _assert_rhs(_eot_reports(a, b), _eot_formulas(a, b))
+
+
+def test_stability_rhs_drop_an_unchanged_marginal(grid128, gauss_pair,
+                                                  ou_kernel, ou_sol):
+    # ν̄ = ν: H^sym(ν, ν̄) and both ν norms vanish, so only the μ terms stay
+    mu, nu = gauss_pair
+    rng = np.random.default_rng(8)
+    mu_b = bs.perturbed_measure(
+        mu, bs.smooth_zero_mean_field(grid128, mu, rng), 0.15)
+    sp_b = bs.solve(mu_b, nu, ou_kernel)
+    a = bs.eot_quadratic_direct(mu, nu, 0.5)
+    b = bs.eot_quadratic_direct(mu_b, nu, 0.5)
+    reports = {**_sp_reports(ou_sol, sp_b), **_eot_reports(a, b)}
+    for rep in reports.values():
+        for key in ("hsym_nu", "norm_nu", "norm_nu_bar"):
+            assert rep.extras.get(key, 0.0) == 0.0, (rep.name, key)
+
+    se = math.sqrt(bs.curvature_factor(ou_kernel.kappa, ou_sol.T))
+    n_mu, _, n_mub, _ = _norms(mu, nu, mu_b, nu)
+    r_mu = math.sqrt(ou_sol.entropic_cost() - ou_sol.h_mu)
+    r_mub = math.sqrt(sp_b.entropic_cost() - sp_b.h_mu)
+    f_mu = math.sqrt(bs.fisher_information(mu, ou_sol.reference))
+    f_mub = math.sqrt(bs.fisher_information(mu_b, ou_sol.reference))
+    hs_mu = bs.symmetric_entropy(mu, mu_b)
+    fisher = ((f_mu + r_mu) * n_mu + (f_mub + r_mub) * n_mub) / se
+    eps = 0.5
+    c_eps = 0.5 * eps * math.log(4.0 * math.pi * eps)
+    leb = bs.ReferenceMeasure.lebesgue(grid128)
+    # crossed: the μ norms carry H(ν|Leb), which ν̄ = ν shares
+    p_mu = math.sqrt(a.cost + eps * bs.relative_entropy(nu, leb) + c_eps)
+    p_mub = math.sqrt(b.cost + eps * bs.relative_entropy(nu, leb) + c_eps)
+    bracket = 2.0 * (p_mu * n_mu + p_mub * n_mub)
+    _assert_rhs(reports, {
+        "stab_plans": hs_mu + (r_mu * n_mu + r_mub * n_mub) / se,
+        "stab_plans_fisher": fisher,
+        "stab_cost": ou_sol.T / se * (r_mu * n_mu + r_mub * n_mub),
+        "stab_cost_fisher": fisher,
+        "eot_cost_stab": bracket,
+        "eot_plan_stab": eps * hs_mu + bracket})
+
+
+def test_stability_rhs_infinite_on_disjoint_supports(grid128, ou_kernel):
+    mu = bs.uniform_measure(grid128, [-2.0], [-1.0])
+    nu = bs.uniform_measure(grid128, [1.0], [2.0])
+    mu_far = bs.uniform_measure(grid128, [-4.0], [-3.0])
+    reports = {
+        **_sp_reports(bs.solve(mu, nu, ou_kernel),
+                      bs.solve(mu_far, nu, ou_kernel)),
+        **_eot_reports(bs.eot_quadratic_direct(mu, nu, 0.5),
+                       bs.eot_quadratic_direct(mu_far, nu, 0.5))}
+    assert len(reports) == 6
+    for name, rep in reports.items():
+        assert set(rep.extras) == _EXTRAS[name], name
+        assert rep.rhs == math.inf, name
+        assert rep.vacuous and rep.passed, name
