@@ -32,8 +32,9 @@ from .measures import (DiscreteMeasure, ReferenceMeasure, difference,
                        fisher_information, gradient_energy, relative_entropy,
                        symmetric_entropy)
 from .reports import InequalityReport, cross_check_rhs, make_report
-from .schrodinger import (EOTSolution, SchrodingerSolution,
-                          plan_symmetric_entropy, require_converged)
+from .schrodinger import (EOTSolution, InfeasibleProblem,
+                          SchrodingerSolution, plan_symmetric_entropy,
+                          require_converged)
 from .sobolev import h_minus_one_norm
 
 __all__ = [
@@ -43,9 +44,15 @@ __all__ = [
 
 
 def sqrt_clamped(value: float, label: str, guard: float = 1e-8) -> float:
-    """√value with tiny negative values (discretization fuzz) clamped to 0."""
+    """√value with tiny negative values (discretization fuzz) clamped to 0.
+
+    A value below -guard means that the discrete problem breaks the
+    premise of the estimate (a coarse grid or a loose solve can give
+    C_T < H(ν|m)), and raises `InfeasibleProblem` naming the quantity.
+    """
     if value < -guard:
-        raise ValueError(f"{label} is negative beyond tolerance: {value!r}")
+        raise InfeasibleProblem(
+            f"{label} is negative beyond tolerance: {value!r}")
     return math.sqrt(max(value, 0.0))
 
 

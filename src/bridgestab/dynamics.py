@@ -11,7 +11,10 @@ are ρ_t = P_t e^φ · P_{T-t} e^ψ · m.  This module computes them and checks:
 * convergence of the Schrödinger map  Id - 2T∇φ^T  to the monotone
   (Brenier) rearrangement as T ↓ 0, in L²(μ) on the line.
 
-Time slices come from `SchrodingerSolution.log_slices`, once per solution.
+Each check asks `SchrodingerSolution.log_slices` for its time mesh in runs
+of rows of at most 2^20 entries (`stack_runs`: one run for 64 times up to
+128×128 cells), α(t) is computed for all new times of a run together, and
+it is memoized per t on the solution, so the checks share slices and α.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import GibbsKernel
-from .measures import (MASS_FLOOR, DiscreteMeasure, Grid, gradient_energy,
+from .measures import (MASS_FLOOR, DiscreteMeasure, Grid, grad_sq_norm,
                        masked_gradient)
 from .reports import InequalityReport, make_equality_report, make_report
-from .schrodinger import SchrodingerSolution, require_converged, solve
+from .schrodinger import (SchrodingerSolution, require_converged, solve,
+                          stack_runs)
 from .sobolev import w2_atoms, wasserstein2_1d
 
 
@@ -51,7 +55,8 @@ class EntropicInterpolation:
 
 
 def _density_weights(sol, lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
-    """Cell weights of ρ_t = e^{lp + lq}·m (0 where a slice is -inf)."""
+    """Cell weights of ρ_t = e^{lp + lq}·m (0 where a slice is -inf), one
+    row per row of the slice stacks."""
     return np.exp(lp + lq + sol.reference.log_mass())
 
 
@@ -62,8 +67,9 @@ def interpolate(sol: SchrodingerSolution,
     if n_times < 2:
         raise ValueError("need at least two time slices")
     times = np.linspace(0.0, sol.T, n_times)
-    dens = np.array([_density_weights(sol, *sol.log_slices(t))
-                     for t in times])
+    dens = np.empty((n_times, sol.mu.grid.n_cells))
+    for run in stack_runs(n_times, sol.mu.grid.n_cells):
+        dens[run] = _density_weights(sol, *sol.log_slices(times[run]))
     return EntropicInterpolation(grid=sol.mu.grid, times=times,
                                  densities=dens, masses=dens.sum(axis=1))
 
@@ -76,13 +82,25 @@ _IDENTITY_REL_TOL = 0.02     # relative gate of C_T = H(ν|m) + ∫α dt
 _DECAY_REL_JITTER = 1e-3     # decay violation allowed, per max α
 
 
-def _alpha_at(sol: SchrodingerSolution, t: float) -> float:
-    """α(t) = ∫ |∇ log P_t e^φ|² dρ_t (ρ_T = ν by the marginal constraint)."""
-    lp, lq = sol.log_slices(t)
-    if t == sol.T:
-        return gradient_energy(lp, sol.mu.grid, sol.nu.weights)
-    w = _density_weights(sol, lp, lq)
-    return gradient_energy(lp, sol.mu.grid, w, floor=MASS_FLOOR)
+def _alphas(sol: SchrodingerSolution, times) -> np.ndarray:
+    """α(t) = ∫ |∇ log P_t e^φ|² dρ_t at each t (ρ_T = ν by the marginal
+    constraint), memoized per t on the solution.  The new times go in the
+    runs of `stack_runs`, and each run shares one stack of slices, density
+    weights and gradients; each α is one dot product of its row."""
+    ts = [float(t) for t in times]
+    new = [t for t in dict.fromkeys(ts) if t not in sol._alphas]
+    for run in stack_runs(len(new), sol.mu.grid.n_cells):
+        part = new[run]
+        lp, lq = sol.log_slices(part)
+        w = _density_weights(sol, lp, lq)
+        floor = np.full((len(part), 1), MASS_FLOOR)
+        if sol.T in part:
+            k = part.index(sol.T)
+            w[k], floor[k] = sol.nu.weights, 0.0
+        g = grad_sq_norm(lp, sol.mu.grid, w > floor)
+        sol._alphas.update((t, float(w[k] @ g[k]))
+                           for k, t in enumerate(part))
+    return np.array([sol._alphas[t] for t in ts])
 
 
 def dynamic_cost_check(sol: SchrodingerSolution, n_slices: int = 64
@@ -95,9 +113,8 @@ def dynamic_cost_check(sol: SchrodingerSolution, n_slices: int = 64
     mids = (np.arange(n_slices) + 0.5) * (T / n_slices)
     rows = []
     total = 0.0
-    for t in mids:
-        a = _alpha_at(sol, float(t))
-        rows.append({"t": float(t), "alpha": a})
+    for t, a in zip(mids.tolist(), _alphas(sol, mids).tolist()):
+        rows.append({"t": t, "alpha": a})
         total += a
     integral = (T / n_slices) * total
     lhs = sol.entropic_cost()
@@ -125,7 +142,7 @@ def gronwall_decay_check(sol: SchrodingerSolution, n_times: int = 16
     kappa = sol.kernel.kappa
     T = sol.T
     times = np.linspace(0.0, T, n_times + 1)[1:]  # (0, T] mesh, endpoint T
-    alphas = np.array([_alpha_at(sol, float(t)) for t in times])
+    alphas = _alphas(sol, times)
     alpha_T = alphas[-1]
 
     # violation of the decay bound against the endpoint

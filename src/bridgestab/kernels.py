@@ -29,6 +29,10 @@ for a subnormal result, where most entries of a steep kernel lie at small
 T.  No output bit moves, since a raised entry is either flushed to 0 later
 or added to a row sum far too large to change.
 
+A kernel can also be a stack of kernels, one per time of a sequence
+(`GibbsKernel.at_time`), with a leading axis on every factor; each of its
+rows is bit-identical to the kernel built at that time alone.
+
 The one exception to the log domain is `AnchoredLSE`, the operator
 behind the Sinkhorn loop.  It maps a compact vector on one support to the
 LSE values on another, with each factor restricted to the projections of
@@ -142,6 +146,19 @@ def _outer_sum(factors: tuple[np.ndarray, ...]) -> np.ndarray:
     return out
 
 
+def _per_time(T, f) -> np.ndarray:
+    """f(t) at a time T, or at each time of a sequence T, shaped to
+    broadcast against one n×n log factor or a stack of them (one kernel per
+    time along the leading axis)."""
+    return np.reshape([f(float(t)) for t in np.ravel(T)],
+                      np.shape(T) + (1, 1))
+
+
+def _times(T) -> float | tuple[float, ...]:
+    """The `GibbsKernel.T` of a time or of a sequence of times."""
+    return float(T) if np.ndim(T) == 0 else tuple(map(float, T))
+
+
 @dataclass(frozen=True)
 class LogKernel:
     """Log Gibbs factor K on a tensor grid, one square log factor per axis.
@@ -156,6 +173,10 @@ class LogKernel:
     goes through `AnchoredLSE`, which anchors by the per-axis `lse_matvec`
     reduction over factors restricted to two supports.  `log_matrix` is a
     dense view for the dense plans and the test oracles.
+
+    A stack of k kernels has factors of shape (k, n_a, n_a); `lse` and
+    the shared exp factors broadcast over that leading axis, and a stacked
+    1D factor is reduced one kernel per `lse_matvec` call.
     """
 
     log_factors: tuple[np.ndarray, ...]
@@ -164,13 +185,16 @@ class LogKernel:
         if len(self.log_factors) not in (1, 2):
             raise ValueError("a kernel has one or two log factors")
         for f in self.log_factors:
-            if f.ndim != 2 or f.shape[0] != f.shape[1]:
-                raise ValueError("log factors must be square matrices")
+            if f.ndim not in (2, 3) or f.shape[-1] != f.shape[-2]:
+                raise ValueError("log factors must be square matrices or "
+                                 "stacks of them")
+        if len({f.shape[:-2] for f in self.log_factors}) != 1:
+            raise ValueError("log factors must stack the same kernels")
 
     @property
     def shape(self) -> tuple[int, ...]:
         """Number of cells along each factor's axis."""
-        return tuple(f.shape[0] for f in self.log_factors)
+        return tuple(f.shape[-1] for f in self.log_factors)
 
     @property
     def log_matrix(self) -> np.ndarray:
@@ -190,9 +214,9 @@ class LogKernel:
         own."""
         out = []
         for F in self.log_factors:
-            r = F.max(axis=1)
+            r = F.max(axis=-1)
             r[np.isneginf(r)] = 0.0
-            E = np.exp(F - r[:, None])
+            E = np.exp(F - r[..., None])
             E[E < math.exp(2.0 * _LOG_SUM_FLOOR)] = 0.0
             out.append((E, r))
         return tuple(out)
@@ -201,14 +225,19 @@ class LogKernel:
         """out_i = LSE_j(K_ij + v_j) over flat cells, one axis at a time
         (last axis first); -inf entries of v carry zero mass.  A single
         factor is reduced by `lse_matvec`; with two, each axis is one matrix
-        product against its shared exp factor (`_lse_shared`)."""
+        product against its shared exp factor (`_lse_shared`).  A stack of
+        kernels maps one flat v to one row per kernel."""
         x = v.reshape(self.shape)
+        F = self.log_factors[0]
         if len(self.log_factors) == 1:
-            return lse_matvec(self.log_factors[0], x)
-        for k in reversed(range(len(self.log_factors))):
+            return lse_matvec(F, x) if F.ndim == 2 \
+                else np.array([lse_matvec(Fk, x) for Fk in F])
+        d = len(self.shape)
+        for k in reversed(range(d)):
+            # grid axes counted from the end: a stack axis comes first
             x = _lse_shared(self.log_factors[k], *self._exp_factors[k],
-                            x.swapaxes(k, -1)).swapaxes(k, -1)
-        return x.reshape(-1)
+                            x.swapaxes(k - d, -1)).swapaxes(k - d, -1)
+        return x.reshape(F.shape[:-2] + (-1,))
 
 
 @dataclass(frozen=True)
@@ -218,12 +247,14 @@ class GibbsKernel(LogKernel):
     ``log_matrix[i, j] = log p_T(x_i, x_j)`` against ``reference``; every
     factor is exactly symmetric by construction.  ``underresolved`` is set
     when the kernel bandwidth sqrt(2T) falls below twice the largest cell
-    width.  κ = 0 is the heat kernel, κ > 0 the OU kernel.
+    width.  κ = 0 is the heat kernel, κ > 0 the OU kernel.  A stack built
+    at a sequence of times has ``T`` the tuple of times and
+    ``underresolved`` set from the smallest.
     """
 
     grid: Grid
     reference: ReferenceMeasure
-    T: float
+    T: float | tuple[float, ...]
     kappa: float = 0.0
     underresolved: bool = False
 
@@ -243,44 +274,47 @@ class GibbsKernel(LogKernel):
         return flag
 
     @staticmethod
-    def heat(grid: Grid, T: float) -> "GibbsKernel":
-        """Heat kernel at time T against the Lebesgue reference."""
-        if T <= 0:
+    def heat(grid: Grid, T) -> "GibbsKernel":
+        """Heat kernel at time T against the Lebesgue reference; a sequence
+        of times gives the stack of their kernels."""
+        if np.any(np.asarray(T) <= 0):
             raise ValueError("kernel needs T > 0")
-        c = -0.5 * math.log(4.0 * math.pi * T)
+        c = _per_time(T, lambda t: -0.5 * math.log(4.0 * math.pi * t))
+        q = _per_time(T, lambda t: 4.0 * t)
         factors = []
         for x in grid.axes:
-            F = _squared_distances(x)
-            F /= 4.0 * T
+            F = _squared_distances(x) / q
             factors.append(np.subtract(c, F, out=F))
         return GibbsKernel(tuple(factors), grid,
-                           ReferenceMeasure.lebesgue(grid), float(T), 0.0,
-                           GibbsKernel._bandwidth_flag(grid, T))
+                           ReferenceMeasure.lebesgue(grid), _times(T), 0.0,
+                           GibbsKernel._bandwidth_flag(grid, np.min(T)))
 
     @staticmethod
-    def ou(grid: Grid, T: float, kappa: float) -> "GibbsKernel":
-        """OU kernel at time T against its stationary Gaussian N(0, I/κ)."""
-        _check_ou(T, kappa)
-        c = -0.5 * math.log(-math.expm1(-2.0 * kappa * T))
-        w = kappa / (2.0 * math.expm1(2.0 * kappa * T))
-        e = 2.0 * math.exp(kappa * T)
+    def ou(grid: Grid, T, kappa: float) -> "GibbsKernel":
+        """OU kernel at time T against its stationary Gaussian N(0, I/κ); a
+        sequence of times gives the stack of their kernels."""
+        for t in np.ravel(T):
+            _check_ou(float(t), kappa)
+        k2 = 2.0 * kappa
+        c = _per_time(T, lambda t: -0.5 * math.log(-math.expm1(-k2 * t)))
+        w = _per_time(T, lambda t: kappa / (2.0 * math.expm1(k2 * t)))
+        e = _per_time(T, lambda t: 2.0 * math.exp(kappa * t))
         factors = []
         for x in grid.axes:
-            # c - w·(x_i² + x_j² - e·x_i·x_j) on two n×n arrays
+            # c - w·(x_i² + x_j² - e·x_i·x_j) on n×n arrays
             sq = x ** 2
-            F = np.add.outer(sq, sq)
-            xx = np.multiply.outer(x, x)
-            xx *= e
-            F -= xx
+            F = np.multiply.outer(x, x) * e
+            np.subtract(np.add.outer(sq, sq), F, out=F)
             F *= w
             factors.append(np.subtract(c, F, out=F))
         return GibbsKernel(tuple(factors), grid,
                            ReferenceMeasure.gaussian(grid, kappa),
-                           float(T), float(kappa),
-                           GibbsKernel._bandwidth_flag(grid, T))
+                           _times(T), float(kappa),
+                           GibbsKernel._bandwidth_flag(grid, np.min(T)))
 
-    def at_time(self, t: float) -> "GibbsKernel":
-        """Same family and grid at a different time."""
+    def at_time(self, t) -> "GibbsKernel":
+        """Same family and grid at a different time, or the stack of
+        kernels at a sequence of times."""
         if self.kappa == 0.0:
             return GibbsKernel.heat(self.grid, t)
         return GibbsKernel.ou(self.grid, t, self.kappa)
@@ -357,16 +391,16 @@ def _lse_shared(F: np.ndarray, E: np.ndarray, r: np.ndarray,
     m = x.max(axis=-1, keepdims=True)
     empty = m == -np.inf
     shift = np.where(empty, 0.0, m)
-    s = np.exp(x - shift) @ E.T
+    s = np.exp(x - shift) @ np.swapaxes(E, -1, -2)
     ok = s >= math.exp(_LOG_SUM_FLOOR)
     out = np.full(s.shape, -np.inf)
     np.log(s, out=out, where=ok)
-    out += r + shift
+    out += np.expand_dims(r, tuple(range(r.ndim - 1, s.ndim - 1))) + shift
     redo = ~(ok | empty)
     if redo.any():
         *b, i = np.nonzero(redo)
-        out[redo] = lse_matvec(np.zeros((1, F.shape[1])),
-                               F[i] + x[tuple(b)])[:, 0]
+        rows = F[(*b[:F.ndim - 2], i)] + np.broadcast_to(x, s.shape)[tuple(b)]
+        out[redo] = lse_matvec(np.zeros((1, F.shape[-1])), rows)[:, 0]
     return out
 
 
@@ -507,7 +541,8 @@ class AnchoredLSE:
 
 def apply_semigroup(kernel: GibbsKernel, log_f: np.ndarray) -> np.ndarray:
     """log(P_T e^f) on the grid against the kernel's reference measure,
-    computed entirely in the log domain.
+    computed entirely in the log domain; a stack of kernels gives one row
+    per kernel time.
 
     Raises if e^f is identically zero (all -inf input).
     """

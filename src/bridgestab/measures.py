@@ -385,13 +385,15 @@ def masked_gradient(values: np.ndarray, grid: Grid,
 
     Central differences where both neighbors are in the mask, one-sided at
     mask boundaries, zero where no in-mask neighbor exists.  Arrays are flat
-    (C order); entries off the mask are zero, and values off the mask never
-    enter the result.
+    (C order), or stacks of flat rows with one mask row per values row;
+    entries off the mask are zero, and values off the mask never enter the
+    result.
     """
-    v = values.reshape(grid.shape)
-    m = mask.reshape(grid.shape)
+    lead = values.shape[:-1]
+    v = values.reshape(lead + grid.shape)
+    m = mask.reshape(lead + grid.shape)
     grads = []
-    for ax, x in enumerate(grid.axes):
+    for ax, x in enumerate(grid.axes, start=-grid.ndim):
         va = np.moveaxis(v, ax, -1)
         ma = np.moveaxis(m, ax, -1)
         e = ma[..., :-1] & ma[..., 1:]  # cells i and i+1 both in the mask
@@ -405,14 +407,15 @@ def masked_gradient(values: np.ndarray, grid: Grid,
         g[..., 1:] = np.where(e, one, g[..., 1:])
         g[..., 1:-1] = np.where(e[..., :-1] & e[..., 1:], cen, g[..., 1:-1])
         np.nan_to_num(g, copy=False, nan=0.0)
-        grads.append(np.moveaxis(g, -1, ax).ravel())
+        grads.append(np.moveaxis(g, -1, ax).reshape(values.shape))
     return grads
 
 
 def grad_sq_norm(values: np.ndarray, grid: Grid,
                  mask: np.ndarray) -> np.ndarray:
-    """|∇values|² per cell on the mask (flat array, zero off the mask)."""
-    out = np.zeros(grid.n_cells)
+    """|∇values|² per cell on the mask (flat, zero off the mask; one row
+    per row of a stack)."""
+    out = np.zeros(values.shape)
     for g in masked_gradient(values, grid, mask):
         out += g ** 2
     return out

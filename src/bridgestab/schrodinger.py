@@ -52,7 +52,9 @@ from .measures import (DiscreteMeasure, Grid, ReferenceMeasure,
 
 
 class InfeasibleProblem(ValueError):
-    """A marginal charges a cell where the reference measure vanishes."""
+    """The problem data admit no solve or no check: a marginal charges a
+    cell where the reference measure vanishes, or a solved problem breaks
+    the premise of an estimate."""
 
 
 class NotConverged(RuntimeError):
@@ -112,11 +114,12 @@ class SchrodingerSolution:
     h_mu: float
     h_nu: float
     omega: float                      # ω of the last iteration (1: plain)
-    # memos of `log_slices` (t -> slice pair, s -> kernel at time s)
-    _slices: dict = field(default_factory=dict, init=False, repr=False,
+    # memos, per kernel time s, of log P_s e^φ and log P_s e^ψ
+    # (`log_slices`), and per t of `dynamics` α(t)
+    _slices: tuple = field(default_factory=lambda: ({}, {}), init=False,
+                           repr=False, compare=False)
+    _alphas: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
-    _kernels: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
 
     @property
     def reference(self) -> ReferenceMeasure:
@@ -140,28 +143,55 @@ class SchrodingerSolution:
         a, b = _integrals(self.phi, self.psi, self.mu, self.nu)
         return a - self.h_mu, b - self.h_nu
 
-    def log_slices(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+    def log_slices(self, times):
         """(log P_t e^φ, log P_{T-t} e^ψ) for t in [0, T]; P_0 is the
-        identity.  Each pair is computed once per t and each kernel once per
-        time, so the checks on one solution share them (read-only)."""
-        t = float(t)
-        if t not in self._slices:      # a t outside [0, T] fails at_time
-            self._slices[t] = (self._semigroup(t, self.phi),
-                               self._semigroup(self.T - t, self.psi))
-        return self._slices[t]
+        identity.  A sequence of times gives the two stacks, one row per
+        time.  Each row is computed once per kernel time, so the checks on
+        one solution share them (read-only): the kernels of all new times
+        in (0, T) are built as stacks of at most _STACK_ENTRIES factor
+        entries, each applied to e^φ and to e^ψ in one call, and P_T is
+        the solution's own kernel."""
+        ts = [float(t) for t in np.ravel(times)]
+        if not all(0.0 <= t <= self.T for t in ts):
+            raise ValueError(f"slice times must lie in [0, T = {self.T!r}]")
+        rows = self._slices
+        need = [{t for t in ts if t not in rows[0]},
+                {self.T - t for t in ts if self.T - t not in rows[1]}]
+        if need[0] or need[1]:
+            self._fill(need)
+        if np.ndim(times) == 0:
+            return rows[0][ts[0]], rows[1][self.T - ts[0]]
+        return (np.array([rows[0][t] for t in ts]),
+                np.array([rows[1][self.T - t] for t in ts]))
 
-    def _semigroup(self, s: float, log_f: np.ndarray) -> np.ndarray:
-        if s == 0.0:
-            return log_f
-        if s not in self._kernels:
+    def _fill(self, need: list[set]) -> None:
+        """Memoize log P_s e^φ for s in need[0] and log P_s e^ψ for s in
+        need[1].  The two sides share one stack per batch of kernel times,
+        and a side that needs any time of a batch applies all of it."""
+        f = (self.phi, self.psi)
+        s = sorted((need[0] | need[1]) - {0.0, self.T})
+        for run in stack_runs(len(s), sum(n * n for n in self.kernel.shape)):
+            batch = s[run]
             # quadratures in t probe s -> 0 on purpose: no warning per slice
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", BandwidthWarning)
-                self._kernels[s] = self.kernel if s == self.T \
-                    else self.kernel.at_time(s)
-        out = apply_semigroup(self._kernels[s], log_f)
+                stack = self.kernel.at_time(batch)
+            for side in (0, 1):
+                if not need[side].isdisjoint(batch):
+                    self._keep(side, batch, apply_semigroup(stack, f[side]))
+        for side in (0, 1):
+            if 0.0 in need[side]:
+                self._slices[side][0.0] = f[side]
+            if self.T in need[side]:
+                self._keep(side, [self.T],
+                           apply_semigroup(self.kernel, f[side])[None])
+
+    def _keep(self, side: int, s: list[float], out: np.ndarray) -> None:
+        """Memoize the rows of `out` (read-only) under the kernel times s;
+        a row already memoized keeps its array."""
         out.flags.writeable = False
-        return out
+        for si, row in zip(s, out):
+            self._slices[side].setdefault(si, row)
 
     def log_plan(self) -> Plan:
         """log π = φ ⊕ ψ + log p_T + log m ⊗ log m (dense)."""
@@ -169,6 +199,21 @@ class SchrodingerSolution:
         lw = (self.phi + u)[:, None] + (self.psi + u)[None, :] \
             + self.kernel.log_matrix
         return Plan(self.mu.grid, lw)
+
+
+# Most entries of one stack built from a solution's time slices: the log
+# factors of a stack of kernels in `SchrodingerSolution.log_slices` (summed
+# over the grid axes), and the slice rows of one pass of `dynamics`.  2^20
+# doubles are 8 MB; a 2D kernel stack holds as much again in shared exp
+# factors.  A single row larger than that makes a stack of its own.
+_STACK_ENTRIES = 1 << 20
+
+
+def stack_runs(n_rows: int, row_entries: int) -> list[slice]:
+    """Consecutive runs over n_rows rows of row_entries entries each, of at
+    most _STACK_ENTRIES entries per run (at least one row)."""
+    size = max(1, _STACK_ENTRIES // row_entries)
+    return [slice(lo, lo + size) for lo in range(0, n_rows, size)]
 
 
 def _check_problem(mu: DiscreteMeasure, nu: DiscreteMeasure,

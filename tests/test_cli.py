@@ -2,13 +2,15 @@
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from bridgestab import DiscreteMeasure, cli, dynamics, schrodinger
+from bridgestab import BandwidthWarning, DiscreteMeasure, cli, dynamics, \
+    schrodinger
 
 
 def write_cfg(tmp_path, cfg, name="cfg.yaml"):
@@ -423,91 +425,100 @@ _GRID_2D = {"bounds": [[-3.0, 3.0], [-3.0, 3.0]], "shape": [8, 8]}
 _PAIR_2D = {"mu": {"family": "gaussian", "mean": [-1.0, 0.0], "sigma": 0.9},
             "nu": {"family": "gaussian", "mean": [1.0, 0.0], "sigma": 0.8}}
 
-# (scenario, edits, every message validate() returns)
+# (test id, scenario, edits, every message validate() returns); each id
+# is written out, so that a new row never renames an existing test
 _MESSAGES = [
-    ("solve", {"scenario": "nope"},
+    ("scenario", "solve", {"scenario": "nope"},
      ["scenario: one of ['corrector', 'cost-stability', 'eot-stability', "
       "'gradient-map', 'interpolate', 'orlicz', 'smalltime', 'sobolev', "
       "'solve', 'stability'] required, got 'nope'"]),
-    ("orlicz", {"seed": _DROP},
+    ("seed0", "orlicz", {"seed": _DROP},
      ["seed: integer seed is mandatory for randomized scenario 'orlicz'"]),
-    ("solve", {"seed": "x"}, ["seed: integer required"]),
-    ("solve", {"grid": _DROP},
+    ("seed1", "solve", {"seed": "x"}, ["seed: integer required"]),
+    ("grid0", "solve", {"grid": _DROP},
      ["grid: mapping with 'bounds' and 'shape' required"]),
-    ("solve", {"grid.bounds": [[1.0, -1.0]]},
+    ("grid.bounds", "solve", {"grid.bounds": [[1.0, -1.0]]},
      ["grid.bounds: list of [lo, hi] pairs with lo < hi required"]),
-    ("solve", {"grid.shape": 1},
+    ("grid.shape", "solve", {"grid.shape": 1},
      ["grid.shape: list of integers >= 2 required"]),
-    ("solve", {"grid.shape": [64, 64]},
+    ("grid1", "solve", {"grid.shape": [64, 64]},
      ["grid: bounds and shape must have equal length"]),
-    ("solve", {"grid": {"bounds": [[0.0, 1.0]] * 3, "shape": [4, 4, 4]}},
+    ("grid2", "solve",
+     {"grid": {"bounds": [[0.0, 1.0]] * 3, "shape": [4, 4, 4]}},
      ["grid: at most two dimensions are supported"]),
-    ("smalltime", {"grid": _GRID_2D, "marginals": _PAIR_2D},
+    ("grid3", "smalltime", {"grid": _GRID_2D, "marginals": _PAIR_2D},
      ["grid: scenario 'smalltime' is one-dimensional"]),
-    ("solve", {"kernel": _DROP}, ["kernel: mapping required"]),
-    ("eot-stability", {"kernel.epsilon": 0},
+    ("kernel", "solve", {"kernel": _DROP}, ["kernel: mapping required"]),
+    ("kernel.epsilon", "eot-stability", {"kernel.epsilon": 0},
      ["kernel.epsilon: positive number required for eot-stability"]),
-    ("smalltime", {"kernel.kappa": -1.0},
+    ("kernel.kappa0", "smalltime", {"kernel.kappa": -1.0},
      ["kernel.kappa: number >= 0 required (0 means heat kernel) for "
       "smalltime"]),
-    ("gradient-map", {"kernel": {}},
+    ("kernel.kappa1", "gradient-map", {"kernel": {}},
      ["kernel.kappa: number >= 0 required (0 means heat kernel) for "
       "gradient-map"]),
-    ("solve", {"kernel.kind": "brownian"},
+    ("kernel.kind", "solve", {"kernel.kind": "brownian"},
      ["kernel.kind: 'heat' or 'ou' required"]),
-    ("solve", {"kernel.T": 0}, ["kernel.T: positive number required"]),
-    ("solve", {"kernel.kappa": _DROP},
+    ("kernel.T", "solve", {"kernel.T": 0},
+     ["kernel.T: positive number required"]),
+    ("kernel.kappa2", "solve", {"kernel.kappa": _DROP},
      ["kernel.kappa: positive number required when kernel.kind is 'ou'"]),
-    ("solve", {"marginals": _DROP},
+    ("marginals", "solve", {"marginals": _DROP},
      ["marginals: mapping with 'mu' (and 'nu') required"]),
-    ("solve", {"marginals.mu": "gauss"},
+    ("marginals.mu0", "solve", {"marginals.mu": "gauss"},
      ["marginals.mu: mapping with a 'family' key required"]),
-    ("solve", {"marginals.mu.sigma": _DROP},
+    ("marginals.mu1", "solve", {"marginals.mu.sigma": _DROP},
      ["marginals.mu: gaussian needs 'mean' and 'sigma'"]),
-    ("solve", {"marginals.mu.sigma": -1.0},
+    ("marginals.mu.sigma", "solve", {"marginals.mu.sigma": -1.0},
      ["marginals.mu.sigma: positive number required"]),
-    ("solve", {"marginals.nu": {"family": "uniform", "lo": [0.0]}},
+    ("marginals.nu0", "solve",
+     {"marginals.nu": {"family": "uniform", "lo": [0.0]}},
      ["marginals.nu: uniform needs 'lo' and 'hi'"]),
-    ("solve", {"marginals.nu": {"family": "mixture", "components": []}},
+    ("marginals.nu.components", "solve",
+     {"marginals.nu": {"family": "mixture", "components": []}},
      ["marginals.nu.components: nonempty list required"]),
-    ("solve", {"marginals.nu": {"family": "mixture", "components": [
+    ("marginals.nu.components[0]", "solve",
+     {"marginals.nu": {"family": "mixture", "components": [
         {"weight": 1.0, "mean": [0.0]}]}},
      ["marginals.nu.components[0]: needs 'weight', 'mean', 'sigma'"]),
-    ("solve", {"marginals.nu": {"family": "csv"}},
+    ("marginals.nu1", "solve", {"marginals.nu": {"family": "csv"}},
      ["marginals.nu: csv needs 'path'"]),
-    ("solve", {"marginals.nu.family": "cauchy"},
+    ("marginals.nu.family", "solve", {"marginals.nu.family": "cauchy"},
      ["marginals.nu.family: unknown family 'cauchy'"]),
-    ("solve", {"marginals.nu": {"family": "random"}},
+    ("seed2", "solve", {"marginals.nu": {"family": "random"}},
      ["seed: required when a marginal family is 'random'"]),
-    ("stability", {"perturbation": _DROP},
+    ("perturbation", "stability", {"perturbation": _DROP},
      ["perturbation: mapping with 'epsilons' and 'n_seeds' required"]),
-    ("stability", {"perturbation.epsilons": [0.5, 1.0]},
+    ("perturbation.epsilons", "stability",
+     {"perturbation.epsilons": [0.5, 1.0]},
      ["perturbation.epsilons: list of numbers in (0, 1) required"]),
-    ("cost-stability", {"perturbation.n_seeds": 0},
+    ("perturbation.n_seeds", "cost-stability", {"perturbation.n_seeds": 0},
      ["perturbation.n_seeds: integer >= 1 required"]),
-    ("corrector", {"corrector.n_pairs": 0},
+    ("corrector.n_pairs", "corrector", {"corrector.n_pairs": 0},
      ["corrector.n_pairs: integer >= 1 required"]),
-    ("smalltime", {"smalltime.T_list": [0.1]},
+    ("smalltime.T_list", "smalltime", {"smalltime.T_list": [0.1]},
      ["smalltime.T_list: list of >= 2 positive times required"]),
-    ("gradient-map", {"gradient_map.T_list": [0.1, 0.2]},
+    ("gradient_map.T_list", "gradient-map",
+     {"gradient_map.T_list": [0.1, 0.2]},
      ["gradient_map.T_list: times must decrease strictly (the curve checks "
       "gaps along T ↓ 0)"]),
-    ("interpolate", {"interpolate.n_times": 1},
+    ("interpolate.n_times", "interpolate", {"interpolate.n_times": 1},
      ["interpolate.n_times: integer >= 2 required"]),
-    ("interpolate", {"interpolate.n_slices": 1.5},
+    ("interpolate.n_slices", "interpolate", {"interpolate.n_slices": 1.5},
      ["interpolate.n_slices: integer >= 2 required"]),
-    ("interpolate", {"interpolate": 5}, ["interpolate: mapping expected"]),
-    ("solve", {"solver": {"tol": 0}},
+    ("interpolate", "interpolate", {"interpolate": 5},
+     ["interpolate: mapping expected"]),
+    ("solver.tol", "solve", {"solver": {"tol": 0}},
      ["solver.tol: positive number required"]),
-    ("solve", {"solver": {"max_iter": 0}},
+    ("solver.max_iter", "solve", {"solver": {"max_iter": 0}},
      ["solver.max_iter: integer >= 1 required"]),
-    ("sobolev", {"solver": "fast"}, ["solver: mapping expected"]),
+    ("solver", "sobolev", {"solver": "fast"}, ["solver: mapping expected"]),
     # YAML booleans are ints to Python; a count or seed must refuse them
-    ("solve", {"seed": True}, ["seed: integer required"]),
+    ("seed3", "solve", {"seed": True}, ["seed: integer required"]),
     # a seeded scenario names a bad seed once; "mandatory" means missing
-    ("stability", {"seed": "abc"}, ["seed: integer required"]),
-    ("stability", {"seed": True}, ["seed: integer required"]),
-    ("sobolev", {"seed": _DROP},
+    ("seed4", "stability", {"seed": "abc"}, ["seed: integer required"]),
+    ("seed5", "stability", {"seed": True}, ["seed: integer required"]),
+    ("seed6", "sobolev", {"seed": _DROP},
      ["seed: integer seed is mandatory for randomized scenario 'sobolev'"]),
 ]
 
@@ -526,8 +537,9 @@ def test_top_level_mapping_required():
     assert cli.validate([1, 2]) == ["config: top-level mapping required"]
 
 
-@pytest.mark.parametrize("scenario,edits,messages", _MESSAGES,
-                         ids=[m[0].split(":")[0] for _, _, m in _MESSAGES])
+@pytest.mark.parametrize("scenario,edits,messages",
+                         [row[1:] for row in _MESSAGES],
+                         ids=[row[0] for row in _MESSAGES])
 def test_validate_messages(scenario, edits, messages):
     assert cli.validate(edited_cfg(scenario, edits)) == messages
 
@@ -813,3 +825,55 @@ def test_column_writer_skips_the_sort_on_distinct_heads(tmp_path, monkeypatch,
     assert got == _oracle_csv(tmp_path / "oracle.csv", table)
     assert record["rows"] == col.size
     assert bool(calls) == sorted_
+
+
+# solved problems that break the premise of an estimate (C_T - H, or its
+# EOT analogue, negative far beyond the 1e-8 guard) on coarse grids and
+# loose solves used to end in a traceback; each exits 2 naming the quantity
+_BROKEN_PREMISES = [
+    ("corrector", {
+        "scenario": "corrector", "seed": 93,
+        "grid": {"bounds": [-5.0, 50.0], "shape": 3},
+        "kernel": {"kind": "heat", "T": 0.05},
+        "corrector": {"n_pairs": 1}, "solver": {"tol": 1.0e-9}},
+     "corrector rhs (nu)"),
+    ("eot-stability", {
+        "scenario": "eot-stability", "seed": 96,
+        "grid": {"bounds": [-1.0, 1.0], "shape": 2},
+        "kernel": {"epsilon": 0.05},
+        "marginals": {"mu": {"family": "gaussian", "mean": [0.0],
+                             "sigma": 1.0},
+                      "nu": {"family": "gaussian", "mean": [0.0],
+                             "sigma": 1.0}},
+        "perturbation": {"epsilons": [0.99], "n_seeds": 1, "n_modes": 2},
+        "solver": {"tol": 1.0e-3, "max_iter": 200}},
+     "S + eps*H(nu|Leb) + C_eps"),
+    ("stability", {
+        "scenario": "stability", "seed": 14,
+        "grid": {"bounds": [-1.0, 5.0], "shape": 2},
+        "kernel": {"kind": "ou", "T": 0.05, "kappa": 1.0e-8},
+        "marginals": {"mu": {"family": "gaussian", "mean": [0.0],
+                             "sigma": 1.0},
+                      "nu": {"family": "uniform", "lo": [-0.416],
+                             "hi": [2.584]}},
+        "perturbation": {"epsilons": [0.01], "n_seeds": 1, "n_modes": 2},
+        "solver": {"tol": 1.0e-3, "max_iter": 200}},
+     "C_T - H(mu|m)"),
+]
+
+
+@pytest.mark.parametrize("cfg,quantity",
+                         [row[1:] for row in _BROKEN_PREMISES],
+                         ids=[row[0] for row in _BROKEN_PREMISES])
+def test_broken_premise_exits_2_naming_the_quantity(tmp_path, capsys, cfg,
+                                                    quantity):
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BandwidthWarning)
+        assert cli.main(["--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert (f"config error: problem data: {quantity} is negative beyond "
+            "tolerance") in err
+    assert "Traceback" not in err
+    assert not out.exists()

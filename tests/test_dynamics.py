@@ -1,12 +1,14 @@
 """Bridge interpolations, dynamic cost identity, decay curves, transport maps."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import bridgestab as bs
-from bridgestab import diagnostics, dynamics, kernels, schrodinger
+from bridgestab import diagnostics, dynamics, kernels, measures, schrodinger
+from oracles import alpha_per_time, log_slices_per_time
 
 
 @pytest.fixture(scope="module")
@@ -95,31 +97,39 @@ def test_checks_share_the_time_slices_of_one_solution(gauss_pair,
                                                       monkeypatch):
     # at T = 1 the meshes of the four checks share their dyadic times
     # exactly: the 9 + 8 times of the interpolation and the midpoint rule
-    # need 2·17 - 2 semigroup applications (P_0 is the identity) and 15
-    # kernels (the one at T is the solution's); the decay mesh k/16 and
-    # the corrector's log P_T e^φ, log P_T e^ψ reuse them
+    # need 2·17 - 2 semigroup rows (P_0 is the identity) and 15 kernel
+    # times (the one at T is the solution's); the decay mesh k/16 and the
+    # corrector's log P_T e^φ, log P_T e^ψ reuse them, and the decay mesh
+    # reuses the 8 values of α at the midpoints
     mu, nu = gauss_pair
     sol = bs.solve(mu, nu, bs.GibbsKernel.ou(mu.grid, T=1.0, kappa=1.0))
-    applies, builds = [], []
+    rows, times, alphas = [], [], []
     real_apply, real_ou = kernels.apply_semigroup, kernels.GibbsKernel.ou
+    real_gsq = measures.grad_sq_norm
 
-    def apply(*args):
-        applies.append(1)
-        return real_apply(*args)
+    def apply(kernel, log_f):
+        out = real_apply(kernel, log_f)
+        rows.append(out.size // log_f.size)
+        return out
 
-    def ou(*args):
-        builds.append(1)
-        return real_ou(*args)
+    def ou(grid, T, kappa):
+        times.append(np.size(T))
+        return real_ou(grid, T, kappa)
+
+    def gsq(values, grid, mask):
+        alphas.append(values.size // grid.n_cells)
+        return real_gsq(values, grid, mask)
 
     for mod in (kernels, schrodinger, dynamics, diagnostics):
         if hasattr(mod, "apply_semigroup"):
             monkeypatch.setattr(mod, "apply_semigroup", apply)
     monkeypatch.setattr(kernels.GibbsKernel, "ou", staticmethod(ou))
+    monkeypatch.setattr(dynamics, "grad_sq_norm", gsq)
     bs.interpolate(sol, 9)
     bs.dynamic_cost_check(sol, n_slices=8)
     bs.gronwall_decay_check(sol)
     bs.corrector_check(sol)
-    assert (len(applies), len(builds)) == (32, 15)
+    assert (sum(rows), sum(times), sum(alphas)) == (32, 15, 16)
 
 
 def test_small_time_identical_marginals(grid128):
@@ -262,3 +272,170 @@ def test_gradient_convergence_matches_cold_solves(gauss_pair, kappa, T_list):
             assert row["n_iter"] == cold.n_iter
         else:
             assert row["n_iter"] < cold.n_iter
+
+
+# ---------------------------------------------------------------------------
+# stacked slices and α against the per-time oracle
+# ---------------------------------------------------------------------------
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.fixture(scope="module")
+def bridges(gauss_pair):
+    """Converged heat and OU bridges in 1D and on a 16×14 grid."""
+    mu, nu = gauss_pair
+    g2 = bs.Grid.regular([(-4.0, 4.0), (-3.0, 3.5)], [16, 14])
+    mu2 = bs.gaussian_measure(g2, [-1.0, 0.2], 0.8)
+    nu2 = bs.gaussian_measure(g2, [1.0, -0.3], 0.9)
+    out = {}
+    for d, (m, n) in (("1d", (mu, nu)), ("2d", (mu2, nu2))):
+        out[f"heat-{d}"] = bs.solve(m, n, bs.GibbsKernel.heat(m.grid, 0.6))
+        out[f"ou-{d}"] = bs.solve(m, n, bs.GibbsKernel.ou(m.grid, 0.6, 1.0))
+    return out
+
+
+def _fresh(sol):
+    """The same solution with empty slice and α memos."""
+    return dataclasses.replace(sol)
+
+
+def _assert_oracle(sol, times):
+    lp, lq = sol.log_slices(times)
+    assert lp.shape == lq.shape == (len(times), sol.mu.grid.n_cells)
+    for k, t in enumerate(times):
+        want_p, want_q = log_slices_per_time(sol, float(t))
+        assert np.array_equal(_bits(lp[k]), _bits(want_p)), t
+        assert np.array_equal(_bits(lq[k]), _bits(want_q)), t
+    want = [alpha_per_time(sol, float(t)) for t in times]
+    assert np.array_equal(_bits(dynamics._alphas(sol, times)), _bits(want))
+
+
+@pytest.mark.parametrize("case", ["heat-1d", "ou-1d", "heat-2d", "ou-2d"])
+def test_stacked_slices_and_alphas_match_the_per_time_oracle(bridges, case):
+    sol = _fresh(bridges[case])
+    T = sol.T
+    # the interpolation mesh, the midpoint rule and a mesh whose kernel
+    # times differ on the two sides
+    _assert_oracle(sol, np.linspace(0.0, T, 9))
+    _assert_oracle(sol, (np.arange(8) + 0.5) * (T / 8))
+    _assert_oracle(sol, [0.3 * T, 0.45 * T, 0.9 * T])
+
+
+def test_small_times_go_back_to_the_log_domain_and_match(bridges,
+                                                         monkeypatch):
+    # near t = 0 the kernels are far below the grid's resolution, and the
+    # small sums of the shared-factor products are reduced again by
+    # `lse_matvec` (the only caller of it on a 2D stack)
+    for case in ("heat-2d", "ou-2d"):
+        sol = _fresh(bridges[case])
+        calls = []
+        real = kernels.lse_matvec
+        with monkeypatch.context() as mp:
+            mp.setattr(kernels, "lse_matvec",
+                       lambda *a: calls.append(1) or real(*a))
+            times = [1e-5 * sol.T, 1e-4 * sol.T, 1e-3 * sol.T, 0.5 * sol.T]
+            sol.log_slices(times)
+        assert calls, case
+        _assert_oracle(sol, times)
+
+
+def test_repeated_and_overlapping_times_share_their_rows(bridges):
+    sol = _fresh(bridges["ou-2d"])
+    T = sol.T
+    first = [0.25 * T, 0.5 * T, 0.25 * T, T, 0.0, 0.5 * T]
+    _assert_oracle(sol, first)
+    lp, lq = sol.log_slices(0.25 * T)
+    assert np.array_equal(sol.log_slices(first)[0][2], lp)
+    _assert_oracle(sol, [0.5 * T, 0.6 * T, 0.25 * T, 0.75 * T])
+    # memoized rows keep their identity and stay read-only
+    again = sol.log_slices(0.25 * T)
+    assert again[0] is lp and again[1] is lq
+    assert not lp.flags.writeable and not lq.flags.writeable
+    assert sol.log_slices(0.0)[0] is sol.phi
+    assert sol.log_slices(T)[1] is sol.psi
+
+
+def test_one_time_batch(bridges):
+    sol = _fresh(bridges["heat-2d"])
+    t = 0.3 * sol.T
+    _assert_oracle(sol, [t])
+    lp, lq = sol.log_slices([t])
+    assert np.array_equal(lp[0], sol.log_slices(t)[0])
+    assert np.array_equal(lq[0], sol.log_slices(t)[1])
+
+
+def test_memory_constant_splits_the_stacks(bridges, monkeypatch):
+    # a stack limit of three kernel times builds the 15 inner kernel times
+    # of the mesh k/16 as five stacks, with the same rows
+    sol = _fresh(bridges["ou-2d"])
+    per_time = sum(n * n for n in sol.kernel.shape)
+    monkeypatch.setattr(schrodinger, "_STACK_ENTRIES", 3 * per_time + 1)
+    sizes = []
+    real = kernels.GibbsKernel.ou
+    monkeypatch.setattr(kernels.GibbsKernel, "ou", staticmethod(
+        lambda grid, T, kappa: sizes.append(np.size(T)) or real(grid, T,
+                                                                kappa)))
+    _assert_oracle(sol, np.linspace(0.0, sol.T, 17))
+    assert sizes[:5] == [3] * 5
+
+
+def test_memory_constant_splits_the_alpha_and_density_runs(bridges,
+                                                           monkeypatch):
+    # a limit of three slice rows takes the 9-time interpolation mesh and
+    # the 8 midpoints in runs of three, with the same densities and α
+    sol = _fresh(bridges["ou-2d"])
+    monkeypatch.setattr(schrodinger, "_STACK_ENTRIES",
+                        3 * sol.mu.grid.n_cells + 1)
+    runs = []
+    real = schrodinger.SchrodingerSolution.log_slices
+    monkeypatch.setattr(schrodinger.SchrodingerSolution, "log_slices",
+                        lambda self, times: runs.append(np.size(times))
+                        or real(self, times))
+    interp = bs.interpolate(sol, 9)
+    assert runs == [3, 3, 3]
+    for k, t in enumerate(interp.times):
+        lp, lq = log_slices_per_time(sol, float(t))
+        want = np.exp(lp + lq + sol.reference.log_mass())
+        assert np.array_equal(_bits(interp.densities[k]), _bits(want)), t
+    runs.clear()
+    mids = (np.arange(8) + 0.5) * (sol.T / 8)
+    got = dynamics._alphas(sol, mids)
+    assert runs == [3, 3, 2]
+    want = [alpha_per_time(sol, float(t)) for t in mids]
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_fine_1d_interpolation_builds_no_stack_past_the_limit(monkeypatch):
+    # 1280² entries exceed the limit alone: each inner kernel time of a
+    # 64-slice interpolation (t and T - t for 62 times t, which differ in
+    # rounding) gets a kernel of its own instead of one stack of dense
+    # 1280² factors, so each side applies only the 62 + 1 rows it needs
+    g = bs.Grid.regular([(-8.0, 10.0)], [1280])
+    mu = bs.gaussian_measure(g, [-1.0], 1.0)
+    nu = bs.gaussian_measure(g, [1.0], 1.2)
+    sol = bs.solve(mu, nu, bs.GibbsKernel.ou(g, 1.0, 1.0))
+    built = []
+    real = kernels.GibbsKernel.ou
+
+    def ou(grid, T, kappa):
+        K = real(grid, T, kappa)
+        built.append((np.size(T), sum(F.size for F in K.log_factors)))
+        return K
+
+    monkeypatch.setattr(kernels.GibbsKernel, "ou", staticmethod(ou))
+    # the allocations are the point here, not the sums
+    rows = []
+
+    def apply(K, f):
+        rows.append(np.size(K.T))
+        return np.zeros(np.shape(K.T) + f.shape)
+
+    monkeypatch.setattr(schrodinger, "apply_semigroup", apply)
+    bs.interpolate(sol, 64)
+    inner = np.linspace(0.0, 1.0, 64)[1:-1].tolist()
+    assert len(built) == len(set(inner) | {1.0 - t for t in inner}) > 62
+    assert all(k == 1 for k, _ in built)
+    assert sum(rows) == 2 * 63
+    assert 1280 ** 2 > schrodinger._STACK_ENTRIES

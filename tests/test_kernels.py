@@ -726,3 +726,53 @@ def test_nan_in_nan_out(rng):
         assert np.all(np.isnan(op(bad)))
         _assert_matches_lse(op(u), K, full, full, u)
         assert op.n_anchors == 3
+
+
+@pytest.mark.parametrize("shape", [[40], [32, 28]], ids=["1d", "2d"])
+def test_stacked_kernels_are_the_kernels_at_each_time(rng, monkeypatch,
+                                                     shape):
+    # factors, shared exp factors and `apply_semigroup` rows of a stack of
+    # kernels against the kernel built at each time alone, bit for bit, on
+    # steep inputs with -inf holes whose small 2D sums go back to
+    # `lse_matvec`
+    g = bs.Grid.regular([(-6.0, 6.0)] * len(shape), shape)
+    n = g.n_cells
+    x = g.points()
+    times = [1.0, 0.3, 0.02, 0.002, 0.3]
+    holes = rng.random(n) < 0.3
+    fallback = []
+    real = kernels.lse_matvec
+
+    def spy(A, v, *args):
+        fallback.append(v.shape[0] if len(shape) == 2 else 0)
+        return real(A, v, *args)
+
+    for kind, T, _, K in _kernels(g, (1.0,)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BandwidthWarning)
+            stack = K.at_time(times)
+            alone = [K.at_time(t) for t in times]
+        assert stack.T == tuple(times) and stack.underresolved
+        for k, one in enumerate(alone):
+            for a, b in zip(stack.log_factors, one.log_factors):
+                assert np.array_equal(_bits(a[k]), _bits(b)), (kind, k)
+            if len(shape) == 2:
+                for (Ea, ra), (Eb, rb) in zip(stack._exp_factors,
+                                              one._exp_factors):
+                    assert np.array_equal(_bits(Ea[k]), _bits(Eb))
+                    assert np.array_equal(_bits(ra[k]), _bits(rb))
+        drift = (3.0 * x[:, 0] - x[:, -1]) / 0.02
+        inputs = [drift,
+                  np.where(holes, -np.inf, drift - 800.0 * (x[:, 0] > 0)),
+                  np.where(holes, -np.inf, -(x ** 2).sum(axis=1) / 0.008)]
+        for v in inputs:
+            with monkeypatch.context() as mp:
+                mp.setattr(kernels, "lse_matvec", spy)
+                got = bs.apply_semigroup(stack, v)
+            assert got.shape == (len(times), n)
+            for k, one in enumerate(alone):
+                assert np.array_equal(_bits(got[k]),
+                                      _bits(bs.apply_semigroup(one, v))), \
+                    (kind, times[k])
+    # 1D: one `lse_matvec` per kernel time; 2D: the small sums went back
+    assert sum(fallback) > 0 if len(shape) == 2 else len(fallback) == 30
