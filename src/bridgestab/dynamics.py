@@ -11,6 +11,9 @@ are ρ_t = P_t e^φ · P_{T-t} e^ψ · m.  This module computes them and checks:
 * convergence of the Schrödinger map  Id - 2T∇φ^T  to the monotone
   (Brenier) rearrangement as T ↓ 0, in L²(μ) on the line.
 
+The last two solve their list of times as one T-ladder that starts from
+the T → 0 limit, the Kantorovich potential (`_solves_along`).
+
 Each check asks `SchrodingerSolution.log_slices` for its time mesh in runs
 of rows of at most 2^20 entries (`stack_runs`: one run for 64 times up to
 128×128 cells), α(t) is computed for all new times of a run together, and
@@ -167,24 +170,73 @@ def gronwall_decay_check(sol: SchrodingerSolution, n_times: int = 16
 # small-time limits
 # ---------------------------------------------------------------------------
 
+def _eot_scale(T: float, kappa: float) -> tuple[float, float]:
+    """(ε, k) of the SP↔EOT dictionary at time T: the kernel's log factor
+    is  c - |x - y|²/ε + k(x² + y²)  with ε = 4 sinh(κT)/κ and
+    k = 1/ε - w = κ/(2(e^{κT} + 1)), w = κ/(2(e^{2κT} - 1)) the factor's
+    quadratic weight; heat is the κ → 0 case, ε = 4T and k = 0."""
+    if kappa == 0.0:
+        return 4.0 * T, 0.0
+    return (4.0 * math.sinh(kappa * T) / kappa,
+            kappa / (2.0 * (math.exp(kappa * T) + 1.0)))
+
+
+def _kantorovich_rung(mu: DiscreteMeasure, nu: DiscreteMeasure,
+                      epsilon: float, k: float) -> np.ndarray:
+    """ε·(ψ₀ + q) on supp ν for the T → 0 limit ψ₀ = g_K/ε - q + c of
+    `_solves_along` (1D, O(n)).
+
+    g_K is the Kantorovich potential of (μ, ν) for |x - y|², with
+    g_K'(y) = 2(y - S(y)): S is the quantile map ν → μ, read off μ's
+    piecewise-linear cell CDF (edges from the grid's cell widths) at ν's
+    mass midpoints, and g_K is its trapezoid integral over supp ν.  The
+    constant c puts (φ₀, ψ₀) = (f_K/ε - q_μ - c, g_K/ε - q + c) in the
+    symmetric gauge of `solve`; with ∫f_K dμ = W2² - ∫g_K dν (W2² by the
+    same S) the entropies cancel and
+    2c = (W2² - 2∫g_K dν)/ε - k(M2(μ) - M2(ν)).
+    """
+    x, width = mu.grid.axes[0], mu.grid.axis_weights[0]
+    edges = x[0] - 0.5 * width[0] + np.concatenate(([0.0], np.cumsum(width)))
+    cdf = np.concatenate(([0.0], np.cumsum(mu.weights)))
+    s = nu.support()
+    y, v = x[s], nu.weights[s]
+    gap = y - np.interp(np.cumsum(v) - 0.5 * v, cdf, edges)   # y - S(y)
+    g = np.concatenate(([0.0], np.cumsum(np.diff(y) * (gap[1:] + gap[:-1]))))
+    G = float(v @ g)
+    w2sq = float(v @ gap ** 2)
+    m2 = float(mu.weights @ x ** 2) - float(v @ y ** 2)
+    return g + 0.5 * (w2sq - 2.0 * G - epsilon * k * m2)
+
+
 def _solves_along(mu: DiscreteMeasure, nu: DiscreteMeasure, T_list,
                   kappa: float, tol: float, max_iter: int):
     """Converged solutions at each T of ``T_list``, in order.
 
-    The first T starts cold; each later T starts from ψ_prev·T_prev/T,
-    since T·ψ_T converges as T ↓ 0 (the small-time limit), so the rescaled
-    potential is close to the next solution.  Raises NotConverged at the
-    first T that does not converge.
+    Every T starts near its solution through the SP↔EOT dictionary
+    (`_eot_scale`): with q = k·y² + log m - log ν on supp ν, ψ + q is the
+    EOT potential b of (μ, ν) at ε up to a constant, and ε·b tends to the
+    Kantorovich potential g_K as T ↓ 0.  The first T starts from that
+    limit, ψ₀ = g_K/ε - q + c (`_kantorovich_rung`); each later T keeps
+    ε·b of the previous solution, ψ' = (ψ + q)·ε/ε' - q'.  Raises
+    NotConverged at the first T that does not converge.
     """
-    prev = None
+    s = nu.support()
+    y = mu.grid.axes[0][s]
+    log_nu = np.log(nu.weights[s])
+    eb = None                          # ε·(ψ + q) on supp ν
     for T in T_list:
         kern = GibbsKernel.heat(mu.grid, T) if kappa == 0.0 \
             else GibbsKernel.ou(mu.grid, T, kappa)
-        init = None if prev is None else prev.psi * (prev.T / T)
+        eps, k = _eot_scale(T, kappa)
+        q = k * y ** 2 + kern.reference.log_mass()[s] - log_nu
+        if eb is None:
+            eb = _kantorovich_rung(mu, nu, eps, k)
+        init = np.zeros(s.size)
+        init[s] = eb / eps - q
         sol = solve(mu, nu, kern, tol=tol, max_iter=max_iter, init_psi=init)
         require_converged(sol)
         yield sol
-        prev = sol
+        eb = eps * (sol.psi[s] + q)
 
 
 def small_time_cost_curve(mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -193,8 +245,11 @@ def small_time_cost_curve(mu: DiscreteMeasure, nu: DiscreteMeasure,
     """T·C_T against W2²/4 along decreasing times (1D grids).
 
     Returns one row per T with the relative gap; rows keep the order of
-    ``T_list``.  κ = 0 uses the heat kernel, κ > 0 the OU kernel.  Raises
-    ValueError when W2(μ, ν) = 0, where the relative gap is undefined.
+    ``T_list``.  κ = 0 uses the heat kernel, κ > 0 the OU kernel.  The
+    solves run as one T-ladder (`_solves_along`): the first T starts from
+    the Kantorovich potential, the T → 0 limit, and each later T from the
+    solution before it.  Raises ValueError when W2(μ, ν) = 0, where the
+    relative gap is undefined.
     """
     if mu.grid.ndim != 1:
         raise ValueError("the small-time curve uses the exact 1D W2")
@@ -266,7 +321,8 @@ def gradient_convergence_experiment(mu: DiscreteMeasure, nu: DiscreteMeasure,
     """L²(μ) distance of the Schrödinger map to the Brenier map along T ↓ 0.
 
     ``brenier`` is an optional callable x ↦ τ(x) (for analytic oracles);
-    the default is the grid monotone rearrangement of (μ, ν).
+    the default is the grid monotone rearrangement of (μ, ν).  The solves
+    run as the T-ladder of `small_time_cost_curve` (`_solves_along`).
     """
     if mu.grid.ndim != 1:
         raise ValueError("map experiments are one-dimensional")

@@ -249,11 +249,12 @@ class GibbsKernel(LogKernel):
     when the kernel bandwidth sqrt(2T) falls below twice the largest cell
     width.  κ = 0 is the heat kernel, κ > 0 the OU kernel.  A stack built
     at a sequence of times has ``T`` the tuple of times and
-    ``underresolved`` set from the smallest.
+    ``underresolved`` set from the smallest.  ``reference`` depends on the
+    family and the grid only: it is built on first use, and a kernel from
+    `at_time` shares its parent's.
     """
 
     grid: Grid
-    reference: ReferenceMeasure
     T: float | tuple[float, ...]
     kappa: float = 0.0
     underresolved: bool = False
@@ -262,6 +263,13 @@ class GibbsKernel(LogKernel):
         super().__post_init__()
         if self.shape != self.grid.shape:
             raise ValueError("log factor shapes do not match the grid")
+
+    @cached_property
+    def reference(self) -> ReferenceMeasure:
+        """Lebesgue for heat, N(0, I/κ) for OU; built on first use."""
+        if self.kappa == 0.0:
+            return ReferenceMeasure.lebesgue(self.grid)
+        return ReferenceMeasure.gaussian(self.grid, self.kappa)
 
     @staticmethod
     def _bandwidth_flag(grid: Grid, T: float) -> bool:
@@ -285,8 +293,7 @@ class GibbsKernel(LogKernel):
         for x in grid.axes:
             F = _squared_distances(x) / q
             factors.append(np.subtract(c, F, out=F))
-        return GibbsKernel(tuple(factors), grid,
-                           ReferenceMeasure.lebesgue(grid), _times(T), 0.0,
+        return GibbsKernel(tuple(factors), grid, _times(T), 0.0,
                            GibbsKernel._bandwidth_flag(grid, np.min(T)))
 
     @staticmethod
@@ -307,17 +314,17 @@ class GibbsKernel(LogKernel):
             np.subtract(np.add.outer(sq, sq), F, out=F)
             F *= w
             factors.append(np.subtract(c, F, out=F))
-        return GibbsKernel(tuple(factors), grid,
-                           ReferenceMeasure.gaussian(grid, kappa),
-                           _times(T), float(kappa),
+        return GibbsKernel(tuple(factors), grid, _times(T), float(kappa),
                            GibbsKernel._bandwidth_flag(grid, np.min(T)))
 
     def at_time(self, t) -> "GibbsKernel":
-        """Same family and grid at a different time, or the stack of
-        kernels at a sequence of times."""
-        if self.kappa == 0.0:
-            return GibbsKernel.heat(self.grid, t)
-        return GibbsKernel.ou(self.grid, t, self.kappa)
+        """Same family, grid and reference measure at a different time, or
+        the stack of kernels at a sequence of times."""
+        kern = GibbsKernel.heat(self.grid, t) if self.kappa == 0.0 \
+            else GibbsKernel.ou(self.grid, t, self.kappa)
+        # fill its `reference` cache with this one rather than build it again
+        kern.__dict__["reference"] = self.reference
+        return kern
 
     def row_mass_defect(self) -> float:
         """max_i |Σ_j p(x_i,x_j) m_j - 1| (quadrature quality diagnostic)."""
