@@ -25,18 +25,13 @@ from .measures import (
     relative_entropy,
     symmetric_entropy,
     fisher_information,
-    first_moment,
     second_moment,
-    measure_to_csv,
     measure_from_csv,
 )
 from .kernels import (
     BandwidthWarning,
     GibbsKernel,
     curvature_factor,
-    heat_kernel,
-    ou_kernel,
-    wang_lower_bound,
     lse_matvec,
     apply_semigroup,
 )
@@ -50,7 +45,6 @@ from .schrodinger import (
     require_converged,
     plan_relative_entropy,
     plan_symmetric_entropy,
-    entropic_potentials,
     eot_quadratic_direct,
     eot_via_sp,
     eot_cost_from_sp,
@@ -60,7 +54,6 @@ from .sobolev import (
     h_minus_one_norm,
     WeightedPoissonProblem,
     wasserstein2_1d,
-    wasserstein2_exact_small,
     w2_h_minus_one_comparison,
 )
 from .reports import InequalityReport, make_report, make_equality_report
@@ -97,17 +90,16 @@ __all__ = [
     "difference", "gaussian_measure", "uniform_measure",
     "gaussian_mixture_measure", "random_smooth_pair",
     "smooth_zero_mean_field", "perturbed_measure", "relative_entropy",
-    "symmetric_entropy", "fisher_information", "first_moment",
-    "second_moment", "measure_to_csv", "measure_from_csv",
-    "BandwidthWarning", "GibbsKernel", "curvature_factor", "heat_kernel",
-    "ou_kernel", "wang_lower_bound", "lse_matvec", "apply_semigroup",
+    "symmetric_entropy", "fisher_information", "second_moment",
+    "measure_from_csv",
+    "BandwidthWarning", "GibbsKernel", "curvature_factor", "lse_matvec",
+    "apply_semigroup",
     "InfeasibleProblem", "NotConverged", "Plan", "SchrodingerSolution",
     "EOTSolution", "solve", "require_converged", "plan_relative_entropy",
-    "plan_symmetric_entropy", "entropic_potentials",
-    "eot_quadratic_direct", "eot_via_sp", "eot_cost_from_sp",
-    "sp_time_from_epsilon",
+    "plan_symmetric_entropy", "eot_quadratic_direct", "eot_via_sp",
+    "eot_cost_from_sp", "sp_time_from_epsilon",
     "h_minus_one_norm", "WeightedPoissonProblem", "wasserstein2_1d",
-    "wasserstein2_exact_small", "w2_h_minus_one_comparison",
+    "w2_h_minus_one_comparison",
     "InequalityReport", "make_report", "make_equality_report",
     "corrector_check", "plan_stability_check", "cost_stability_check",
     "quadratic_eot_stability_check",

@@ -222,15 +222,14 @@ def _run_battery(cfg, rng) -> ScenarioResult:
     scen = SCENARIOS[cfg["scenario"]]
     sv = _section(cfg, "solver")
     eot = scen.kernel == "epsilon"
-    arg = cfg["kernel"]["epsilon"] if eot \
-        else _kernel(_grid(cfg), cfg["kernel"])
+    grid = _grid(cfg)
+    arg = cfg["kernel"]["epsilon"] if eot else _kernel(grid, cfg["kernel"])
 
     def solve_pair(mu, nu, init=None):
         if eot:
             return eot_quadratic_direct(mu, nu, arg, init_b=init, **sv)
         return solve(mu, nu, arg, init_psi=init, **sv)
 
-    grid = _grid(cfg)
     mu, nu = _marginals(grid, cfg, rng)
     pert = _section(cfg, "perturbation")
     base = solve_pair(mu, nu)

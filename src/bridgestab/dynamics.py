@@ -53,9 +53,6 @@ class EntropicInterpolation:
     densities: np.ndarray
     masses: np.ndarray
 
-    def measure_at(self, k: int) -> DiscreteMeasure:
-        return DiscreteMeasure.from_weights(self.grid, self.densities[k])
-
 
 def _density_weights(sol, lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
     """Cell weights of ρ_t = e^{lp + lq}·m (0 where a slice is -inf), one

@@ -88,41 +88,6 @@ def curvature_factor(kappa: float, t: float) -> float:
     return float(math.expm1(2.0 * kappa * t) / (2.0 * kappa))
 
 
-def heat_kernel(x, y, T: float) -> float:
-    """Heat transition density p_T(x, y) w.r.t. Lebesgue in d = x.size."""
-    if T <= 0:
-        raise ValueError("kernel needs T > 0")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    r2 = float(np.sum((x - y) ** 2))
-    return math.exp(-0.5 * x.size * math.log(4.0 * math.pi * T)
-                    - r2 / (4.0 * T))
-
-
-def ou_kernel(x, y, T: float, kappa: float) -> float:
-    """OU transition density w.r.t. its stationary measure N(0, I/κ).
-
-    log p_T(x,y) = -(d/2) log(1 - e^{-2κT})
-                   - κ (|x|² - 2 e^{κT} x·y + |y|²) / (2 (e^{2κT} - 1)).
-    """
-    _check_ou(T, kappa)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    d = x.size
-    quad = float(x @ x - 2.0 * math.exp(kappa * T) * (x @ y) + y @ y)
-    log_p = -0.5 * d * math.log(-math.expm1(-2.0 * kappa * T)) \
-        - kappa * quad / (2.0 * math.expm1(2.0 * kappa * T))
-    return math.exp(log_p)
-
-
-def wang_lower_bound(x, y, T: float, kappa: float) -> float:
-    """Lower bound on log p_T for the OU kernel: -κ|x-y|²/(2(1-e^{-κT}))."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    r2 = float(np.sum((x - y) ** 2))
-    return -kappa * r2 / (2.0 * -math.expm1(-kappa * T))
-
-
 def _squared_distances(x: np.ndarray) -> np.ndarray:
     """|x_i - x_j|² over one axis of midpoints, exactly symmetric (each
     entry is one product and commutative sums) and clamped at 0."""
@@ -325,11 +290,6 @@ class GibbsKernel(LogKernel):
         # fill its `reference` cache with this one rather than build it again
         kern.__dict__["reference"] = self.reference
         return kern
-
-    def row_mass_defect(self) -> float:
-        """max_i |Σ_j p(x_i,x_j) m_j - 1| (quadrature quality diagnostic)."""
-        rows = self.lse(self.reference.log_mass())
-        return float(np.max(np.abs(np.exp(rows) - 1.0)))
 
 
 # Floor on the shifted exponents of `lse_matvec` (module docstring).

@@ -114,14 +114,6 @@ class Grid:
             np.array_equal(a, b) for a, b in zip(self.axes, other.axes)
         )
 
-    def shifted(self, a) -> "Grid":
-        """Grid translated by the vector a (same weights)."""
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        if a.size != self.ndim:
-            raise ValueError("shift dimension mismatch")
-        return Grid(tuple(x + ai for x, ai in zip(self.axes, a)),
-                    self.axis_weights)
-
 
 def _check_same_grid(a, b):
     if not a.grid.same_as(b.grid):
@@ -453,31 +445,15 @@ def second_moment(p: DiscreteMeasure) -> float:
     return float(p.weights @ np.sum(pts ** 2, axis=1))
 
 
-def first_moment(p: DiscreteMeasure) -> np.ndarray:
-    """Mean vector Σ p_i x_i (shape (ndim,))."""
-    return p.grid.points().T @ p.weights
-
-
 # ---------------------------------------------------------------------------
-# CSV round trip
+# CSV input
 # ---------------------------------------------------------------------------
 
 _COLS = {1: ["x", "weight"], 2: ["x", "y", "weight"]}
 
 
-def measure_to_csv(m: DiscreteMeasure, path) -> None:
-    """Write a measure as CSV with header x[,y],weight (full repr floats)."""
-    pts = m.grid.points()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_COLS[m.grid.ndim])
-        for i in range(m.grid.n_cells):
-            w.writerow([repr(float(c)) for c in pts[i]] +
-                       [repr(float(m.weights[i]))])
-
-
 def measure_from_csv(path) -> DiscreteMeasure:
-    """Read back a measure written by measure_to_csv.
+    """Read a measure from CSV with header x[,y],weight, one row per cell.
 
     Rows may come in any order; the grid is reconstructed from the unique
     sorted coordinates and must form a full tensor product.

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import relative_entropy_weights
+from .reports import make_report
 
 
 def theta(t):
@@ -112,7 +113,6 @@ def density_conjugate_norm(p, q) -> float:
 
 def orlicz_young_check(f: np.ndarray, g: np.ndarray, base):
     """Report for ∫|fg| d(base) ≤ 2‖f‖_θ‖g‖_{θ*}."""
-    from .reports import make_report
     q = _weights_of(base)
     lhs = float(q @ np.abs(np.asarray(f).ravel() * np.asarray(g).ravel()))
     nf = luxemburg_norm(f, q, young=theta)
@@ -214,7 +214,6 @@ def log_integrability_bound(ctx: OrliczContext, variant: str = "B1"):
     In B1 a set of q-mass zero contributes 0 (its restricted integral
     vanishes), irrespective of the sign of the exponent on the mass factor.
     """
-    from .reports import make_report
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; pick from {VARIANTS}")
     q, h, pe, qe = ctx.q_weights, ctx.h, ctx.p_exp, ctx.q_exp

@@ -442,32 +442,6 @@ def require_converged(sol) -> None:
 
 
 # ---------------------------------------------------------------------------
-# entropic potentials (Kantorovich gauge)
-# ---------------------------------------------------------------------------
-
-def entropic_potentials(sol: SchrodingerSolution
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """(Φ_T, Ψ_T) with T·φ = Φ_T + T·log(dμ/dm), normalized ∫Φdμ = ∫Ψdν.
-
-    Defined on the supports of μ and ν; off-support entries are NaN.
-    """
-    T = sol.T
-    u = sol.reference.log_mass()
-    s_mu, s_nu = sol.mu.support(), sol.nu.support()
-    Phi = np.full(sol.mu.grid.n_cells, np.nan)
-    Psi = np.full(sol.mu.grid.n_cells, np.nan)
-    Phi[s_mu] = T * (sol.phi[s_mu]
-                     - (np.log(sol.mu.weights[s_mu]) - u[s_mu]))
-    Psi[s_nu] = T * (sol.psi[s_nu]
-                     - (np.log(sol.nu.weights[s_nu]) - u[s_nu]))
-    ia, ib = _integrals(Phi, Psi, sol.mu, sol.nu)
-    c = 0.5 * (ib - ia)
-    Phi[s_mu] += c
-    Psi[s_nu] -= c
-    return Phi, Psi
-
-
-# ---------------------------------------------------------------------------
 # quadratic entropic optimal transport
 # ---------------------------------------------------------------------------
 

@@ -16,13 +16,13 @@ sparse direct solve (`WeightedPoissonProblem`).
 
 W2 on the line is evaluated exactly: both quantile functions are piecewise
 constant, so integrating |F_μ^{-1} - F_ν^{-1}|² over the merged breakpoint
-partition (midpoint per segment) incurs no quadrature error.  A dense LP on
-small supports serves as the independent oracle in any dimension, and the
+partition (midpoint per segment) incurs no quadrature error, and the
 comparison  W2(μ, μ̄) ≤ 2 ‖μ - μ̄‖_{Ḣ^{-1}(μ)}  is packaged as a report.
+W2 is computed on 1D grids only.
 
-scipy (the 2D sparse direct solve, the LP) is imported by the functions
-that use it, so importing this module, and the package, and every 1D norm
-load only numpy.
+scipy (the 2D sparse direct solve) is imported by the functions that use
+it, so importing this module, and the package, and every 1D norm load
+only numpy.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ import numpy as np
 from .measures import (MASS_FLOOR, DiscreteMeasure, Grid, SignedMeasure,
                        difference)
 from .reports import make_report
-
-LP_MAX_ATOMS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -217,56 +215,18 @@ def w2_atoms(x_a: np.ndarray, w_a: np.ndarray,
 def wasserstein2_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Exact W2 on a 1D grid (quantile functions)."""
     if mu.grid.ndim != 1:
-        raise ValueError("quantile W2 is one-dimensional; use the LP oracle")
+        raise ValueError("quantile W2 is one-dimensional, got a "
+                         f"{mu.grid.ndim}D grid")
     if not mu.grid.same_as(nu.grid):
         raise ValueError("measures live on different grids")
     x = mu.grid.axes[0]
     return w2_atoms(x, mu.weights, x, nu.weights)
 
 
-def wasserstein2_exact_small(mu: DiscreteMeasure,
-                             nu: DiscreteMeasure) -> float:
-    """LP oracle for W2 on small supports (≤ 64 atoms each), any dimension."""
-    import scipy.sparse as sp
-    from scipy.optimize import linprog
-    if not mu.grid.same_as(nu.grid):
-        raise ValueError("measures live on different grids")
-    ii = np.flatnonzero(mu.weights > 0)
-    jj = np.flatnonzero(nu.weights > 0)
-    if ii.size > LP_MAX_ATOMS or jj.size > LP_MAX_ATOMS:
-        raise ValueError(
-            f"LP oracle limited to {LP_MAX_ATOMS} atoms per side "
-            f"(got {ii.size} and {jj.size})")
-    pts = mu.grid.points()
-    diff = pts[ii][:, None, :] - pts[jj][None, :, :]
-    cost = np.sum(diff ** 2, axis=2).ravel()
-
-    m, n = ii.size, jj.size
-    # row-sum and column-sum constraints on the m×n transport matrix
-    row_idx = np.repeat(np.arange(m), n)
-    col_idx = np.tile(np.arange(n), m) + m
-    var_idx = np.arange(m * n)
-    A = sp.coo_matrix(
-        (np.ones(2 * m * n),
-         (np.concatenate([row_idx, col_idx]), np.tile(var_idx, 2))),
-        shape=(m + n, m * n)).tocsr()
-    rhs = np.concatenate([mu.weights[ii], nu.weights[jj]])
-    res = linprog(cost, A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return math.sqrt(max(float(res.fun), 0.0))
-
-
 def w2_h_minus_one_comparison(mu: DiscreteMeasure, mu_bar: DiscreteMeasure):
-    """Report for W2(μ, μ̄) ≤ 2‖μ - μ̄‖_{Ḣ^{-1}(μ)}.
-
-    1D uses the exact quantile W2; in higher dimension the LP oracle is used,
-    so supports must fit its atom budget.
-    """
-    if mu.grid.ndim == 1:
-        lhs = wasserstein2_1d(mu, mu_bar)
-    else:
-        lhs = wasserstein2_exact_small(mu, mu_bar)
+    """Report for W2(μ, μ̄) ≤ 2‖μ - μ̄‖_{Ḣ^{-1}(μ)} on a 1D grid, with the
+    exact quantile W2."""
+    lhs = wasserstein2_1d(mu, mu_bar)
     norm = h_minus_one_norm(difference(mu, mu_bar), mu)
     rhs = 2.0 * norm
     return make_report("w2_vs_hminus1", lhs, rhs, tol_abs=0.0, tol_rel=1e-6,

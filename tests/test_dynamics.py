@@ -22,15 +22,15 @@ def test_interpolation_endpoints(ou_sol, gauss_pair, interp):
     res = ou_sol.marginal_residual
     assert abs(interp.times[0]) < 1e-15
     assert abs(interp.times[-1] - ou_sol.kernel.T) < 1e-15
-    w0 = interp.measure_at(0).weights
-    wT = interp.measure_at(len(interp.times) - 1).weights
+    w0 = interp.densities[0] / interp.densities[0].sum()
+    wT = interp.densities[-1] / interp.densities[-1].sum()
     assert np.abs(w0 - mu.weights).sum() <= 10 * res + 1e-12
     assert np.abs(wT - nu.weights).sum() <= 10 * res + 1e-12
 
 
 def test_interpolation_masses_are_one(interp):
-    for k in range(len(interp.times)):
-        assert abs(interp.measure_at(k).weights.sum() - 1.0) <= 1e-12
+    for d in interp.densities:
+        assert abs((d / d.sum()).sum() - 1.0) <= 1e-12
     assert np.max(np.abs(np.asarray(interp.masses) - 1.0)) < 1e-8
 
 
@@ -40,8 +40,8 @@ def test_stationary_bridge_is_constant(grid128):
     ker = bs.GibbsKernel.ou(grid128, T=0.5, kappa=1.0)
     sol = bs.solve(m, m, ker)
     inter = bs.interpolate(sol, n_times=7)
-    for k in range(7):
-        assert np.abs(inter.measure_at(k).weights - m.weights).max() < 1e-8
+    for d in inter.densities:
+        assert np.abs(d / d.sum() - m.weights).max() < 1e-8
 
     rep, rows = bs.dynamic_cost_check(sol, n_slices=32)
     assert rep.passed

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bridgestab as bs
+import oracles
 from bridgestab import kernels, schrodinger
 from bridgestab.schrodinger import InfeasibleProblem
 
@@ -30,7 +31,7 @@ def test_atom_pair_plan_and_cost():
     assert np.max(np.abs(sol.nu_hat - atom.weights)) < 1e-12
 
     x_k = g.points()[k]
-    log_p = math.log(bs.ou_kernel(x_k, x_k, 0.4, 1.0))
+    log_p = math.log(oracles.ou_kernel(x_k, x_k, 0.4, 1.0))
     expected_ct = -log_p - 2.0 * math.log(ref.cell_mass[k])
     assert abs(sol.entropic_cost() - expected_ct) < 1e-9
 
@@ -113,7 +114,8 @@ def test_potentials_unique_up_to_constant(grid128, gauss_pair, ou_kernel, rng):
 
 
 def test_init_psi_off_the_support_is_ignored(gauss_pair, ou_kernel, ou_sol):
-    # a warm start that is NaN off supp nu (as entropic_potentials is)
+    # a warm start that is NaN off supp nu, as a potential defined only on
+    # the support is
     mu, nu = gauss_pair
     init = np.where(nu.support(), ou_sol.psi + 0.3, np.nan)
     warm = bs.solve(mu, nu, ou_kernel, init_psi=init)
@@ -164,27 +166,6 @@ def test_init_b_is_checked(gauss_pair, bad):
             "column": np.zeros((n, 1))}[bad]
     with pytest.raises(ValueError, match="init_b"):
         bs.eot_quadratic_direct(mu, nu, 0.5, init_b=init, max_iter=50)
-
-
-def test_entropic_potentials_identity(ou_sol):
-    # Phi = T (phi - log dmu/dm) + c and Psi = T (psi - log dnu/dm) - c on the
-    # supports, with the constant fixed by int Phi dmu = int Psi dnu
-    Phi, Psi = bs.entropic_potentials(ou_sol)
-    T = ou_sol.kernel.T
-    u = ou_sol.reference.log_mass()
-    s_mu = ou_sol.mu.support()
-    s_nu = ou_sol.nu.support()
-    raw_phi = T * (ou_sol.phi[s_mu] - (np.log(ou_sol.mu.weights[s_mu]) - u[s_mu]))
-    raw_psi = T * (ou_sol.psi[s_nu] - (np.log(ou_sol.nu.weights[s_nu]) - u[s_nu]))
-    c_phi = Phi[s_mu] - raw_phi
-    c_psi = Psi[s_nu] - raw_psi
-    assert np.ptp(c_phi) < 1e-10
-    assert np.ptp(c_psi) < 1e-10
-    assert abs(np.mean(c_phi) + np.mean(c_psi)) < 1e-10
-    ia = float(Phi[s_mu] @ ou_sol.mu.weights[s_mu])
-    ib = float(Psi[s_nu] @ ou_sol.nu.weights[s_nu])
-    assert abs(ia - ib) < 1e-10
-    assert np.all(np.isnan(Phi[~s_mu]))
 
 
 def test_infeasible_marginal_raises():
@@ -345,7 +326,8 @@ def test_eot_large_epsilon_product_limit(gauss_pair):
     mu, nu = gauss_pair
     eps = 1e3
     sol = bs.eot_quadratic_direct(mu, nu, epsilon=eps)
-    m1_mu, m1_nu = bs.first_moment(mu)[0], bs.first_moment(nu)[0]
+    m1_mu = (mu.grid.points().T @ mu.weights)[0]
+    m1_nu = (nu.grid.points().T @ nu.weights)[0]
     product_cost = (
         bs.second_moment(mu) + bs.second_moment(nu) - 2.0 * m1_mu * m1_nu
     )

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 import bridgestab as bs
+import oracles
 from bridgestab.sobolev import (
     WeightedPoissonProblem,
     edge_weights,
@@ -177,8 +178,9 @@ def _two_components_case():
 def _grid_mismatch_case(case):
     def build():
         rho, mu = case()
-        return bs.SignedMeasure(mu.grid.shifted([0.5] * mu.grid.ndim),
-                                rho.weights), mu
+        shifted = bs.Grid(tuple(x + 0.5 for x in mu.grid.axes),
+                          mu.grid.axis_weights)
+        return bs.SignedMeasure(shifted, rho.weights), mu
     return build
 
 
@@ -213,10 +215,10 @@ def test_norm_matches_dense_oracle(case, error):
                 norm(rho, mu)
         return
     got = h_minus_one_norm(rho, mu)
-    oracles = [_dense_pinv_norm]
+    references = [_dense_pinv_norm]
     if mu.grid.ndim == 1:  # in 2D h_minus_one_norm is the sparse solve
-        oracles.append(_sparse_norm)
-    for oracle in oracles:
+        references.append(_sparse_norm)
+    for oracle in references:
         expected = oracle(rho, mu)
         if math.isinf(expected):
             assert got == math.inf
@@ -273,7 +275,7 @@ def test_w2_exact_small_agrees_with_quantiles(rng):
         g = bs.Grid.regular([(-2.0, 2.0)], [n])
         mu = bs.DiscreteMeasure.from_weights(g, rng.uniform(0.05, 1.0, n))
         nu = bs.DiscreteMeasure.from_weights(g, rng.uniform(0.05, 1.0, n))
-        lp = bs.wasserstein2_exact_small(mu, nu)
+        lp = oracles.wasserstein2_exact_small(mu, nu)
         qt = bs.wasserstein2_1d(mu, nu)
         assert abs(lp - qt) < 1e-8
 
@@ -281,7 +283,7 @@ def test_w2_exact_small_agrees_with_quantiles(rng):
 def test_w2_exact_small_identical_zero():
     g = bs.Grid.regular([(0.0, 1.0)], [16])
     mu = bs.DiscreteMeasure.from_weights(g, np.linspace(1.0, 2.0, 16))
-    assert bs.wasserstein2_exact_small(mu, mu) < 1e-12
+    assert oracles.wasserstein2_exact_small(mu, mu) < 1e-12
 
 
 def test_comparison_identical_pair_passes(gauss_pair):
@@ -289,6 +291,14 @@ def test_comparison_identical_pair_passes(gauss_pair):
     rep = bs.w2_h_minus_one_comparison(mu, mu)
     assert rep.passed
     assert rep.lhs == 0.0
+
+
+def test_comparison_is_one_dimensional():
+    g = bs.Grid.regular([(-2.0, 2.0), (-1.0, 1.0)], [8, 6])
+    mu = bs.gaussian_measure(g, [0.0, 0.0], [0.8, 0.5])
+    nu = bs.gaussian_measure(g, [0.3, -0.1], [0.8, 0.5])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        bs.w2_h_minus_one_comparison(mu, nu)
 
 
 def test_comparison_norm_is_linear_in_eps(grid128, rng):
