@@ -20,7 +20,10 @@ as evidence).
 
 Values and realized marginals come from the solutions' potentials and
 stored marginals; only the plan lhs (`stab_plans*`, `eot_plan_stab`) build
-dense plans (`log_plan`), for H^sym of the plans.
+dense plans (`log_plan`), for H^sym of the plans.  That H^sym is one pass
+of nonnegative terms Σ (π - π̄)(log π - log π̄)
+(`schrodinger.plan_symmetric_entropy`), not a sum of two relative
+entropies, which cancel to O(ε²) for marginals ε apart.
 """
 
 from __future__ import annotations

@@ -689,3 +689,88 @@ def test_log_slices_are_the_semigroup_at_t(ou_sol):
     for bad in (-0.1, 1.1 * T):
         with pytest.raises(ValueError):
             ou_sol.log_slices(bad)
+
+
+def _plan_pair(problem, eps, partial=False, seed=3):
+    """Dense plans of (μ, ν) and of its perturbation ((1 + εh)μ, (1 + εk)ν),
+    which keeps both supports: the whole grid, or for ν a box when partial
+    (the marginals of the 1D battery, or ν uniform on [0.2, 2.5])."""
+    g = bs.Grid.regular([(-6.0, 6.0)], [128])
+    mu = bs.gaussian_measure(g, [-0.8], 1.15)
+    nu = bs.uniform_measure(g, 0.2, 2.5) if partial \
+        else bs.gaussian_measure(g, [0.8], 1.15)
+    rng = np.random.default_rng(seed)
+    h = bs.smooth_zero_mean_field(g, mu, rng)
+    k = bs.smooth_zero_mean_field(g, nu, rng)
+    mu_p = bs.perturbed_measure(mu, h, eps)
+    nu_p = bs.perturbed_measure(nu, k, eps)
+    if problem == "sp":
+        ker = bs.GibbsKernel.ou(g, T=0.5, kappa=1.0)
+        sols = bs.solve(mu, nu, ker), bs.solve(mu_p, nu_p, ker)
+    else:
+        sols = (bs.eot_quadratic_direct(mu, nu, 0.5),
+                bs.eot_quadratic_direct(mu_p, nu_p, 0.5))
+    return sols[0].log_plan(), sols[1].log_plan()
+
+
+@pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
+@pytest.mark.parametrize("eps", [0.05, 0.2])
+@pytest.mark.parametrize("problem", ["sp", "eot"])
+def test_symmetric_entropy_is_the_two_relative_entropies(problem, eps,
+                                                         partial):
+    pi, rho = _plan_pair(problem, eps, partial)
+    assert np.isneginf(pi.log_weights).any() == partial
+    oracle = (bs.plan_relative_entropy(pi, rho)
+              + bs.plan_relative_entropy(rho, pi))
+    h = bs.plan_symmetric_entropy(pi, rho)
+    assert h > 0.0
+    assert abs(h - oracle) <= 1e-13 * oracle
+    assert bs.plan_symmetric_entropy(rho, pi) == h
+
+
+@pytest.mark.parametrize("problem", ["sp", "eot"])
+def test_symmetric_entropy_support_rule(problem):
+    full, _ = _plan_pair(problem, 0.2)
+    part, _ = _plan_pair(problem, 0.2, partial=True)
+    # supp part ⊊ supp full: both relative entropies, and H^sym, are +inf
+    assert bs.plan_relative_entropy(full, part) == math.inf
+    assert bs.plan_symmetric_entropy(full, part) == math.inf
+    assert bs.plan_symmetric_entropy(part, full) == math.inf
+    for plan in (full, part):
+        h = bs.plan_symmetric_entropy(plan, plan)
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
+
+
+def _longdouble_symmetric_entropy(pi, rho):
+    a = pi.log_weights.astype(np.longdouble)
+    b = rho.log_weights.astype(np.longdouble)
+    live = np.isfinite(a)
+    a, b = a[live], b[live]
+    return np.sum((np.exp(a) - np.exp(b)) * (a - b))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-17,
+                    reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("eps", [0.2, 0.05, 0.01, 0.001])
+@pytest.mark.parametrize("problem", ["sp", "eot"])
+def test_symmetric_entropy_matches_extended_precision(problem, eps):
+    # the two relative entropies cancel to O(ε²) from O(ε) terms and lose
+    # ~1/ε in relative accuracy; the one-pass sum has no cancellation
+    pi, rho = _plan_pair(problem, eps, partial=problem == "eot")
+    exact = _longdouble_symmetric_entropy(pi, rho)
+    h = bs.plan_symmetric_entropy(pi, rho)
+    assert abs(np.longdouble(h) - exact) <= 1e-15 * exact
+
+
+def test_log_plan_is_bit_identical_to_the_broadcast_sum(ou_sol, eot_sol):
+    sp_2d = _grid_2d_case()
+    cases = [(sol, sol.phi + sol.reference.log_mass(),
+              sol.psi + sol.reference.log_mass()) for sol in (ou_sol, sp_2d)]
+    cases.append((eot_sol, eot_sol.a + eot_sol.mu.log_weights(),
+                  eot_sol.b + eot_sol.nu.log_weights()))
+    for sol, f, g in cases:
+        expected = f[:, None] + g[None, :] + sol.kernel.log_matrix
+        lw = sol.log_plan().log_weights
+        assert np.array_equal(lw.view(np.int64), expected.view(np.int64))
+    # the 2D case has a partial support, so -inf entries are compared too
+    assert np.isneginf(sp_2d.log_plan().log_weights).any()
