@@ -214,10 +214,13 @@ def _run_battery(cfg, rng) -> ScenarioResult:
     Schrödinger problem of the configured kernel), then ``n_seeds``
     perturbation draws at each ε, and check every converged perturbed
     solution against the base with the scenario's ``check``.  Each
-    perturbed solve warm-starts from the base ν-side potential (ψ, or b
-    for EOT) unless a perturbed marginal's support differs from the
-    base's.  The solver is looked up by name at each call, never
-    captured."""
+    perturbed solve starts from the base solution (`init_psi`, or
+    `init_b` for EOT): from its ν-side potential, on the two Sinkhorn
+    operators it keeps (``keep_operators``) and, for EOT, on its kernel,
+    since `perturbed_measure` keeps the base supports; a perturbed
+    marginal on another support starts cold.  The checks run after the
+    last solve, once the base has dropped its operators' n² buffers.  The
+    solver is looked up by name at each call, never captured."""
     res = ScenarioResult()
     scen = SCENARIOS[cfg["scenario"]]
     sv = _section(cfg, "solver")
@@ -225,30 +228,32 @@ def _run_battery(cfg, rng) -> ScenarioResult:
     grid = _grid(cfg)
     arg = cfg["kernel"]["epsilon"] if eot else _kernel(grid, cfg["kernel"])
 
-    def solve_pair(mu, nu, init=None):
+    def solve_pair(mu, nu, init=None, keep=False):
         if eot:
-            return eot_quadratic_direct(mu, nu, arg, init_b=init, **sv)
-        return solve(mu, nu, arg, init_psi=init, **sv)
+            return eot_quadratic_direct(mu, nu, arg, init_b=init,
+                                        keep_operators=keep, **sv)
+        return solve(mu, nu, arg, init_psi=init, keep_operators=keep, **sv)
 
     mu, nu = _marginals(grid, cfg, rng)
     pert = _section(cfg, "perturbation")
-    base = solve_pair(mu, nu)
+    base = solve_pair(mu, nu, keep=True)
     if not base.converged:
         res.not_converged("base problem did not converge; battery skipped")
         return res
-    base_init = base.b if eot else base.psi
+    solved = []
     for s in range(pert["n_seeds"]):
         h = smooth_zero_mean_field(grid, mu, rng, n_modes=pert["n_modes"])
         k = smooth_zero_mean_field(grid, nu, rng, n_modes=pert["n_modes"])
         for eps in pert["epsilons"]:
             mu_p = perturbed_measure(mu, h, eps)
             nu_p = perturbed_measure(nu, k, eps)
-            same = np.array_equal(mu_p.support(), mu.support()) and \
-                np.array_equal(nu_p.support(), nu.support())
-            pert_sol = solve_pair(mu_p, nu_p, base_init if same else None)
-            if res.converged(pert_sol, f"eps={eps} draw={s}: "):
-                res.add_checks({"eps": float(eps), "draw": s},
-                               scen.check(base, pert_sol))
+            start = base if base.same_supports(mu_p, nu_p) else None
+            solved.append((eps, s, solve_pair(mu_p, nu_p, start)))
+    base.drop_operators()
+    for eps, s, pert_sol in solved:
+        if res.converged(pert_sol, f"eps={eps} draw={s}: "):
+            res.add_checks({"eps": float(eps), "draw": s},
+                           scen.check(base, pert_sol))
     res.battery_table("eps", "draw")
     return res
 

@@ -39,7 +39,9 @@ LSE values on another, with each factor restricted to the projections of
 the two supports.  Near a cached anchor v̄ it computes the LSE as a matrix
 product against the exp buffer of v̄ with bounded weights e^{v - v̄}
 (log-absorbed scaling, Schmitzer 2019, arXiv:1610.06519), and re-anchors
-in the log domain by `lse_matvec` otherwise.  The curvature factor
+in the log domain by `lse_matvec` otherwise; a shared copy starts from
+another operator's anchor and re-anchors into buffers of its own.  The
+curvature factor
 
     E_{2κ}(t) = ∫_0^t e^{2κs} ds = (e^{2κt} - 1) / (2κ)
 
@@ -49,6 +51,7 @@ every estimate downstream.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -431,10 +434,16 @@ class AnchoredLSE:
     every later axis stays within τ of its anchor as well.  Any other v
     (a non-finite one included) re-anchors; ``n_anchors`` counts the
     anchors taken.
+
+    The operator holds K's log factors, not K, and keeps its anchor
+    alive: one exp buffer per axis, n_rows×n_cols in 1D and a stack of
+    them per row of the other axis's box in 2D, with the row shifts and
+    v̄.  `shared` hands that anchor on to a solve of nearby inputs on the
+    same supports.
     """
 
     def __init__(self, K: LogKernel, rows: np.ndarray, cols: np.ndarray):
-        self.K = K
+        self._factors = K.log_factors
         self.n_anchors = 0
         self._rows, _, self._row_pos = _support_box(rows.reshape(K.shape))
         self._cols, self._box, self._col_pos = _support_box(
@@ -443,10 +452,24 @@ class AnchoredLSE:
         self._w = None if self._col_pos is None \
             else np.zeros(math.prod(self._box))
         self._buf: list[np.ndarray | None] = [None] * len(K.log_factors)
+        self._owns_buf = True     # False while _buf is another operator's
         self._vbar: np.ndarray | None = None
         # per axis in reduction order: (x̄ with +inf for -inf, None on the
         # first axis, which weighs by e^{v - v̄}; row shifts)
         self._axes: list[tuple[np.ndarray | None, np.ndarray]] = []
+
+    def shared(self) -> "AnchoredLSE":
+        """A copy that starts from this operator's anchor.  It reads the
+        buffers, row shifts and v̄, which no anchor changes in place, and
+        re-anchors into buffers of its own, so its calls never change this
+        operator or another copy's results.  ``n_anchors`` counts its own
+        anchors, from 0."""
+        op = copy.copy(self)
+        op.n_anchors = 0
+        op._owns_buf = False
+        if self._w is not None:
+            op._w = np.zeros_like(self._w)
+        return op
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         d = None if self._vbar is None else v - self._vbar
@@ -476,6 +499,9 @@ class AnchoredLSE:
 
     def _anchor(self, v: np.ndarray) -> np.ndarray:
         self.n_anchors += 1
+        if not self._owns_buf:
+            self._buf = [None] * len(self._buf)
+            self._owns_buf = True
         self._vbar = v.copy()
         self._axes = []
         floor = np.finfo(float).tiny * math.exp(ANCHOR_RADIUS)
@@ -485,7 +511,7 @@ class AnchoredLSE:
             x = np.full(self._box, -np.inf)
             x.reshape(-1)[self._col_pos] = v
         for k in reversed(range(len(self._buf))):
-            A = _restrict(self.K.log_factors[k], self._rows[k], self._cols[k])
+            A = _restrict(self._factors[k], self._rows[k], self._cols[k])
             xk = x.swapaxes(k, -1)
             if self._buf[k] is None:
                 self._buf[k] = np.empty(xk.shape[:-1] + A.shape)

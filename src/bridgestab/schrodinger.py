@@ -19,7 +19,9 @@ as one value per cell of supp μ, ψ per cell of supp ν.  Each log P_T e^ψ
 on supp μ is evaluated by `kernels.AnchoredLSE` from supp ν to supp μ, as
 a matrix product against the exp buffer of a recent anchor ψ̄ with the
 weights e^{ψ - ψ̄} bounded by e^τ (log-absorbed scaling), re-anchoring in
-the log domain when ψ moves further; log P_T e^φ mirrors it.
+the log domain when ψ moves further; log P_T e^φ mirrors it.  A solve
+that starts from a solution with the same supports and kernel continues
+on the operators that solution kept.
 
 Quadratic EOT,  S^ε = inf ∫|x-y|² dπ + ε H(π | μ⊗ν),  is solved by the same
 iteration against the Gibbs factor e^{-|x-y|²/ε}: one loop, `_sinkhorn`,
@@ -139,6 +141,22 @@ def plan_symmetric_entropy(pi: Plan, rho: Plan) -> float:
     return _symmetric_terms(a[live], b[live])
 
 
+class _Reusable:
+    """What a solution lends to a solve that starts from it (`_start`)."""
+
+    def same_supports(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
+        """Whether μ and ν have this solution's grid and supports, so that
+        it warm-starts their solve."""
+        return (self.mu.grid.same_as(mu.grid)
+                and np.array_equal(self.mu.support(), mu.support())
+                and np.array_equal(self.nu.support(), nu.support()))
+
+    def drop_operators(self) -> None:
+        """Free the operators kept by ``keep_operators``; later solves
+        from this solution take fresh ones."""
+        self._operators = ()
+
+
 def _integrals(f: np.ndarray, g: np.ndarray, mu: DiscreteMeasure,
                nu: DiscreteMeasure) -> tuple[float, float]:
     """(∫f dμ, ∫g dν), summed over the supports (f, g may be -inf off them)."""
@@ -148,8 +166,12 @@ def _integrals(f: np.ndarray, g: np.ndarray, mu: DiscreteMeasure,
 
 
 @dataclass
-class SchrodingerSolution:
-    """Converged (or not) Schrödinger system for one (μ, ν, kernel) triple."""
+class SchrodingerSolution(_Reusable):
+    """Converged (or not) Schrödinger system for one (μ, ν, kernel) triple.
+
+    Solved with ``keep_operators``, it keeps its two Sinkhorn operators
+    (`kernels.AnchoredLSE`) for the solves that start from it: two
+    n_rows×n_cols exp buffers in 1D, per-batch-row stacks in 2D."""
 
     mu: DiscreteMeasure
     nu: DiscreteMeasure
@@ -171,6 +193,9 @@ class SchrodingerSolution:
                            repr=False, compare=False)
     _alphas: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
+    # with ``keep_operators``: `_sinkhorn`'s supp μ → supp ν, supp ν → supp μ
+    _operators: tuple = field(default=(), init=False, repr=False,
+                              compare=False)
 
     @property
     def reference(self) -> ReferenceMeasure:
@@ -338,7 +363,8 @@ def _implied_omega(history: list[float], omega: float) -> float:
 
 def _sinkhorn(K: LogKernel, log_p: np.ndarray, log_q: np.ndarray,
               mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float,
-              max_iter: int, init_g: np.ndarray | None = None):
+              max_iter: int, init_g: np.ndarray | None = None,
+              ops: tuple[AnchoredLSE, AnchoredLSE] | None = None):
     """Over-relaxed log-domain Sinkhorn for plans π = e^{f ⊕ g + K}·(p ⊗ q),
     K symmetric.
 
@@ -363,7 +389,8 @@ def _sinkhorn(K: LogKernel, log_p: np.ndarray, log_q: np.ndarray,
 
     Each side evaluates K.lse through its own `AnchoredLSE` from one
     support to the other, so most half-steps are a matrix product against
-    the exp buffer of a recent anchor.  ``init_g`` is a start for g on
+    the exp buffer of a recent anchor; ``ops`` are those two operators
+    (`_start`), None for fresh ones.  ``init_g`` is a start for g on
     supp ν from `_warm_start`; None is the cold start g = 0 on every cell.
     Returns (f, g, mu_hat, nu_hat, n_iter, history, converged, omega) on
     the grid, where mu_hat and nu_hat are the marginals of the final plan
@@ -380,8 +407,7 @@ def _sinkhorn(K: LogKernel, log_p: np.ndarray, log_q: np.ndarray,
     a = mu.log_weights()[s_mu] - lp              # log μ - log p
     b = nu.log_weights()[s_nu] - lq              # log ν - log q
     w_mu, w_nu = mu.weights[s_mu], nu.weights[s_nu]
-    lse_on_f = AnchoredLSE(K, s_nu, s_mu)        # supp μ → supp ν
-    lse_on_g = AnchoredLSE(K, s_mu, s_nu)        # supp ν → supp μ
+    lse_on_f, lse_on_g = ops or _fresh_operators(K, mu, nu)
 
     # the cold start is g = 0 on every cell; where q has no mass off supp ν
     # (a full supp ν, or q = ν) that is g = 0 on supp ν, which anchors there
@@ -451,23 +477,53 @@ def _warm_start(init, nu: DiscreteMeasure, name: str) -> np.ndarray | None:
     return init[s_nu]
 
 
+def _fresh_operators(K: LogKernel, mu: DiscreteMeasure,
+                     nu: DiscreteMeasure) -> tuple[AnchoredLSE, AnchoredLSE]:
+    """Fresh operators of `_sinkhorn`: supp μ → supp ν, supp ν → supp μ."""
+    s_mu, s_nu = mu.support(), nu.support()
+    return AnchoredLSE(K, s_nu, s_mu), AnchoredLSE(K, s_mu, s_nu)
+
+
+def _start(init, kind: type, K: LogKernel, mu: DiscreteMeasure,
+           nu: DiscreteMeasure, name: str):
+    """(g, ops): `_sinkhorn`'s start for g on supp ν (None: cold) and its
+    two operators.  ``init`` is None, a grid vector (`_warm_start`) or a
+    solution of type ``kind``.  A solution on the supports of μ and ν
+    starts g at its ν-side potential and, when its kernel is K, hands on
+    its kept operators (`AnchoredLSE.shared`); on other supports it gives
+    a cold start, since its potential need not be finite on supp ν."""
+    ops = None
+    if isinstance(init, kind):
+        base, init = init, None
+        if base.same_supports(mu, nu):
+            init = base.psi if kind is SchrodingerSolution else base.b
+            if base.kernel is K and base._operators:
+                ops = tuple(op.shared() for op in base._operators)
+    return _warm_start(init, nu, name), ops or _fresh_operators(K, mu, nu)
+
+
 def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, kernel: GibbsKernel,
           tol: float = 1e-9, max_iter: int = 100_000,
-          init_psi: np.ndarray | None = None) -> SchrodingerSolution:
+          init_psi: np.ndarray | SchrodingerSolution | None = None,
+          keep_operators: bool = False) -> SchrodingerSolution:
     """Log-domain Sinkhorn for the Schrödinger system.
 
     Stops when the larger of the two L1 marginal residuals of the implied
     plan drops to ``tol``.  The returned potentials are re-centered to the
     symmetric normalization; convergence failure is recorded, not raised.
     ``init_psi`` warm-starts ψ: one value per cell, finite on supp ν (the
-    values off supp ν are ignored).
+    values off supp ν are ignored), or a solution (`_start`).
+    ``keep_operators`` keeps the two Sinkhorn operators on the returned
+    solution, for solves that start from it; otherwise their n² buffers
+    are freed on return.
     """
     _check_problem(mu, nu, kernel)
     ref = kernel.reference
     u = ref.log_mass()
+    init_g, ops = _start(init_psi, SchrodingerSolution, kernel, mu, nu,
+                        "init_psi")
     phi, psi, mu_hat, nu_hat, n_done, history, converged, omega = _sinkhorn(
-        kernel, u, u, mu, nu, tol, max_iter,
-        _warm_start(init_psi, nu, "init_psi"))
+        kernel, u, u, mu, nu, tol, max_iter, init_g, ops)
 
     h_mu = relative_entropy(mu, ref)
     h_nu = relative_entropy(nu, ref)
@@ -478,11 +534,14 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, kernel: GibbsKernel,
     phi = phi + c
     psi = psi - c
 
-    return SchrodingerSolution(
+    sol = SchrodingerSolution(
         mu=mu, nu=nu, kernel=kernel, phi=phi, psi=psi, mu_hat=mu_hat,
         nu_hat=nu_hat, n_iter=n_done,
         marginal_residual=history[-1], residual_history=np.asarray(history),
         converged=converged, h_mu=h_mu, h_nu=h_nu, omega=omega)
+    if keep_operators:
+        sol._operators = ops
+    return sol
 
 
 def require_converged(sol) -> None:
@@ -497,8 +556,9 @@ def require_converged(sol) -> None:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class EOTSolution:
-    """Entropic OT with quadratic cost |x-y|² and regularizer ε, vs μ⊗ν."""
+class EOTSolution(_Reusable):
+    """Entropic OT with quadratic cost |x-y|² and regularizer ε, vs μ⊗ν;
+    keeps its operators as `SchrodingerSolution` does."""
 
     mu: DiscreteMeasure
     nu: DiscreteMeasure
@@ -512,6 +572,8 @@ class EOTSolution:
     residual_history: np.ndarray
     converged: bool
     omega: float                      # ω of the last iteration (1: plain)
+    _operators: tuple = field(default=(), init=False, repr=False,
+                              compare=False)
 
     def log_plan(self) -> Plan:
         lw = np.add.outer(self.a + self.mu.log_weights(),
@@ -523,7 +585,8 @@ class EOTSolution:
 def eot_quadratic_direct(mu: DiscreteMeasure, nu: DiscreteMeasure,
                          epsilon: float, tol: float = 1e-9,
                          max_iter: int = 100_000,
-                         init_b: np.ndarray | None = None) -> EOTSolution:
+                         init_b: np.ndarray | EOTSolution | None = None,
+                         keep_operators: bool = False) -> EOTSolution:
     """Sinkhorn for S^ε against μ⊗ν with log-domain potentials.
 
     The cost is the dual value S^ε = ε(∫a dμ + ∫b dν).  At the optimum it
@@ -534,23 +597,33 @@ def eot_quadratic_direct(mu: DiscreteMeasure, nu: DiscreteMeasure,
     a ``tol=1e-13`` plain Sinkhorn solve to 1e-12 relative.
 
     ``init_b`` warm-starts b as ``init_psi`` does ψ in `solve`: one value
-    per cell, finite on supp ν (the values off supp ν are ignored).
+    per cell, finite on supp ν (the values off supp ν are ignored), or a
+    solution, which at this ε on this grid also lends its kernel
+    -|x-y|²/ε.  ``keep_operators`` is that of `solve`.
     """
     if not mu.grid.same_as(nu.grid):
         raise ValueError("marginals must share one grid")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    init_b = _warm_start(init_b, nu, "init_b")
-    K = LogKernel(tuple(_squared_distances(x) / (-epsilon)
-                        for x in mu.grid.axes))
+    if isinstance(init_b, EOTSolution) and init_b.epsilon == epsilon \
+            and init_b.mu.grid.same_as(mu.grid):
+        K = init_b.kernel
+    else:
+        K = LogKernel(tuple(_squared_distances(x) / (-epsilon)
+                            for x in mu.grid.axes))
+    init_g, ops = _start(init_b, EOTSolution, K, mu, nu, "init_b")
     a, b, _, _, n_done, history, converged, omega = _sinkhorn(
-        K, mu.log_weights(), nu.log_weights(), mu, nu, tol, max_iter, init_b)
+        K, mu.log_weights(), nu.log_weights(), mu, nu, tol, max_iter,
+        init_g, ops)
     ia, ib = _integrals(a, b, mu, nu)
-    return EOTSolution(mu=mu, nu=nu, epsilon=float(epsilon), kernel=K,
-                       a=a, b=b, cost=epsilon * (ia + ib), n_iter=n_done,
-                       marginal_residual=history[-1],
-                       residual_history=np.asarray(history),
-                       converged=converged, omega=omega)
+    sol = EOTSolution(mu=mu, nu=nu, epsilon=float(epsilon), kernel=K,
+                      a=a, b=b, cost=epsilon * (ia + ib), n_iter=n_done,
+                      marginal_residual=history[-1],
+                      residual_history=np.asarray(history),
+                      converged=converged, omega=omega)
+    if keep_operators:
+        sol._operators = ops
+    return sol
 
 
 # ---------------------------------------------------------------------------

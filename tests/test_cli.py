@@ -11,6 +11,7 @@ import yaml
 
 from bridgestab import BandwidthWarning, DiscreteMeasure, cli, dynamics, \
     schrodinger
+from bridgestab.kernels import AnchoredLSE
 
 
 def write_cfg(tmp_path, cfg, name="cfg.yaml"):
@@ -72,15 +73,20 @@ def test_solve_end_to_end(tmp_path):
 
 
 def test_reports_are_byte_identical_across_reruns(tmp_path):
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    cfg = solve_cfg(out_a)
-    path = write_cfg(tmp_path, cfg)
-    assert cli.main(["--config", str(path)]) == 0
-    cfg["output"]["dir"] = str(out_b)
-    path2 = write_cfg(tmp_path, cfg, "cfg2.yaml")
-    assert cli.main(["--config", str(path2)]) == 0
-    assert (out_a / "report.jsonl").read_bytes() == (out_b / "report.jsonl").read_bytes()
+    # each scenario twice in one interpreter: a cache kept across runs (of
+    # kernels per ε, say) must not change the second run's reports
+    for cfg in [solve_cfg(tmp_path / "solve")] + [
+            battery_cfg(name, tmp_path / name) for name in _BATTERY_REPORTS]:
+        out_a = Path(cfg["output"]["dir"]) / "a"
+        out_b = Path(cfg["output"]["dir"]) / "b"
+        cfg["output"]["dir"] = str(out_a)
+        path = write_cfg(tmp_path, cfg)
+        assert cli.main(["--config", str(path)]) == 0
+        cfg["output"]["dir"] = str(out_b)
+        path2 = write_cfg(tmp_path, cfg, "cfg2.yaml")
+        assert cli.main(["--config", str(path2)]) == 0
+        assert (out_a / "report.jsonl").read_bytes() == \
+            (out_b / "report.jsonl").read_bytes(), cfg["scenario"]
 
 
 def test_seed_override_changes_randomized_runs(tmp_path):
@@ -335,6 +341,75 @@ def test_battery_support_mismatch_starts_cold(tmp_path, monkeypatch):
     seen = _spy_warm_starts(monkeypatch)
     cli.run(battery_cfg("stability", tmp_path), tmp_path / "out")
     assert seen == [False] * 5
+
+
+def _spy_solves(monkeypatch, arrays: bool = False) -> list:
+    """Record n_iter per solver call of `cli`; with ``arrays`` a solution
+    passed as the warm start is replaced by its ν-side potential, which
+    starts the solve from that array on fresh operators (the oracle)."""
+    iters = []
+
+    def spy(fn, key, potential):
+        def call(*args, **kw):
+            if arrays and kw.get(key) is not None:
+                kw[key] = getattr(kw[key], potential)
+            sol = fn(*args, **kw)
+            iters.append(sol.n_iter)
+            return sol
+        return call
+
+    for name, key, potential in (("solve", "init_psi", "psi"),
+                                 ("eot_quadratic_direct", "init_b", "b")):
+        monkeypatch.setattr(cli, name, spy(getattr(cli, name), key,
+                                           potential))
+    return iters
+
+
+def _count_anchors(monkeypatch) -> list:
+    taken = []
+    real = AnchoredLSE._anchor
+
+    def anchor(self, v):
+        taken.append(1)
+        return real(self, v)
+
+    monkeypatch.setattr(AnchoredLSE, "_anchor", anchor)
+    return taken
+
+
+@pytest.mark.parametrize("support", ["full", "partial"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 7])
+@pytest.mark.parametrize("scenario", sorted(_BATTERY_REPORTS))
+def test_battery_shared_operators_match_array_starts(tmp_path, monkeypatch,
+                                                     scenario, seed,
+                                                     support):
+    # the perturbed solves continue on the base solve's operators; the
+    # oracle warm-starts them from the base potential on fresh operators
+    cfg = {**battery_cfg(scenario, tmp_path), "seed": seed}
+    if support == "partial":
+        cfg["marginals"] = {
+            "mu": {"family": "uniform", "lo": [-3.0], "hi": [1.0]},
+            "nu": {"family": "uniform", "lo": [-1.0], "hi": [3.5]}}
+    runs = {}
+    for mode in ("shared", "arrays"):
+        with monkeypatch.context() as m:
+            iters = _spy_solves(m, arrays=mode == "arrays")
+            anchors = _count_anchors(m)
+            code = cli.run(cfg, tmp_path / mode)
+        runs[mode] = (code, iters, len(anchors),
+                      read_reports(tmp_path / mode)[0])
+    (code, iters, anchors, got), (code0, iters0, anchors0, want) = \
+        runs["shared"], runs["arrays"]
+    assert code == code0
+    assert iters == iters0 and len(iters) == 5
+    # two anchors for the base solve; no perturbed solve takes its own
+    assert anchors == 2 < anchors0
+    assert [(r["name"], r["passed"]) for r in got] == \
+        [(r["name"], r["passed"]) for r in want]
+    for r, r0 in zip(got, want):
+        for side in ("lhs", "rhs"):
+            x, ref = float(r[side]), float(r0[side])
+            assert abs(x - ref) <= 1e-12 * abs(ref), (r["name"], side)
 
 
 def test_stability_keeps_cells_near_the_mass_floor(tmp_path):

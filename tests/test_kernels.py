@@ -523,6 +523,30 @@ def test_anchored_lse_reanchors_past_the_radius(rng):
         assert op.n_anchors == 5, name
 
 
+def test_shared_anchor_never_writes_the_original(rng):
+    tau = kernels.ANCHOR_RADIUS
+    for name, K, rows, cols, v in _anchored_cases(rng):
+        op = AnchoredLSE(K, rows, cols)
+        op(v)
+        bufs = [b.copy() for b in op._buf]
+        twin = op.shared()
+        # near the anchor: the original's buffers, no anchor of its own
+        w = v + rng.uniform(-0.5 * tau, 0.5 * tau, v.size)
+        _assert_matches_lse(twin(w), K, rows, cols, w)
+        assert twin.n_anchors == 0
+        assert all(b is b0 for b, b0 in zip(twin._buf, op._buf))
+        # past the radius: buffers of its own, the original's unchanged
+        w = v.copy()
+        w[5] += 1.01 * tau
+        _assert_matches_lse(twin(w), K, rows, cols, w)
+        assert twin.n_anchors == 1 and op.n_anchors == 1, name
+        assert not any(np.shares_memory(b, b0)
+                       for b, b0 in zip(twin._buf, op._buf)), name
+        assert all(np.array_equal(b, b0) for b, b0 in zip(op._buf, bufs))
+        _assert_matches_lse(op(v + 0.5), K, rows, cols, v + 0.5)
+        assert op.n_anchors == 1, name
+
+
 def _restricted_lse(K, rows, cols, v):
     """The reduction `AnchoredLSE` anchors with, written out: v on the box
     of the projections of ``cols`` (-inf on its other cells), each axis

@@ -1,8 +1,10 @@
 """Sinkhorn solver, cost identities, and the quadratic entropic-transport dictionary."""
 
 import copy
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -166,6 +168,133 @@ def test_init_b_is_checked(gauss_pair, bad):
             "column": np.zeros((n, 1))}[bad]
     with pytest.raises(ValueError, match="init_b"):
         bs.eot_quadratic_direct(mu, nu, 0.5, init_b=init, max_iter=50)
+
+
+def _solver(kind, grid):
+    """run(mu, nu, init=None, **kw): the SP solve on one OU kernel, or EOT
+    at ε = 0.5, with ``init`` passed as `init_psi` or `init_b`."""
+    if kind == "sp":
+        K = bs.GibbsKernel.ou(grid, T=0.5, kappa=1.0)
+        return lambda mu, nu, init=None, **kw: bs.solve(
+            mu, nu, K, init_psi=init, **kw)
+    return lambda mu, nu, init=None, **kw: bs.eot_quadratic_direct(
+        mu, nu, 0.5, init_b=init, **kw)
+
+
+def _nu_potential(sol):
+    return sol.b if isinstance(sol, bs.EOTSolution) else sol.psi
+
+
+def _draw(mu, nu, rng, eps):
+    h = bs.smooth_zero_mean_field(mu.grid, mu, rng)
+    k = bs.smooth_zero_mean_field(nu.grid, nu, rng)
+    return bs.perturbed_measure(mu, h, eps), bs.perturbed_measure(nu, k, eps)
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64),
+                          np.asarray(b).view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ["sp", "eot"])
+def test_solution_start_shares_the_base_operators(gauss_pair, rng, kind):
+    mu, nu = gauss_pair
+    run = _solver(kind, mu.grid)
+    base = run(mu, nu, keep_operators=True)
+    assert len(base._operators) == 2
+    assert run(mu, nu)._operators == ()
+    mu_p, nu_p = _draw(mu, nu, rng, 0.2)
+    assert base.same_supports(mu_p, nu_p)
+    warm = run(mu_p, nu_p, base, keep_operators=True)
+    oracle = run(mu_p, nu_p, _nu_potential(base))
+    # the perturbed solve ran on the base's anchors (and EOT kernel)
+    assert warm.kernel is base.kernel
+    for op, op0 in zip(warm._operators, base._operators):
+        assert op.n_anchors == 0
+        assert all(b is b0 for b, b0 in zip(op._buf, op0._buf))
+    assert warm.converged and warm.n_iter == oracle.n_iter
+    for a, b in zip(_potentials(warm), _potentials(oracle)):
+        fin = np.isfinite(b)
+        assert np.array_equal(np.isfinite(a), fin)
+        assert np.max(np.abs(a[fin] - b[fin])) <= \
+            1e-12 * max(1.0, np.max(np.abs(b[fin])))
+    # without kept operators the solution starts from its potential alone,
+    # which is the array start bit for bit
+    plain = run(mu, nu)
+    assert _same_bits(_nu_potential(run(mu_p, nu_p, plain)),
+                      _nu_potential(run(mu_p, nu_p, _nu_potential(plain))))
+    base.drop_operators()
+    assert base._operators == ()
+    assert _same_bits(_nu_potential(run(mu_p, nu_p, base)),
+                      _nu_potential(oracle))
+
+
+@pytest.mark.parametrize("kind", ["sp", "eot"])
+def test_solution_start_on_other_supports_is_cold(gauss_pair, rng, kind):
+    mu, nu = gauss_pair
+    run = _solver(kind, mu.grid)
+    base = run(mu, nu, keep_operators=True)
+    mu_p, nu_p = _draw(mu, nu, rng, 0.2)
+    w = nu_p.weights.copy()
+    w[np.flatnonzero(w)[0]] = 0.0
+    nu_p = bs.DiscreteMeasure.from_weights(nu.grid, w)
+    assert not base.same_supports(mu_p, nu_p)
+    got, cold = run(mu_p, nu_p, base), run(mu_p, nu_p)
+    assert got.n_iter == cold.n_iter
+    assert all(_same_bits(a, b)
+               for a, b in zip(_potentials(got), _potentials(cold)))
+
+
+@pytest.mark.parametrize("kind", ["sp", "eot"])
+def test_shared_operators_are_order_independent(gauss_pair, monkeypatch,
+                                                kind):
+    # draw B re-solved alone and after a draw A whose solve re-anchors on
+    # every call: bitwise the same, and the base operators untouched
+    mu, nu = gauss_pair
+    run = _solver(kind, mu.grid)
+    base = run(mu, nu, keep_operators=True)
+    rng = np.random.default_rng(11)
+    draw_a, draw_b = _draw(mu, nu, rng, 0.2), _draw(mu, nu, rng, 0.05)
+    state = [(op.n_anchors, op._vbar.copy(), [b.copy() for b in op._buf])
+             for op in base._operators]
+    alone = run(*draw_b, base)
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "ANCHOR_RADIUS", -1.0)
+        sol_a = run(*draw_a, base, keep_operators=True)
+    for op, op0 in zip(sol_a._operators, base._operators):
+        assert op.n_anchors >= sol_a.n_iter
+        assert not any(np.shares_memory(b, b0)
+                       for b, b0 in zip(op._buf, op0._buf))
+    after = run(*draw_b, base)
+    assert after.n_iter == alone.n_iter
+    assert all(_same_bits(a, b)
+               for a, b in zip(_potentials(after), _potentials(alone)))
+    assert _same_bits(after.residual_history, alone.residual_history)
+    for op, (n, vbar, bufs) in zip(base._operators, state):
+        assert op.n_anchors == n
+        assert _same_bits(op._vbar, vbar)
+        assert all(_same_bits(b, b0) for b, b0 in zip(op._buf, bufs))
+
+
+@pytest.mark.parametrize("kind", ["sp", "eot"])
+def test_dropped_solution_frees_its_operators(gauss_pair, kind):
+    # no reference cycle keeps a base solution, its operators, their exp
+    # buffers or its kernel alive: refcounting alone frees them
+    mu, nu = gauss_pair
+    mu_p, nu_p = _draw(mu, nu, np.random.default_rng(5), 0.2)
+    gc.collect()
+    gc.disable()
+    try:
+        run = _solver(kind, mu.grid)
+        base = run(mu, nu, keep_operators=True)
+        warm = run(mu_p, nu_p, base)
+        ops = base._operators
+        refs = [weakref.ref(x) for x in
+                (base, base.kernel, *ops, *(b for op in ops for b in op._buf))]
+        del run, base, warm, ops
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 def test_infeasible_marginal_raises():
