@@ -43,7 +43,6 @@ from .schrodinger import (
     EOTSolution,
     solve,
     require_converged,
-    plan_relative_entropy,
     plan_symmetric_entropy,
     eot_quadratic_direct,
     eot_via_sp,
@@ -95,9 +94,9 @@ __all__ = [
     "BandwidthWarning", "GibbsKernel", "curvature_factor", "lse_matvec",
     "apply_semigroup",
     "InfeasibleProblem", "NotConverged", "Plan", "SchrodingerSolution",
-    "EOTSolution", "solve", "require_converged", "plan_relative_entropy",
-    "plan_symmetric_entropy", "eot_quadratic_direct", "eot_via_sp",
-    "eot_cost_from_sp", "sp_time_from_epsilon",
+    "EOTSolution", "solve", "require_converged", "plan_symmetric_entropy",
+    "eot_quadratic_direct", "eot_via_sp", "eot_cost_from_sp",
+    "sp_time_from_epsilon",
     "h_minus_one_norm", "WeightedPoissonProblem", "wasserstein2_1d",
     "w2_h_minus_one_comparison",
     "InequalityReport", "make_report", "make_equality_report",

@@ -217,8 +217,8 @@ def _run_battery(cfg, rng) -> ScenarioResult:
     perturbed solve starts from the base solution (`init_psi`, or
     `init_b` for EOT): from its ν-side potential, on the two Sinkhorn
     operators it keeps (``keep_operators``) and, for EOT, on its kernel,
-    since `perturbed_measure` keeps the base supports; a perturbed
-    marginal on another support starts cold.  The checks run after the
+    since `perturbed_measure` keeps the base supports; the solver starts
+    a perturbed marginal on another support cold.  The checks run after the
     last solve, once the base has dropped its operators' n² buffers.  The
     solver is looked up by name at each call, never captured."""
     res = ScenarioResult()
@@ -247,8 +247,7 @@ def _run_battery(cfg, rng) -> ScenarioResult:
         for eps in pert["epsilons"]:
             mu_p = perturbed_measure(mu, h, eps)
             nu_p = perturbed_measure(nu, k, eps)
-            start = base if base.same_supports(mu_p, nu_p) else None
-            solved.append((eps, s, solve_pair(mu_p, nu_p, start)))
+            solved.append((eps, s, solve_pair(mu_p, nu_p, base)))
     base.drop_operators()
     for eps, s, pert_sol in solved:
         if res.converged(pert_sol, f"eps={eps} draw={s}: "):

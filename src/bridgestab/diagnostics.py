@@ -19,7 +19,9 @@ right-hand side of +inf yields a *vacuous* report (flagged, never counted
 as evidence).
 
 Values and realized marginals come from the solutions' potentials and
-stored marginals; only the plan lhs (`stab_plans*`, `eot_plan_stab`) build
+stored marginals, and the EOT entropies H(·|Leb) from the heat solutions'
+`h_mu`, `h_nu` (`eot_quadratic_direct` solves at T = ε/4 against the
+cell volumes); only the plan lhs (`stab_plans*`, `eot_plan_stab`) build
 dense plans (`log_plan`), for H^sym of the plans.  That H^sym is one pass
 of nonnegative terms Σ (π - π̄)(log π - log π̄)
 (`schrodinger.plan_symmetric_entropy`), not a sum of two relative
@@ -31,9 +33,8 @@ from __future__ import annotations
 import math
 
 from .kernels import curvature_factor
-from .measures import (DiscreteMeasure, ReferenceMeasure, difference,
-                       fisher_information, gradient_energy, relative_entropy,
-                       symmetric_entropy)
+from .measures import (DiscreteMeasure, difference, fisher_information,
+                       gradient_energy, symmetric_entropy)
 from .reports import InequalityReport, cross_check_rhs, make_report
 from .schrodinger import (EOTSolution, InfeasibleProblem,
                           SchrodingerSolution, plan_symmetric_entropy,
@@ -244,18 +245,17 @@ def quadratic_eot_stability_check(eot_a: EOTSolution, eot_b: EOTSolution
     eps = eot_a.epsilon
     d = eot_a.mu.grid.ndim
     c_eps = 0.5 * d * eps * math.log(4.0 * math.pi * eps)
-    leb = ReferenceMeasure.lebesgue(eot_a.mu.grid)
     s_a, s_b = eot_a.cost, eot_b.cost
     guard = 1e-8 * max(1.0, abs(s_a), abs(s_b), abs(c_eps))
     terms = _marginal_terms(eot_a.mu, eot_a.nu, eot_b.mu, eot_b.nu)
 
     # crossed pairing: the root of side k carries the entropy of side k_x
     roots = {}
-    for k, s, S, k_x, m_x in (("mu", s_a, "S", "nu", eot_a.nu),
-                              ("nu", s_a, "S", "mu", eot_a.mu),
-                              ("mu_bar", s_b, "S_bar", "nu_bar", eot_b.nu),
-                              ("nu_bar", s_b, "S_bar", "mu_bar", eot_b.mu)):
-        roots[k] = sqrt_clamped(s + eps * relative_entropy(m_x, leb) + c_eps,
+    for k, s, S, k_x, h_x in (("mu", s_a, "S", "nu", eot_a.h_nu),
+                              ("nu", s_a, "S", "mu", eot_a.h_mu),
+                              ("mu_bar", s_b, "S_bar", "nu_bar", eot_b.h_nu),
+                              ("nu_bar", s_b, "S_bar", "mu_bar", eot_b.h_mu)):
+        roots[k] = sqrt_clamped(s + eps * h_x + c_eps,
                                 f"{S} + eps*H({k_x}|Leb) + C_eps", guard)
 
     hsym_mu, hsym_nu = terms["hsym_mu"], terms["hsym_nu"]

@@ -413,16 +413,15 @@ def grad_sq_norm(values: np.ndarray, grid: Grid,
     return out
 
 
-def gradient_energy(v: np.ndarray, grid: Grid, weights: np.ndarray,
-                    floor: float = 0.0) -> float:
+def gradient_energy(v: np.ndarray, grid: Grid, weights: np.ndarray
+                    ) -> float:
     """∫ |∇v|² w  for a weight vector w on the grid, with the gradient taken
-    on the cells where w exceeds ``floor``.
+    on the cells where w is positive.
 
-    The corrector left-hand sides and the drift curve α(t) apply it to a
-    slice log P_t e^φ from `SchrodingerSolution.log_slices`.
+    The corrector left-hand sides apply it to the slices log P_T e^φ and
+    log P_T e^ψ from `SchrodingerSolution.log_slices`.
     """
-    mask = weights > floor
-    return float(weights @ grad_sq_norm(v, grid, mask))
+    return float(weights @ grad_sq_norm(v, grid, weights > 0.0))
 
 
 def fisher_information(p: DiscreteMeasure, ref: ReferenceMeasure) -> float:

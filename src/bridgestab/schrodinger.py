@@ -23,20 +23,17 @@ the log domain when ψ moves further; log P_T e^φ mirrors it.  A solve
 that starts from a solution with the same supports and kernel continues
 on the operators that solution kept.
 
-Quadratic EOT,  S^ε = inf ∫|x-y|² dπ + ε H(π | μ⊗ν),  is solved by the same
-iteration against the Gibbs factor e^{-|x-y|²/ε}: one loop, `_sinkhorn`,
-serves both problems as plans π = e^{f ⊕ g + K}·(p ⊗ q), with K = log p_T and
-p = q = m for SP, and K = -|x-y|²/ε, p = μ, q = ν for EOT.  Both K are
-separable over grid axes and reach the loop as a `LogKernel` operator.  For
-an OU reference at curvature κ the two problems are equivalent through the
-time change ε = (4/κ) sinh(κT), and `eot_via_sp` evaluates S^ε through that
-dictionary.
+Quadratic EOT,  S^ε = inf ∫|x-y|² dπ + ε H(π | μ⊗ν),  is this problem for
+the heat kernel at T = ε/4, as e^{-|x-y|²/ε} = (πε)^{d/2}·p_T: with m the
+cell volumes, S^ε = ε(C_T - H(μ|m) - H(ν|m)) - (dε/2)·log(πε).  For an OU
+reference at curvature κ the two problems are equivalent through the time
+change ε = (4/κ) sinh(κT) (`eot_cost_from_sp`, `eot_via_sp`).
 
-Values come from the potentials: C_T = ∫φ dμ + ∫ψ dν and the dual value
-S^ε = ε(∫a dμ + ∫b dν), which is second-order accurate in the stopping
-residual.  The realized marginals μ̂, ν̂ of the plan are those the loop
-computes for its stopping rule.  The dense n×n plan is built only by
-`log_plan`, for the symmetric entropy of two plans and the test oracles.
+Values come from the potentials, C_T = ∫φ dμ + ∫ψ dν, a dual value that
+is second-order accurate in the stopping residual.  The realized marginals
+μ̂, ν̂ of the plan are those the loop computes for its stopping rule.  The
+dense n×n plan is built only by `log_plan`, for the symmetric entropy of
+two plans and the test oracles.
 """
 
 from __future__ import annotations
@@ -47,8 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import (AnchoredLSE, BandwidthWarning, GibbsKernel, LogKernel,
-                      _squared_distances, apply_semigroup)
+from .kernels import (AnchoredLSE, BandwidthWarning, GibbsKernel,
+                      apply_semigroup)
 from .measures import (DiscreteMeasure, Grid, ReferenceMeasure,
                        relative_entropy, second_moment)
 
@@ -74,16 +71,6 @@ class Plan:
         out = np.zeros_like(self.log_weights)
         np.exp(self.log_weights, where=np.isfinite(self.log_weights), out=out)
         return out
-
-
-def plan_relative_entropy(pi: Plan, rho: Plan) -> float:
-    """H(π | ρ) for two plans on the same grid pair."""
-    a, b = pi.log_weights, rho.log_weights
-    pa = np.isfinite(a)
-    if np.any(np.isneginf(b[pa])):
-        return math.inf
-    w = np.exp(a[pa])
-    return float(np.sum(w * (a[pa] - b[pa])))
 
 
 # Entries per block of `_symmetric_terms`.  Its two work buffers of 64 KB
@@ -119,8 +106,7 @@ def plan_symmetric_entropy(pi: Plan, rho: Plan) -> float:
     """H^sym = H(π | ρ) + H(ρ | π) = Σ (π_ij - ρ_ij)(log π_ij - log ρ_ij),
     summed in one pass over the common support; +inf when the supports
     (the finite entries of the two log-weight arrays) differ, exactly as
-    the sum of the two relative entropies (`plan_relative_entropy`, the
-    test oracle).
+    the sum of the two relative entropies (the test oracle).
 
     Every term is ≥ 0, so nothing cancels: the two relative entropies are
     sums of O(ε) terms that cancel to O(ε²) for plans ε apart, and lose
@@ -141,22 +127,6 @@ def plan_symmetric_entropy(pi: Plan, rho: Plan) -> float:
     return _symmetric_terms(a[live], b[live])
 
 
-class _Reusable:
-    """What a solution lends to a solve that starts from it (`_start`)."""
-
-    def same_supports(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
-        """Whether μ and ν have this solution's grid and supports, so that
-        it warm-starts their solve."""
-        return (self.mu.grid.same_as(mu.grid)
-                and np.array_equal(self.mu.support(), mu.support())
-                and np.array_equal(self.nu.support(), nu.support()))
-
-    def drop_operators(self) -> None:
-        """Free the operators kept by ``keep_operators``; later solves
-        from this solution take fresh ones."""
-        self._operators = ()
-
-
 def _integrals(f: np.ndarray, g: np.ndarray, mu: DiscreteMeasure,
                nu: DiscreteMeasure) -> tuple[float, float]:
     """(∫f dμ, ∫g dν), summed over the supports (f, g may be -inf off them)."""
@@ -166,7 +136,7 @@ def _integrals(f: np.ndarray, g: np.ndarray, mu: DiscreteMeasure,
 
 
 @dataclass
-class SchrodingerSolution(_Reusable):
+class SchrodingerSolution:
     """Converged (or not) Schrödinger system for one (μ, ν, kernel) triple.
 
     Solved with ``keep_operators``, it keeps its two Sinkhorn operators
@@ -187,6 +157,7 @@ class SchrodingerSolution(_Reusable):
     h_mu: float
     h_nu: float
     omega: float                      # ω of the last iteration (1: plain)
+    shift: float                      # c: the loop stopped at (φ - c, ψ + c)
     # memos, per kernel time s, of log P_s e^φ and log P_s e^ψ
     # (`log_slices`), and per t of `dynamics` α(t)
     _slices: tuple = field(default_factory=lambda: ({}, {}), init=False,
@@ -218,6 +189,18 @@ class SchrodingerSolution(_Reusable):
         """(∫φdμ - H(μ|m), ∫ψdν - H(ν|m)); equal under the symmetric gauge."""
         a, b = _integrals(self.phi, self.psi, self.mu, self.nu)
         return a - self.h_mu, b - self.h_nu
+
+    def same_supports(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
+        """Whether μ and ν have this solution's grid and supports, so that
+        it warm-starts their solve."""
+        return (self.mu.grid.same_as(mu.grid)
+                and np.array_equal(self.mu.support(), mu.support())
+                and np.array_equal(self.nu.support(), nu.support()))
+
+    def drop_operators(self) -> None:
+        """Free the operators kept by ``keep_operators``; later solves
+        from this solution take fresh ones."""
+        self._operators = ()
 
     def log_slices(self, times):
         """(log P_t e^φ, log P_{T-t} e^ψ) for t in [0, T]; P_0 is the
@@ -361,15 +344,15 @@ def _implied_omega(history: list[float], omega: float) -> float:
     return _omega(rho)
 
 
-def _sinkhorn(K: LogKernel, log_p: np.ndarray, log_q: np.ndarray,
-              mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float,
-              max_iter: int, init_g: np.ndarray | None = None,
+def _sinkhorn(K: GibbsKernel, log_m: np.ndarray, mu: DiscreteMeasure,
+              nu: DiscreteMeasure, tol: float, max_iter: int,
+              init_g: np.ndarray | None = None,
               ops: tuple[AnchoredLSE, AnchoredLSE] | None = None):
-    """Over-relaxed log-domain Sinkhorn for plans π = e^{f ⊕ g + K}·(p ⊗ q),
-    K symmetric.
+    """Over-relaxed log-domain Sinkhorn for plans π = e^{f ⊕ g + K}·(m ⊗ m),
+    K symmetric and m the reference measure.
 
-    Each iteration takes the Sinkhorn half-step  f' = log μ - log p -
-    K.lse(g + log q)  on supp μ and sets  f ← f + ω(f' - f)  there, then
+    Each iteration takes the Sinkhorn half-step  f' = log μ - log m -
+    K.lse(g + log m)  on supp μ and sets  f ← f + ω(f' - f)  there, then
     does the mirror update for g on supp ν.  It stops when the larger of
     the two L1 marginal residuals of the plan of the relaxed (f, g) drops
     to ``tol``.  f, g, μ̂, ν̂ and the residual are computed on the supports
@@ -391,7 +374,7 @@ def _sinkhorn(K: LogKernel, log_p: np.ndarray, log_q: np.ndarray,
     support to the other, so most half-steps are a matrix product against
     the exp buffer of a recent anchor; ``ops`` are those two operators
     (`_start`), None for fresh ones.  ``init_g`` is a start for g on
-    supp ν from `_warm_start`; None is the cold start g = 0 on every cell.
+    supp ν; None is the cold start g = 0 on every cell.
     Returns (f, g, mu_hat, nu_hat, n_iter, history, converged, omega) on
     the grid, where mu_hat and nu_hat are the marginals of the final plan
     that the stopping rule compared with μ and ν, and omega is the ω of
@@ -403,17 +386,17 @@ def _sinkhorn(K: LogKernel, log_p: np.ndarray, log_q: np.ndarray,
         raise ValueError("max_iter must be at least 1")
     # everything below lives on the supports: f, μ̂ on supp μ; g, ν̂ on supp ν
     s_mu, s_nu = mu.support(), nu.support()
-    lp, lq = log_p[s_mu], log_q[s_nu]
-    a = mu.log_weights()[s_mu] - lp              # log μ - log p
-    b = nu.log_weights()[s_nu] - lq              # log ν - log q
+    lp, lq = log_m[s_mu], log_m[s_nu]
+    a = mu.log_weights()[s_mu] - lp              # log dμ/dm
+    b = nu.log_weights()[s_nu] - lq              # log dν/dm
     w_mu, w_nu = mu.weights[s_mu], nu.weights[s_nu]
     lse_on_f, lse_on_g = ops or _fresh_operators(K, mu, nu)
 
-    # the cold start is g = 0 on every cell; where q has no mass off supp ν
-    # (a full supp ν, or q = ν) that is g = 0 on supp ν, which anchors there
-    if init_g is None and np.all(np.isneginf(log_q[~s_nu])):
+    # the cold start is g = 0 on every cell; where m has no mass off supp ν
+    # (a full supp ν) that is g = 0 on supp ν, which anchors there
+    if init_g is None and np.all(np.isneginf(log_m[~s_nu])):
         init_g = np.zeros(lq.size)
-    lse_g = K.lse(log_q)[s_mu] if init_g is None else lse_on_g(init_g + lq)
+    lse_g = K.lse(log_m)[s_mu] if init_g is None else lse_on_g(init_g + lq)
 
     history = []
     converged = False
@@ -477,29 +460,57 @@ def _warm_start(init, nu: DiscreteMeasure, name: str) -> np.ndarray | None:
     return init[s_nu]
 
 
-def _fresh_operators(K: LogKernel, mu: DiscreteMeasure,
+def _fresh_operators(K: GibbsKernel, mu: DiscreteMeasure,
                      nu: DiscreteMeasure) -> tuple[AnchoredLSE, AnchoredLSE]:
     """Fresh operators of `_sinkhorn`: supp μ → supp ν, supp ν → supp μ."""
     s_mu, s_nu = mu.support(), nu.support()
     return AnchoredLSE(K, s_nu, s_mu), AnchoredLSE(K, s_mu, s_nu)
 
 
-def _start(init, kind: type, K: LogKernel, mu: DiscreteMeasure,
-           nu: DiscreteMeasure, name: str):
+def _start(base: SchrodingerSolution | None, init, K: GibbsKernel,
+           mu: DiscreteMeasure, nu: DiscreteMeasure, name: str):
     """(g, ops): `_sinkhorn`'s start for g on supp ν (None: cold) and its
-    two operators.  ``init`` is None, a grid vector (`_warm_start`) or a
-    solution of type ``kind``.  A solution on the supports of μ and ν
-    starts g at its ν-side potential and, when its kernel is K, hands on
-    its kept operators (`AnchoredLSE.shared`); on other supports it gives
-    a cold start, since its potential need not be finite on supp ν."""
+    two operators.  ``init`` is None or a grid vector (`_warm_start`);
+    ``base`` is None or the solution that ``init`` was read from.  A base
+    on the supports of μ and ν hands on its kept operators
+    (`AnchoredLSE.shared`) when its kernel is K; on other supports the
+    start is cold, since its potentials need not be finite on supp ν."""
     ops = None
-    if isinstance(init, kind):
-        base, init = init, None
-        if base.same_supports(mu, nu):
-            init = base.psi if kind is SchrodingerSolution else base.b
-            if base.kernel is K and base._operators:
-                ops = tuple(op.shared() for op in base._operators)
+    if base is not None:
+        if not base.same_supports(mu, nu):
+            init = None
+        elif base.kernel is K and base._operators:
+            ops = tuple(op.shared() for op in base._operators)
     return _warm_start(init, nu, name), ops or _fresh_operators(K, mu, nu)
+
+
+def _solve(cls: type, mu: DiscreteMeasure, nu: DiscreteMeasure,
+           kernel: GibbsKernel, tol: float, max_iter: int,
+           init_g: np.ndarray | None, ops: tuple[AnchoredLSE, AnchoredLSE],
+           keep_operators: bool, **fields) -> SchrodingerSolution:
+    """The ``cls`` solution (with ``fields``) of `_sinkhorn` from the start
+    (init_g, ops) of `_start`, re-centered to the symmetric normalization;
+    it keeps ``ops`` with ``keep_operators``."""
+    ref = kernel.reference
+    phi, psi, mu_hat, nu_hat, n_done, history, converged, omega = _sinkhorn(
+        kernel, ref.log_mass(), mu, nu, tol, max_iter, init_g, ops)
+
+    h_mu = relative_entropy(mu, ref)
+    h_nu = relative_entropy(nu, ref)
+
+    # symmetric normalization: shift so both sides of the gauge agree
+    a, b = _integrals(phi, psi, mu, nu)
+    c = 0.5 * ((b - h_nu) - (a - h_mu))
+    phi = phi + c
+    psi = psi - c
+
+    sol = cls(mu=mu, nu=nu, kernel=kernel, phi=phi, psi=psi, mu_hat=mu_hat,
+              nu_hat=nu_hat, n_iter=n_done, marginal_residual=history[-1],
+              residual_history=np.asarray(history), converged=converged,
+              h_mu=h_mu, h_nu=h_nu, omega=omega, shift=c, **fields)
+    if keep_operators:
+        sol._operators = ops
+    return sol
 
 
 def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, kernel: GibbsKernel,
@@ -518,30 +529,11 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, kernel: GibbsKernel,
     are freed on return.
     """
     _check_problem(mu, nu, kernel)
-    ref = kernel.reference
-    u = ref.log_mass()
-    init_g, ops = _start(init_psi, SchrodingerSolution, kernel, mu, nu,
-                        "init_psi")
-    phi, psi, mu_hat, nu_hat, n_done, history, converged, omega = _sinkhorn(
-        kernel, u, u, mu, nu, tol, max_iter, init_g, ops)
-
-    h_mu = relative_entropy(mu, ref)
-    h_nu = relative_entropy(nu, ref)
-
-    # symmetric normalization: shift so both sides of the gauge agree
-    a, b = _integrals(phi, psi, mu, nu)
-    c = 0.5 * ((b - h_nu) - (a - h_mu))
-    phi = phi + c
-    psi = psi - c
-
-    sol = SchrodingerSolution(
-        mu=mu, nu=nu, kernel=kernel, phi=phi, psi=psi, mu_hat=mu_hat,
-        nu_hat=nu_hat, n_iter=n_done,
-        marginal_residual=history[-1], residual_history=np.asarray(history),
-        converged=converged, h_mu=h_mu, h_nu=h_nu, omega=omega)
-    if keep_operators:
-        sol._operators = ops
-    return sol
+    base = init_psi if isinstance(init_psi, SchrodingerSolution) else None
+    init_g, ops = _start(base, init_psi if base is None else base.psi,
+                         kernel, mu, nu, "init_psi")
+    return _solve(SchrodingerSolution, mu, nu, kernel, tol, max_iter, init_g,
+                  ops, keep_operators)
 
 
 def require_converged(sol) -> None:
@@ -556,30 +548,37 @@ def require_converged(sol) -> None:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class EOTSolution(_Reusable):
-    """Entropic OT with quadratic cost |x-y|² and regularizer ε, vs μ⊗ν;
-    keeps its operators as `SchrodingerSolution` does."""
+class EOTSolution(SchrodingerSolution):
+    """Quadratic EOT at ε: the solution of the heat kernel at T = ε/4, with
+    its value S^ε and its potentials a, b against μ⊗ν, the plan being
+    e^{a ⊕ b - |x-y|²/ε}·(μ ⊗ ν).  a and b are taken in the gauge the loop
+    stopped in, where the operators it keeps were anchored."""
 
-    mu: DiscreteMeasure
-    nu: DiscreteMeasure
     epsilon: float
-    kernel: LogKernel                 # -|x-y|²/ε, one factor per axis
-    a: np.ndarray                     # log-domain potentials against μ⊗ν
-    b: np.ndarray
-    cost: float                       # S^ε = ε(∫a dμ + ∫b dν), dual value
-    n_iter: int
-    marginal_residual: float
-    residual_history: np.ndarray
-    converged: bool
-    omega: float                      # ω of the last iteration (1: plain)
-    _operators: tuple = field(default=(), init=False, repr=False,
-                              compare=False)
 
-    def log_plan(self) -> Plan:
-        lw = np.add.outer(self.a + self.mu.log_weights(),
-                          self.b + self.nu.log_weights())
-        lw += self.kernel.log_matrix
-        return Plan(self.mu.grid, lw)
+    # its own entry, which perfbench's tracer wraps by name
+    log_plan = SchrodingerSolution.log_plan
+
+    @property
+    def cost(self) -> float:
+        """S^ε, from C_T (`eot_cost_from_sp`)."""
+        return eot_cost_from_sp(self, self.epsilon)
+
+    @property
+    def a(self) -> np.ndarray:
+        """φ - c + log m - log μ - (d/2)·log(πε) on supp μ (c = ``shift``)."""
+        log_c = 0.5 * self.mu.grid.ndim * math.log(math.pi * self.epsilon)
+        return self._against(self.mu, self.phi - self.shift - log_c)
+
+    @property
+    def b(self) -> np.ndarray:
+        """ψ + c + log m - log ν on supp ν."""
+        return self._against(self.nu, self.psi + self.shift)
+
+    def _against(self, rho: DiscreteMeasure, f: np.ndarray) -> np.ndarray:
+        s = rho.support()
+        f = f[s] + self.reference.log_mass()[s] - rho.log_weights()[s]
+        return _on_grid(f, s, -np.inf)
 
 
 def eot_quadratic_direct(mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -587,47 +586,42 @@ def eot_quadratic_direct(mu: DiscreteMeasure, nu: DiscreteMeasure,
                          max_iter: int = 100_000,
                          init_b: np.ndarray | EOTSolution | None = None,
                          keep_operators: bool = False) -> EOTSolution:
-    """Sinkhorn for S^ε against μ⊗ν with log-domain potentials.
+    """Quadratic EOT at ε, solved as `solve` does on the heat kernel at
+    T = ε/4; √(ε/2) below twice the cell width sets ``kernel.underresolved``
+    and warns (`BandwidthWarning`).
 
-    The cost is the dual value S^ε = ε(∫a dμ + ∫b dν).  At the optimum it
-    equals the primal ∫|x-y|²dπ + εH(π|μ⊗ν) = ε(∫a dμ̂ + ∫b dν̂), and its
-    error is second order in the marginal residual where the primal's is
-    first order.  That holds as well where the loop stops on a relaxed
-    iterate: on the tested problems the default ``tol`` gives the cost of
-    a ``tol=1e-13`` plain Sinkhorn solve to 1e-12 relative.
+    S^ε comes from C_T, a dual value: at the optimum it equals the primal
+    ∫|x-y|²dπ + εH(π|μ⊗ν), and its error is second order in the marginal
+    residual where the primal's is first order, also where the loop stops
+    on a relaxed iterate (on the tested problems, the default ``tol`` gives
+    the cost of a ``tol=1e-13`` plain solve to 1e-12 relative).
 
-    ``init_b`` warm-starts b as ``init_psi`` does ψ in `solve`: one value
-    per cell, finite on supp ν (the values off supp ν are ignored), or a
-    solution, which at this ε on this grid also lends its kernel
-    -|x-y|²/ε.  ``keep_operators`` is that of `solve`.
+    ``init_b`` warm-starts b: one value per cell, finite on supp ν (the
+    values off supp ν are ignored), or a solution, which starts from its b
+    and, at this ε on this grid, lends its kernel.  ψ starts at
+    b + log ν - log m on supp ν (b = 0 without ``init_b``).
+    ``keep_operators`` is that of `solve`.
     """
-    if not mu.grid.same_as(nu.grid):
-        raise ValueError("marginals must share one grid")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if isinstance(init_b, EOTSolution) and init_b.epsilon == epsilon \
-            and init_b.mu.grid.same_as(mu.grid):
-        K = init_b.kernel
+    base = init_b if isinstance(init_b, EOTSolution) else None
+    if base is not None and base.epsilon == epsilon \
+            and base.mu.grid.same_as(mu.grid):
+        kernel = base.kernel
     else:
-        K = LogKernel(tuple(_squared_distances(x) / (-epsilon)
-                            for x in mu.grid.axes))
-    init_g, ops = _start(init_b, EOTSolution, K, mu, nu, "init_b")
-    a, b, _, _, n_done, history, converged, omega = _sinkhorn(
-        K, mu.log_weights(), nu.log_weights(), mu, nu, tol, max_iter,
-        init_g, ops)
-    ia, ib = _integrals(a, b, mu, nu)
-    sol = EOTSolution(mu=mu, nu=nu, epsilon=float(epsilon), kernel=K,
-                      a=a, b=b, cost=epsilon * (ia + ib), n_iter=n_done,
-                      marginal_residual=history[-1],
-                      residual_history=np.asarray(history),
-                      converged=converged, omega=omega)
-    if keep_operators:
-        sol._operators = ops
-    return sol
+        kernel = GibbsKernel.heat(mu.grid, epsilon / 4.0)
+    _check_problem(mu, nu, kernel)
+    b, ops = _start(base, init_b if base is None else base.b, kernel, mu,
+                    nu, "init_b")
+    s = nu.support()
+    lift = nu.log_weights()[s] - kernel.reference.log_mass()[s]   # b ↦ ψ
+    init_g = lift if b is None else b + lift
+    return _solve(EOTSolution, mu, nu, kernel, tol, max_iter, init_g, ops,
+                  keep_operators, epsilon=float(epsilon))
 
 
 # ---------------------------------------------------------------------------
-# the SP ↔ EOT dictionary for the OU reference
+# the SP ↔ EOT dictionary
 # ---------------------------------------------------------------------------
 
 def sp_time_from_epsilon(epsilon: float, kappa: float) -> float:
@@ -642,15 +636,17 @@ def sp_time_from_epsilon(epsilon: float, kappa: float) -> float:
 
 
 def eot_cost_from_sp(sol: SchrodingerSolution, epsilon: float) -> float:
-    """S^ε from a Schrödinger solution at T = arcsinh(εκ/4)/κ.
+    """S^ε from a Schrödinger solution at T = arcsinh(εκ/4)/κ, or at
+    T = ε/4 for the heat kernel (κ = 0, m the cell volumes):
 
-    S^ε = ε(C_T - H(μ|m) - H(ν|m)) - (dε/2)·log(1 - e^{-2κT})
-          + (1 - e^{-κT})·(M2(μ) + M2(ν)).
+    heat:  S^ε = ε(C_T - H(μ|m) - H(ν|m)) - (dε/2)·log(πε),
+    OU:    S^ε = ε(C_T - H(μ|m) - H(ν|m)) - (dε/2)·log(1 - e^{-2κT})
+                 + (1 - e^{-κT})·(M2(μ) + M2(ν)).
     """
     kappa, T, d = sol.kernel.kappa, sol.T, sol.mu.grid.ndim
-    if kappa == 0.0:
-        raise ValueError("the dictionary needs an OU kernel")
     core = epsilon * (sol.entropic_cost() - sol.h_mu - sol.h_nu)
+    if kappa == 0.0:
+        return core - 0.5 * d * epsilon * math.log(math.pi * epsilon)
     log_term = -0.5 * d * epsilon * math.log(-math.expm1(-2.0 * kappa * T))
     mom_term = (-math.expm1(-kappa * T)) * (second_moment(sol.mu)
                                             + second_moment(sol.nu))

@@ -10,6 +10,9 @@
   exactly.
 * `wasserstein2_exact_small`: W2 by a dense transport LP on small
   supports, the reference of the quantile W2 (`wasserstein2_1d`).
+* `plan_relative_entropy`: H(π | ρ) of two dense plans; the sum of the two
+  relative entropies is the reference of the one-pass symmetric entropy
+  (`plan_symmetric_entropy`), and H(π | R) that of the dual costs.
 * Bridge time slices, one time at a time: each slice applies a kernel built
   for that time alone (`GibbsKernel.at_time(s)` then `apply_semigroup`),
   and each α(t) takes its own slices, density weights and gradient.  The
@@ -24,7 +27,7 @@ import warnings
 import numpy as np
 
 from bridgestab.kernels import BandwidthWarning, _check_ou, apply_semigroup
-from bridgestab.measures import MASS_FLOOR, gradient_energy
+from bridgestab.measures import MASS_FLOOR, gradient_energy, grad_sq_norm
 
 LP_MAX_ATOMS = 64
 
@@ -137,4 +140,14 @@ def alpha_per_time(sol, t: float) -> float:
     if t == sol.T:
         return gradient_energy(lp, sol.mu.grid, sol.nu.weights)
     w = np.exp(lp + lq + sol.reference.log_mass())
-    return gradient_energy(lp, sol.mu.grid, w, floor=MASS_FLOOR)
+    return float(w @ grad_sq_norm(lp, sol.mu.grid, w > MASS_FLOOR))
+
+
+def plan_relative_entropy(pi, rho) -> float:
+    """H(π | ρ) for two plans on the same grid pair."""
+    a, b = pi.log_weights, rho.log_weights
+    pa = np.isfinite(a)
+    if np.any(np.isneginf(b[pa])):
+        return math.inf
+    w = np.exp(a[pa])
+    return float(np.sum(w * (a[pa] - b[pa])))

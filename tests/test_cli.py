@@ -328,8 +328,10 @@ def test_battery_warm_starts_match_cold_solves(tmp_path, monkeypatch,
 
 
 def test_battery_support_mismatch_starts_cold(tmp_path, monkeypatch):
-    # a perturbed marginal that loses a cell of the base support: its solve
-    # starts cold, since the base potential need not fit the new support
+    # a perturbed marginal that loses a cell of the base support: the battery
+    # passes the base solution, and the solver starts cold, since the base
+    # potential need not fit the new support.  So each perturbed solve is
+    # bit for bit a cold solve of its pair
     perturbed = cli.perturbed_measure
 
     def drop_a_cell(mu, h, eps):
@@ -337,10 +339,28 @@ def test_battery_support_mismatch_starts_cold(tmp_path, monkeypatch):
         w[np.flatnonzero(w)[0]] = 0.0
         return DiscreteMeasure.from_weights(mu.grid, w)
 
+    def spy(fn, key):
+        def call(*args, **kw):
+            sol = fn(*args, **kw)
+            base = kw.pop(key)
+            kw.pop("keep_operators")
+            solves.append((base, sol, fn(*args, **kw)))
+            return sol
+        return call
+
     monkeypatch.setattr(cli, "perturbed_measure", drop_a_cell)
-    seen = _spy_warm_starts(monkeypatch)
-    cli.run(battery_cfg("stability", tmp_path), tmp_path / "out")
-    assert seen == [False] * 5
+    for name, key in _WARM_ARGS.items():
+        monkeypatch.setattr(cli, name, spy(getattr(cli, name), key))
+    for scenario in ("stability", "eot-stability"):
+        solves = []
+        cli.run(battery_cfg(scenario, tmp_path), tmp_path / scenario)
+        base = solves[0][1]
+        assert solves[0][0] is None and len(solves) == 5
+        for start, sol, cold in solves[1:]:
+            assert start is base and not base.same_supports(sol.mu, sol.nu)
+            assert sol.n_iter == cold.n_iter
+            for a, b in ((sol.phi, cold.phi), (sol.psi, cold.psi)):
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def _spy_solves(monkeypatch, arrays: bool = False) -> list:

@@ -58,8 +58,8 @@ def _dense_plan_entropy(sol) -> float:
     """H(π | R_{0,T}) summed over the dense plan (test oracle for C_T)."""
     u = sol.reference.log_mass()
     log_r = sol.kernel.log_matrix + u[:, None] + u[None, :]
-    return bs.plan_relative_entropy(sol.log_plan(),
-                                    bs.Plan(sol.mu.grid, log_r))
+    return oracles.plan_relative_entropy(sol.log_plan(),
+                                         bs.Plan(sol.mu.grid, log_r))
 
 
 def _dense_eot_primal(eot) -> float:
@@ -68,9 +68,10 @@ def _dense_eot_primal(eot) -> float:
     x = eot.mu.grid.points()
     d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1)
     plan = eot.log_plan()
-    log_r = eot.mu.log_weights()[:, None] + eot.nu.log_weights()[None, :]
-    return (float(np.sum(plan.weights() * d2)) + eot.epsilon
-            * bs.plan_relative_entropy(plan, bs.Plan(eot.mu.grid, log_r)))
+    log_r = bs.Plan(eot.mu.grid, eot.mu.log_weights()[:, None]
+                    + eot.nu.log_weights()[None, :])
+    return (float(np.sum(plan.weights() * d2))
+            + eot.epsilon * oracles.plan_relative_entropy(plan, log_r))
 
 
 def test_cost_two_routes_agree(ou_sol):
@@ -338,24 +339,41 @@ _GRIDS = pytest.mark.parametrize("grid", [
 @pytest.mark.parametrize("epsilon", [0.3, 1.0])
 @_GRIDS
 def test_eot_plan_is_heat_bridge_plan(grid, epsilon):
-    # e^{-|x-y|²/ε} is the heat kernel at T = ε/4 up to a constant factor,
-    # which Sinkhorn absorbs: both solvers must return the same plan, and
-    # both put -inf potentials off the supports
+    # the EOT solve is the heat Schrödinger solve at T = ε/4; its dense plan
+    # is checked against the EOT problem itself: its marginals are μ and ν,
+    # and its primal ∫|x-y|²dπ + εH(π|μ⊗ν) is the cost.  μ has partial
+    # support, and the EOT potentials are -inf off the supports
     mu = bs.uniform_measure(grid, -1.0, 1.5)
     nu = bs.gaussian_measure(grid, [0.5] * grid.ndim, 0.8)
     assert not mu.support().all()
-    eot = bs.eot_quadratic_direct(mu, nu, epsilon)
     with warnings.catch_warnings():
+        # at ε = 0.3 the 2D grid is coarser than the kernel's bandwidth
         warnings.simplefilter("ignore", bs.BandwidthWarning)
-        sp = bs.solve(mu, nu, bs.GibbsKernel.heat(grid, epsilon / 4.0))
-    assert eot.converged and sp.converged
-    diff = eot.log_plan().weights() - sp.log_plan().weights()
-    assert np.abs(diff).sum() <= 1e-8
-    for sol_pot, eot_pot, m in ((sp.phi, eot.a, mu), (sp.psi, eot.b, nu)):
+        eot = bs.eot_quadratic_direct(mu, nu, epsilon, tol=1e-12)
+    assert eot.converged
+    assert eot.kernel.kappa == 0.0 and eot.T == epsilon / 4.0
+    w = eot.log_plan().weights()
+    assert np.abs(w.sum(axis=1) - mu.weights).sum() <= 1e-12
+    assert np.abs(w.sum(axis=0) - nu.weights).sum() <= 1e-12
+    assert abs(_dense_eot_primal(eot) - eot.cost) <= 1e-12 * abs(eot.cost)
+    for pot, m in ((eot.a, mu), (eot.b, nu)):
         off = ~m.support()
-        assert np.all(np.isneginf(sol_pot[off]))
-        assert np.all(np.isneginf(eot_pot[off]))
-        assert np.all(np.isfinite(eot_pot[~off]))
+        assert np.all(np.isneginf(pot[off]))
+        assert np.all(np.isfinite(pot[~off]))
+
+
+@_GRIDS
+def test_eot_cost_from_heat_solution_is_the_eot_cost(grid):
+    # κ = 0: S^ε of the heat Schrödinger solve at T, through the dictionary,
+    # is the EOT cost at ε = 4T and the dense EOT primal
+    mu = bs.gaussian_measure(grid, [-0.4] * grid.ndim, 0.9)
+    nu = bs.uniform_measure(grid, [-1.0] * grid.ndim, [1.5] * grid.ndim)
+    T = 0.2
+    sol = bs.solve(mu, nu, bs.GibbsKernel.heat(grid, T), tol=1e-12)
+    eot = bs.eot_quadratic_direct(mu, nu, 4.0 * T, tol=1e-12)
+    cost = bs.eot_cost_from_sp(sol, 4.0 * T)
+    assert abs(cost - eot.cost) <= 1e-12 * abs(eot.cost)
+    assert abs(cost - _dense_eot_primal(eot)) <= 1e-12 * abs(eot.cost)
 
 
 @_GRIDS
@@ -382,8 +400,11 @@ def test_eot_dual_cost_matches_primal_and_tight_solve(grid):
     # convergence, and a loose solve is second-order accurate in tol
     mu = bs.gaussian_measure(grid, [-0.4] * grid.ndim, 0.9)
     nu = bs.uniform_measure(grid, [-1.0] * grid.ndim, [1.5] * grid.ndim)
-    tight = bs.eot_quadratic_direct(mu, nu, 0.5, tol=1e-13)
-    loose = bs.eot_quadratic_direct(mu, nu, 0.5, tol=1e-6)
+    with warnings.catch_warnings():
+        # at ε = 0.5 the 2D grid is coarser than the kernel's bandwidth
+        warnings.simplefilter("ignore", bs.BandwidthWarning)
+        tight = bs.eot_quadratic_direct(mu, nu, 0.5, tol=1e-13)
+        loose = bs.eot_quadratic_direct(mu, nu, 0.5, tol=1e-6)
     assert tight.converged and loose.converged
     assert loose.n_iter < tight.n_iter
     assert abs(_dense_eot_primal(tight) - tight.cost) <= 1e-12 * abs(tight.cost)
@@ -584,8 +605,7 @@ def test_anchored_sinkhorn_matches_log_domain_loop(run, monkeypatch):
         assert np.max(np.abs(a[fin] - b[fin])) <= min(1e-12, 16.0 * ulps)
 
 
-def _full_grid_sinkhorn(K, log_p, log_q, mu, nu, tol, max_iter,
-                        init_g=None):
+def _full_grid_sinkhorn(K, log_m, mu, nu, tol, max_iter, init_g=None):
     """`schrodinger._sinkhorn` on full-grid vectors (test oracle): every
     half-step is `K.lse` of a grid vector that is -inf off the support, and
     μ̂, ν̂ and the residual are taken over all cells.  Same signature and
@@ -598,27 +618,27 @@ def _full_grid_sinkhorn(K, log_p, log_q, mu, nu, tol, max_iter,
     else:
         g = np.full(n, -np.inf)
         g[s_nu] = init_g
-    lse_g = K.lse(g + log_q)
+    lse_g = K.lse(g + log_m)
     history, converged = [], False
     mu_hat, nu_hat = np.zeros(n), np.zeros(n)
     omega, since, retry_below = 1.0, 0, math.inf
     for n_done in range(1, max_iter + 1):
-        f_new = log_mu[s_mu] - log_p[s_mu] - lse_g[s_mu]
+        f_new = log_mu[s_mu] - log_m[s_mu] - lse_g[s_mu]
         if omega != 1.0:
             f_new = f[s_mu] + omega * (f_new - f[s_mu])
         f = np.full(n, -np.inf)
         f[s_mu] = f_new
-        lse_f = K.lse(f + log_p)
-        g_new = log_nu[s_nu] - log_q[s_nu] - lse_f[s_nu]
+        lse_f = K.lse(f + log_m)
+        g_new = log_nu[s_nu] - log_m[s_nu] - lse_f[s_nu]
         if omega != 1.0:
             g_new = g[s_nu] + omega * (g_new - g[s_nu])
         g = np.full(n, -np.inf)
         g[s_nu] = g_new
-        lse_g = K.lse(g + log_q)
+        lse_g = K.lse(g + log_m)
         mu_hat.fill(0.0)
-        mu_hat[s_mu] = np.exp(f[s_mu] + log_p[s_mu] + lse_g[s_mu])
+        mu_hat[s_mu] = np.exp(f[s_mu] + log_m[s_mu] + lse_g[s_mu])
         nu_hat.fill(0.0)
-        nu_hat[s_nu] = np.exp(g[s_nu] + log_q[s_nu] + lse_f[s_nu])
+        nu_hat[s_nu] = np.exp(g[s_nu] + log_m[s_nu] + lse_f[s_nu])
         res = max(float(np.abs(mu_hat - mu.weights).sum()),
                   float(np.abs(nu_hat - nu.weights).sum()))
         if omega != 1.0:
@@ -652,14 +672,15 @@ def _holes(g, seed, frac=0.25, line=None):
 
 
 def _sp_problem(mu, nu, ker):
-    u = ker.reference.log_mass()
-    return ker, u, u, mu, nu
+    return ker, ker.reference.log_mass(), mu, nu
 
 
 def _eot_problem(mu, nu, epsilon):
-    K = kernels.LogKernel(tuple(kernels._squared_distances(x) / -epsilon
-                                for x in mu.grid.axes))
-    return K, mu.log_weights(), nu.log_weights(), mu, nu
+    """The heat problem at T = ε/4 that `eot_quadratic_direct` solves."""
+    with warnings.catch_warnings():
+        # the 16×12 grid is coarser than the kernel's bandwidth at ε = 1.5
+        warnings.simplefilter("ignore", bs.BandwidthWarning)
+        return _sp_problem(mu, nu, bs.GibbsKernel.heat(mu.grid, epsilon / 4))
 
 
 def _oracle_cases():
@@ -697,7 +718,7 @@ def _oracle_cases():
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_sinkhorn_on_supports_matches_full_grid_oracle(name, warm):
     problem = _oracle_cases()[name]
-    nu = problem[4]
+    nu = problem[3]
     init_g = None
     if warm:
         # the potential of a nearby problem: g of the cold solve, shifted
@@ -708,7 +729,7 @@ def test_sinkhorn_on_supports_matches_full_grid_oracle(name, warm):
         got = schrodinger._sinkhorn(*problem, 1e-9, 100_000, init_g)
         want = _full_grid_sinkhorn(*problem, 1e-9, 100_000, init_g)
     f, g, mu_hat, nu_hat, n_iter, history, converged, omega = got
-    mu = problem[3]
+    mu = problem[2]
     assert not mu.support().all() or not nu.support().all()
     assert converged and want[6]
     assert n_iter == want[4] and omega == want[7]
@@ -849,8 +870,8 @@ def test_symmetric_entropy_is_the_two_relative_entropies(problem, eps,
                                                          partial):
     pi, rho = _plan_pair(problem, eps, partial)
     assert np.isneginf(pi.log_weights).any() == partial
-    oracle = (bs.plan_relative_entropy(pi, rho)
-              + bs.plan_relative_entropy(rho, pi))
+    oracle = (oracles.plan_relative_entropy(pi, rho)
+              + oracles.plan_relative_entropy(rho, pi))
     h = bs.plan_symmetric_entropy(pi, rho)
     assert h > 0.0
     assert abs(h - oracle) <= 1e-13 * oracle
@@ -862,7 +883,7 @@ def test_symmetric_entropy_support_rule(problem):
     full, _ = _plan_pair(problem, 0.2)
     part, _ = _plan_pair(problem, 0.2, partial=True)
     # supp part ⊊ supp full: both relative entropies, and H^sym, are +inf
-    assert bs.plan_relative_entropy(full, part) == math.inf
+    assert oracles.plan_relative_entropy(full, part) == math.inf
     assert bs.plan_symmetric_entropy(full, part) == math.inf
     assert bs.plan_symmetric_entropy(part, full) == math.inf
     for plan in (full, part):
@@ -893,11 +914,9 @@ def test_symmetric_entropy_matches_extended_precision(problem, eps):
 
 def test_log_plan_is_bit_identical_to_the_broadcast_sum(ou_sol, eot_sol):
     sp_2d = _grid_2d_case()
-    cases = [(sol, sol.phi + sol.reference.log_mass(),
-              sol.psi + sol.reference.log_mass()) for sol in (ou_sol, sp_2d)]
-    cases.append((eot_sol, eot_sol.a + eot_sol.mu.log_weights(),
-                  eot_sol.b + eot_sol.nu.log_weights()))
-    for sol, f, g in cases:
+    for sol in (ou_sol, sp_2d, eot_sol):
+        u = sol.reference.log_mass()
+        f, g = sol.phi + u, sol.psi + u
         expected = f[:, None] + g[None, :] + sol.kernel.log_matrix
         lw = sol.log_plan().log_weights
         assert np.array_equal(lw.view(np.int64), expected.view(np.int64))
