@@ -12,7 +12,8 @@ are ρ_t = P_t e^φ · P_{T-t} e^ψ · m.  This module computes them and checks:
   (Brenier) rearrangement as T ↓ 0, in L²(μ) on the line.
 
 The last two solve their list of times as one T-ladder that starts from
-the T → 0 limit, the Kantorovich potential (`_solves_along`).
+the T → 0 limit, the Kantorovich potential, and continues each rung from
+the one before it (`_solves_along`).
 
 Each check asks `SchrodingerSolution.log_slices` for its time mesh in runs
 of rows of at most 2^20 entries (`stack_runs`: one run for 64 times up to
@@ -31,8 +32,8 @@ from .kernels import GibbsKernel
 from .measures import (MASS_FLOOR, DiscreteMeasure, Grid, grad_sq_norm,
                        masked_gradient)
 from .reports import InequalityReport, make_equality_report, make_report
-from .schrodinger import (SchrodingerSolution, require_converged, solve,
-                          stack_runs)
+from .schrodinger import (SchrodingerSolution, _kantorovich_start,
+                          require_converged, solve, stack_runs)
 from .sobolev import w2_atoms, wasserstein2_1d
 
 
@@ -167,73 +168,26 @@ def gronwall_decay_check(sol: SchrodingerSolution
 # small-time limits
 # ---------------------------------------------------------------------------
 
-def _eot_scale(T: float, kappa: float) -> tuple[float, float]:
-    """(ε, k) of the SP↔EOT dictionary at time T: the kernel's log factor
-    is  c - |x - y|²/ε + k(x² + y²)  with ε = 4 sinh(κT)/κ and
-    k = 1/ε - w = κ/(2(e^{κT} + 1)), w = κ/(2(e^{2κT} - 1)) the factor's
-    quadratic weight; heat is the κ → 0 case, ε = 4T and k = 0."""
-    if kappa == 0.0:
-        return 4.0 * T, 0.0
-    return (4.0 * math.sinh(kappa * T) / kappa,
-            kappa / (2.0 * (math.exp(kappa * T) + 1.0)))
-
-
-def _kantorovich_rung(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                      epsilon: float, k: float) -> np.ndarray:
-    """ε·(ψ₀ + q) on supp ν for the T → 0 limit ψ₀ = g_K/ε - q + c of
-    `_solves_along` (1D, O(n)).
-
-    g_K is the Kantorovich potential of (μ, ν) for |x - y|², with
-    g_K'(y) = 2(y - S(y)): S is the quantile map ν → μ, read off μ's
-    piecewise-linear cell CDF (edges from the grid's cell widths) at ν's
-    mass midpoints, and g_K is its trapezoid integral over supp ν.  The
-    constant c puts (φ₀, ψ₀) = (f_K/ε - q_μ - c, g_K/ε - q + c) in the
-    symmetric gauge of `solve`; with ∫f_K dμ = W2² - ∫g_K dν (W2² by the
-    same S) the entropies cancel and
-    2c = (W2² - 2∫g_K dν)/ε - k(M2(μ) - M2(ν)).
-    """
-    x, width = mu.grid.axes[0], mu.grid.axis_weights[0]
-    edges = x[0] - 0.5 * width[0] + np.concatenate(([0.0], np.cumsum(width)))
-    cdf = np.concatenate(([0.0], np.cumsum(mu.weights)))
-    s = nu.support()
-    y, v = x[s], nu.weights[s]
-    gap = y - np.interp(np.cumsum(v) - 0.5 * v, cdf, edges)   # y - S(y)
-    g = np.concatenate(([0.0], np.cumsum(np.diff(y) * (gap[1:] + gap[:-1]))))
-    G = float(v @ g)
-    w2sq = float(v @ gap ** 2)
-    m2 = float(mu.weights @ x ** 2) - float(v @ y ** 2)
-    return g + 0.5 * (w2sq - 2.0 * G - epsilon * k * m2)
-
-
 def _solves_along(mu: DiscreteMeasure, nu: DiscreteMeasure, T_list,
                   kappa: float, tol: float, max_iter: int):
     """Converged solutions at each T of ``T_list``, in order.
 
-    Every T starts near its solution through the SP↔EOT dictionary
-    (`_eot_scale`): with q = k·y² + log m - log ν on supp ν, ψ + q is the
-    EOT potential b of (μ, ν) at ε up to a constant, and ε·b tends to the
-    Kantorovich potential g_K as T ↓ 0.  The first T starts from that
-    limit, ψ₀ = g_K/ε - q + c (`_kantorovich_rung`); each later T keeps
-    ε·b of the previous solution, ψ' = (ψ + q)·ε/ε' - q'.  Raises
-    NotConverged at the first T that does not converge.
+    The first T starts from the T → 0 limit of the SP↔EOT dictionary, the
+    Kantorovich potential (`schrodinger._kantorovich_start`).  Each later
+    T starts from the solution before it (``init_psi=sol``), which `solve`
+    continues: first order in ε through the dictionary, at that solution's
+    ω carried to the new T.  Raises NotConverged at the first T that does
+    not converge.
     """
-    s = nu.support()
-    y = mu.grid.axes[0][s]
-    log_nu = np.log(nu.weights[s])
-    eb = None                          # ε·(ψ + q) on supp ν
+    sol = None
     for T in T_list:
         kern = GibbsKernel.heat(mu.grid, T) if kappa == 0.0 \
             else GibbsKernel.ou(mu.grid, T, kappa)
-        eps, k = _eot_scale(T, kappa)
-        q = k * y ** 2 + kern.reference.log_mass()[s] - log_nu
-        if eb is None:
-            eb = _kantorovich_rung(mu, nu, eps, k)
-        init = np.zeros(s.size)
-        init[s] = eb / eps - q
-        sol = solve(mu, nu, kern, tol=tol, max_iter=max_iter, init_psi=init)
+        start = _kantorovich_start(mu, nu, kern) if sol is None else sol
+        sol = solve(mu, nu, kern, tol=tol, max_iter=max_iter,
+                    init_psi=start)
         require_converged(sol)
         yield sol
-        eb = eps * (sol.psi[s] + q)
 
 
 def small_time_cost_curve(mu: DiscreteMeasure, nu: DiscreteMeasure,

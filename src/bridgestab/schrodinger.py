@@ -21,7 +21,9 @@ a matrix product against the exp buffer of a recent anchor ψ̄ with the
 weights e^{ψ - ψ̄} bounded by e^τ (log-absorbed scaling), re-anchoring in
 the log domain when ψ moves further; log P_T e^φ mirrors it.  A solve
 that starts from a solution with the same supports and kernel continues
-on the operators that solution kept.
+on the operators that solution kept, at its ω; one from a solution of
+the same marginals at another time T (or ε) continues it through the
+SP↔EOT dictionary below, at its ω carried to the new time.
 
 Quadratic EOT,  S^ε = inf ∫|x-y|² dπ + ε H(π | μ⊗ν),  is this problem for
 the heat kernel at T = ε/4, as e^{-|x-y|²/ε} = (πε)^{d/2}·p_T: with m the
@@ -156,7 +158,9 @@ class SchrodingerSolution:
     converged: bool
     h_mu: float
     h_nu: float
-    omega: float                      # ω of the last iteration (1: plain)
+    omega: float                      # ω of the last iteration (1: plain);
+    #                                   solves from this solution start there
+    #                                   (`_start`, `_carried_omega`)
     shift: float                      # c: the loop stopped at (φ - c, ψ + c)
     # memos, per kernel time s, of log P_s e^φ and log P_s e^ψ
     # (`log_slices`), and per t of `dynamics` α(t)
@@ -344,10 +348,25 @@ def _implied_omega(history: list[float], omega: float) -> float:
     return _omega(rho)
 
 
+def _carried_omega(omega: float, ratio: float) -> float:
+    """The start ω of a solve at time ratio·T from a solution that ended at
+    ω at time T.  Sinkhorn's plain rate behaves as 1 - ρ ∝ T at small T,
+    so 1 - ρ' = ratio·(1 - ρ), and Young's factor of ρ' is
+    ω' = 2/(1 + (2/ω - 1)·√ratio) (ω itself at ratio 1), capped at
+    _OMEGA_MAX and 1 below _OMEGA_MIN.  It is not rounded to the
+    1/_OMEGA_GRID grid: a computed ω carries no residual noise."""
+    omega = min(omega, _OMEGA_MAX)
+    if ratio != 1.0:
+        omega = min(2.0 / (1.0 + (2.0 / omega - 1.0) * math.sqrt(ratio)),
+                    _OMEGA_MAX)
+    return omega if omega >= _OMEGA_MIN else 1.0
+
+
 def _sinkhorn(K: GibbsKernel, log_m: np.ndarray, mu: DiscreteMeasure,
               nu: DiscreteMeasure, tol: float, max_iter: int,
               init_g: np.ndarray | None = None,
-              ops: tuple[AnchoredLSE, AnchoredLSE] | None = None):
+              ops: tuple[AnchoredLSE, AnchoredLSE] | None = None,
+              start_omega: float = 1.0):
     """Over-relaxed log-domain Sinkhorn for plans π = e^{f ⊕ g + K}·(m ⊗ m),
     K symmetric and m the reference measure.
 
@@ -358,8 +377,11 @@ def _sinkhorn(K: GibbsKernel, log_m: np.ndarray, mu: DiscreteMeasure,
     to ``tol``.  f, g, μ̂, ν̂ and the residual are computed on the supports
     only (f and g are -inf off them); grid vectors are built on return.
 
-    ω starts at 1, plain Sinkhorn.  When two consecutive windows of the
-    residual history agree on a plain rate ρ (`_implied_omega`), ω rises to
+    ω starts at 1, plain Sinkhorn.  A ``start_omega`` above 1 (`_start`)
+    takes over after the first iteration, which stays plain since f has no
+    earlier value; the fallback point is set there.  When two consecutive
+    windows of the residual history agree on a plain rate ρ
+    (`_implied_omega`), ω rises to
     Young's factor 2/(1 + √(1 - ρ)), which shrinks the contraction per
     iteration from ρ to about ω - 1 and keeps the fixed point (Thibault,
     Chizat, Dossal & Papadakis 2021; Lehmann, von Renesse, Sambale &
@@ -427,8 +449,9 @@ def _sinkhorn(K: GibbsKernel, log_m: np.ndarray, mu: DiscreteMeasure,
         if res <= tol:
             converged = True
             break
-        if n_done - since > 2 * _RATE_WINDOW and res <= retry_below:
-            w = _implied_omega(history, omega)
+        if n_done == 1 or (n_done - since > 2 * _RATE_WINDOW
+                           and res <= retry_below):
+            w = start_omega if n_done == 1 else _implied_omega(history, omega)
             if w > omega:
                 start = (f, g, lse_g, mu_hat, nu_hat, res)
                 omega, since, best = w, n_done, res
@@ -468,32 +491,54 @@ def _fresh_operators(K: GibbsKernel, mu: DiscreteMeasure,
 
 
 def _start(base: SchrodingerSolution | None, init, K: GibbsKernel,
-           mu: DiscreteMeasure, nu: DiscreteMeasure, name: str):
-    """(g, ops): `_sinkhorn`'s start for g on supp ν (None: cold) and its
-    two operators.  ``init`` is None or a grid vector (`_warm_start`);
-    ``base`` is None or the solution that ``init`` was read from.  A base
-    on the supports of μ and ν hands on its kept operators
+           mu: DiscreteMeasure, nu: DiscreteMeasure, name: str,
+           lift: np.ndarray | None = None):
+    """(g, ω, ops): `_sinkhorn`'s start for g on supp ν (None: cold), its
+    ``start_omega`` and its two operators.  ``init`` is None or a grid
+    vector (`_warm_start`), taken to ψ by adding ``lift`` on supp ν where
+    one is given (EOT's b ↦ ψ, with b = 0 for None); ``base`` is None or
+    the solution that ``init`` was read from.
+
+    A base on the supports of μ and ν hands on its kept operators
     (`AnchoredLSE.shared`) when its kernel is K; on other supports the
-    start is cold, since its potentials need not be finite on supp ν."""
-    ops = None
+    start is cold, since its potentials need not be finite on supp ν.  A
+    base of K's family (κ) at K's time, or with the marginals μ and ν at
+    another time, is continued: the loop starts at its ω carried to K's
+    time (`_carried_omega`), and at another time ψ goes through the
+    SP↔EOT dictionary (`_continued`).  Any other base starts from
+    ``init`` at ω = 1."""
+    g, omega, ops = None, 1.0, None
     if base is not None:
         if not base.same_supports(mu, nu):
             init = None
-        elif base.kernel is K and base._operators:
-            ops = tuple(op.shared() for op in base._operators)
-    return _warm_start(init, nu, name), ops or _fresh_operators(K, mu, nu)
+        else:
+            if base.kernel is K and base._operators:
+                ops = tuple(op.shared() for op in base._operators)
+            if base.kernel.kappa == K.kappa and (
+                    base.T == K.T
+                    or (np.array_equal(base.mu.weights, mu.weights)
+                        and np.array_equal(base.nu.weights, nu.weights))):
+                omega = _carried_omega(base.omega, K.T / base.T)
+                if base.T != K.T:
+                    g = _continued(base, K)
+    if g is None:
+        g = _warm_start(init, nu, name)
+        if lift is not None:
+            g = lift if g is None else g + lift
+    return g, omega, ops or _fresh_operators(K, mu, nu)
 
 
 def _solve(cls: type, mu: DiscreteMeasure, nu: DiscreteMeasure,
-           kernel: GibbsKernel, tol: float, max_iter: int,
-           init_g: np.ndarray | None, ops: tuple[AnchoredLSE, AnchoredLSE],
+           kernel: GibbsKernel, tol: float, max_iter: int, start: tuple,
            keep_operators: bool, **fields) -> SchrodingerSolution:
     """The ``cls`` solution (with ``fields``) of `_sinkhorn` from the start
-    (init_g, ops) of `_start`, re-centered to the symmetric normalization;
-    it keeps ``ops`` with ``keep_operators``."""
+    (init_g, ω, ops) of `_start`, re-centered to the symmetric
+    normalization; it keeps the operators with ``keep_operators``."""
     ref = kernel.reference
+    init_g, start_omega, ops = start
     phi, psi, mu_hat, nu_hat, n_done, history, converged, omega = _sinkhorn(
-        kernel, ref.log_mass(), mu, nu, tol, max_iter, init_g, ops)
+        kernel, ref.log_mass(), mu, nu, tol, max_iter, init_g, ops,
+        start_omega)
 
     h_mu = relative_entropy(mu, ref)
     h_nu = relative_entropy(nu, ref)
@@ -523,17 +568,22 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, kernel: GibbsKernel,
     plan drops to ``tol``.  The returned potentials are re-centered to the
     symmetric normalization; convergence failure is recorded, not raised.
     ``init_psi`` warm-starts ψ: one value per cell, finite on supp ν (the
-    values off supp ν are ignored), or a solution (`_start`).
+    values off supp ν are ignored), or a solution (`_start`).  A solution
+    of this kernel's family (κ) on the supports of μ and ν is continued
+    when it has this kernel's time or the marginals μ, ν: the loop starts
+    at its ω, carried to T (`_carried_omega`), and at another T from its ψ
+    mapped through the SP↔EOT dictionary, first order in ε on the line
+    (`_continued`); a T-ladder passes each rung's solution to the next.
     ``keep_operators`` keeps the two Sinkhorn operators on the returned
     solution, for solves that start from it; otherwise their n² buffers
     are freed on return.
     """
     _check_problem(mu, nu, kernel)
     base = init_psi if isinstance(init_psi, SchrodingerSolution) else None
-    init_g, ops = _start(base, init_psi if base is None else base.psi,
-                         kernel, mu, nu, "init_psi")
-    return _solve(SchrodingerSolution, mu, nu, kernel, tol, max_iter, init_g,
-                  ops, keep_operators)
+    start = _start(base, init_psi if base is None else base.psi, kernel,
+                   mu, nu, "init_psi")
+    return _solve(SchrodingerSolution, mu, nu, kernel, tol, max_iter, start,
+                  keep_operators)
 
 
 def require_converged(sol) -> None:
@@ -599,7 +649,9 @@ def eot_quadratic_direct(mu: DiscreteMeasure, nu: DiscreteMeasure,
     ``init_b`` warm-starts b: one value per cell, finite on supp ν (the
     values off supp ν are ignored), or a solution, which starts from its b
     and, at this ε on this grid, lends its kernel.  ψ starts at
-    b + log ν - log m on supp ν (b = 0 without ``init_b``).
+    b + log ν - log m on supp ν (b = 0 without ``init_b``).  A solution
+    is continued as in `solve`: at this ε from its ω, and at another ε
+    with the marginals μ, ν through the dictionary (T = ε/4).
     ``keep_operators`` is that of `solve`.
     """
     if epsilon <= 0:
@@ -611,12 +663,11 @@ def eot_quadratic_direct(mu: DiscreteMeasure, nu: DiscreteMeasure,
     else:
         kernel = GibbsKernel.heat(mu.grid, epsilon / 4.0)
     _check_problem(mu, nu, kernel)
-    b, ops = _start(base, init_b if base is None else base.b, kernel, mu,
-                    nu, "init_b")
     s = nu.support()
     lift = nu.log_weights()[s] - kernel.reference.log_mass()[s]   # b ↦ ψ
-    init_g = lift if b is None else b + lift
-    return _solve(EOTSolution, mu, nu, kernel, tol, max_iter, init_g, ops,
+    start = _start(base, init_b if base is None else base.b, kernel, mu, nu,
+                   "init_b", lift)
+    return _solve(EOTSolution, mu, nu, kernel, tol, max_iter, start,
                   keep_operators, epsilon=float(epsilon))
 
 
@@ -633,6 +684,87 @@ def sp_time_from_epsilon(epsilon: float, kappa: float) -> float:
     if kappa == 0.0:
         return epsilon / 4.0
     return float(math.asinh(epsilon * kappa / 4.0) / kappa)
+
+
+def _eot_scale(T: float, kappa: float) -> tuple[float, float]:
+    """(ε, k) of the SP↔EOT dictionary at time T: the kernel's log factor
+    is  c - |x - y|²/ε + k(x² + y²)  with ε = 4 sinh(κT)/κ and
+    k = 1/ε - w = κ/(2(e^{κT} + 1)), w = κ/(2(e^{2κT} - 1)) the factor's
+    quadratic weight; heat is the κ → 0 case, ε = 4T and k = 0."""
+    if kappa == 0.0:
+        return 4.0 * T, 0.0
+    return (4.0 * math.sinh(kappa * T) / kappa,
+            kappa / (2.0 * (math.exp(kappa * T) + 1.0)))
+
+
+def _dictionary(K: GibbsKernel,
+                nu: DiscreteMeasure) -> tuple[float, float, np.ndarray]:
+    """(ε, k, q) at the kernel K (`_eot_scale`), with
+    q = k|y|² + log m - log ν on supp ν: ψ + q is the EOT potential b of
+    (μ, ν) at ε up to a constant, and ε·b tends to the Kantorovich
+    potential g_K as T ↓ 0."""
+    eps, k = _eot_scale(K.T, K.kappa)
+    s = nu.support()
+    y2 = np.sum(nu.grid.points()[s] ** 2, axis=1)
+    return eps, k, k * y2 + K.reference.log_mass()[s] - nu.log_weights()[s]
+
+
+def _kantorovich_rung(mu: DiscreteMeasure, nu: DiscreteMeasure,
+                      epsilon: float, k: float) -> np.ndarray:
+    """ε·(ψ₀ + q) on supp ν for the T → 0 limit ψ₀ = g_K/ε - q + c
+    (`_kantorovich_start`; 1D, O(n)).
+
+    g_K is the Kantorovich potential of (μ, ν) for |x - y|², with
+    g_K'(y) = 2(y - S(y)): S is the quantile map ν → μ, read off μ's
+    piecewise-linear cell CDF (edges from the grid's cell widths) at ν's
+    mass midpoints, and g_K is its trapezoid integral over supp ν.  The
+    constant c puts (φ₀, ψ₀) = (f_K/ε - q_μ - c, g_K/ε - q + c) in the
+    symmetric gauge of `solve`; with ∫f_K dμ = W2² - ∫g_K dν (W2² by the
+    same S) the entropies cancel and
+    2c = (W2² - 2∫g_K dν)/ε - k(M2(μ) - M2(ν)).
+    """
+    x, width = mu.grid.axes[0], mu.grid.axis_weights[0]
+    edges = x[0] - 0.5 * width[0] + np.concatenate(([0.0], np.cumsum(width)))
+    cdf = np.concatenate(([0.0], np.cumsum(mu.weights)))
+    s = nu.support()
+    y, v = x[s], nu.weights[s]
+    gap = y - np.interp(np.cumsum(v) - 0.5 * v, cdf, edges)   # y - S(y)
+    g = np.concatenate(([0.0], np.cumsum(np.diff(y) * (gap[1:] + gap[:-1]))))
+    G = float(v @ g)
+    w2sq = float(v @ gap ** 2)
+    m2 = float(mu.weights @ x ** 2) - float(v @ y ** 2)
+    return g + 0.5 * (w2sq - 2.0 * G - epsilon * k * m2)
+
+
+def _kantorovich_start(mu: DiscreteMeasure, nu: DiscreteMeasure,
+                       K: GibbsKernel) -> np.ndarray:
+    """The T → 0 start ψ₀ = g_K/ε - q + c of the problem (μ, ν, K) as a
+    grid vector (`_kantorovich_rung`, `_dictionary`; 1D), 0 off supp ν."""
+    eps, k, q = _dictionary(K, nu)
+    init = np.zeros(nu.grid.n_cells)
+    init[nu.support()] = _kantorovich_rung(mu, nu, eps, k) / eps - q
+    return init
+
+
+def _continued(base: SchrodingerSolution, K: GibbsKernel) -> np.ndarray:
+    """ψ on supp ν that continues ``base`` to the kernel K of its family
+    at another time, through the SP↔EOT dictionary (`_dictionary`): with
+    b = ψ + q at ε and b' at ε', the start is ψ' = b' - q', where
+    ε'b' = g_K(ε') + (ε'/ε)(εb - g_K(ε)) in 1D, first order in ε
+    (g_K(ε) = `_kantorovich_rung` at ε), and ε'b' = εb elsewhere.  In 1D
+    that is ψ' = ψ + (k - k')y² + g_K(ε')/ε' - g_K(ε)/ε, as the family
+    and the grid fix m, so q - q' = (k - k')y²."""
+    mu, nu = base.mu, base.nu
+    s = nu.support()
+    if nu.grid.ndim == 1:
+        eps, k = _eot_scale(base.T, base.kernel.kappa)
+        eps2, k2 = _eot_scale(K.T, K.kappa)
+        return (base.psi[s] + (k - k2) * nu.grid.axes[0][s] ** 2
+                + _kantorovich_rung(mu, nu, eps2, k2) / eps2
+                - _kantorovich_rung(mu, nu, eps, k) / eps)
+    eps, _, q = _dictionary(base.kernel, nu)
+    eps2, _, q2 = _dictionary(K, nu)
+    return eps / eps2 * (base.psi[s] + q) - q2
 
 
 def eot_cost_from_sp(sol: SchrodingerSolution, epsilon: float) -> float:

@@ -13,6 +13,10 @@
 * `plan_relative_entropy`: H(π | ρ) of two dense plans; the sum of the two
   relative entropies is the reference of the one-pass symmetric entropy
   (`plan_symmetric_entropy`), and H(π | R) that of the dual costs.
+* `zeroth_order_ladder`: the T-ladder that carries only ε·b from rung to
+  rung, each rung an array start at ω = 1; the reference of the ladder
+  whose solution starts continue first order in ε at a carried ω
+  (`dynamics._solves_along`).
 * Bridge time slices, one time at a time: each slice applies a kernel built
   for that time alone (`GibbsKernel.at_time(s)` then `apply_semigroup`),
   and each α(t) takes its own slices, density weights and gradient.  The
@@ -26,8 +30,10 @@ import warnings
 
 import numpy as np
 
-from bridgestab.kernels import BandwidthWarning, _check_ou, apply_semigroup
+from bridgestab.kernels import (BandwidthWarning, GibbsKernel, _check_ou,
+                                apply_semigroup)
 from bridgestab.measures import MASS_FLOOR, gradient_energy, grad_sq_norm
+from bridgestab.schrodinger import _eot_scale, _kantorovich_rung, solve
 
 LP_MAX_ATOMS = 64
 
@@ -151,3 +157,26 @@ def plan_relative_entropy(pi, rho) -> float:
         return math.inf
     w = np.exp(a[pa])
     return float(np.sum(w * (a[pa] - b[pa])))
+
+
+def zeroth_order_ladder(mu, nu, T_list, kappa, tol, max_iter):
+    """Solutions at each T of ``T_list`` (1D): the first T from the
+    Kantorovich potential, each later T from ε'b' = εb of the solution
+    before it, with q = k·y² + log m - log ν and b = ψ + q on supp ν; every
+    solve is an array start at ω = 1."""
+    s = nu.support()
+    y = mu.grid.axes[0][s]
+    log_nu = np.log(nu.weights[s])
+    eb = None
+    for T in T_list:
+        kern = GibbsKernel.heat(mu.grid, T) if kappa == 0.0 \
+            else GibbsKernel.ou(mu.grid, T, kappa)
+        eps, k = _eot_scale(T, kappa)
+        q = k * y ** 2 + kern.reference.log_mass()[s] - log_nu
+        if eb is None:
+            eb = _kantorovich_rung(mu, nu, eps, k)
+        init = np.zeros(s.size)
+        init[s] = eb / eps - q
+        sol = solve(mu, nu, kern, tol=tol, max_iter=max_iter, init_psi=init)
+        yield sol
+        eb = eps * (sol.psi[s] + q)

@@ -363,25 +363,25 @@ def test_battery_support_mismatch_starts_cold(tmp_path, monkeypatch):
                 assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def _spy_solves(monkeypatch, arrays: bool = False) -> list:
-    """Record n_iter per solver call of `cli`; with ``arrays`` a solution
-    passed as the warm start is replaced by its ν-side potential, which
-    starts the solve from that array on fresh operators (the oracle)."""
+def _spy_solves(monkeypatch, fresh: bool = False) -> list:
+    """Record n_iter per solver call of `cli`; with ``fresh`` a solution
+    passed as the warm start drops its kept operators first, so the solve
+    starts from the same potential and ω on fresh operators (the
+    oracle)."""
     iters = []
 
-    def spy(fn, key, potential):
+    def spy(fn, key):
         def call(*args, **kw):
-            if arrays and kw.get(key) is not None:
-                kw[key] = getattr(kw[key], potential)
+            if fresh and kw.get(key) is not None:
+                kw[key].drop_operators()
             sol = fn(*args, **kw)
             iters.append(sol.n_iter)
             return sol
         return call
 
-    for name, key, potential in (("solve", "init_psi", "psi"),
-                                 ("eot_quadratic_direct", "init_b", "b")):
-        monkeypatch.setattr(cli, name, spy(getattr(cli, name), key,
-                                           potential))
+    for name, key in (("solve", "init_psi"),
+                      ("eot_quadratic_direct", "init_b")):
+        monkeypatch.setattr(cli, name, spy(getattr(cli, name), key))
     return iters
 
 
@@ -404,22 +404,23 @@ def test_battery_shared_operators_match_array_starts(tmp_path, monkeypatch,
                                                      scenario, seed,
                                                      support):
     # the perturbed solves continue on the base solve's operators; the
-    # oracle warm-starts them from the base potential on fresh operators
+    # oracle starts them from the same base solution (its potential and ω)
+    # after it dropped its operators, on fresh ones
     cfg = {**battery_cfg(scenario, tmp_path), "seed": seed}
     if support == "partial":
         cfg["marginals"] = {
             "mu": {"family": "uniform", "lo": [-3.0], "hi": [1.0]},
             "nu": {"family": "uniform", "lo": [-1.0], "hi": [3.5]}}
     runs = {}
-    for mode in ("shared", "arrays"):
+    for mode in ("shared", "fresh"):
         with monkeypatch.context() as m:
-            iters = _spy_solves(m, arrays=mode == "arrays")
+            iters = _spy_solves(m, fresh=mode == "fresh")
             anchors = _count_anchors(m)
             code = cli.run(cfg, tmp_path / mode)
         runs[mode] = (code, iters, len(anchors),
                       read_reports(tmp_path / mode)[0])
     (code, iters, anchors, got), (code0, iters0, anchors0, want) = \
-        runs["shared"], runs["arrays"]
+        runs["shared"], runs["fresh"]
     assert code == code0
     assert iters == iters0 and len(iters) == 5
     # two anchors for the base solve; no perturbed solve takes its own

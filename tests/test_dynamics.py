@@ -9,7 +9,8 @@ import pytest
 
 import bridgestab as bs
 from bridgestab import diagnostics, dynamics, kernels, measures, schrodinger
-from oracles import alpha_per_time, log_slices_per_time
+from oracles import (alpha_per_time, log_slices_per_time,
+                     zeroth_order_ladder)
 
 
 @pytest.fixture(scope="module")
@@ -276,7 +277,7 @@ def test_kantorovich_rung_is_constant_for_identical_marginals(grid128):
     # of the CDF near 1 on tail cells of mass ~1e-12 (a few 1e-9 in g_K)
     for m in (bs.gaussian_measure(grid128, [0.3], 0.7),
               bs.uniform_measure(grid128, [-1.0], [2.0])):
-        eb = dynamics._kantorovich_rung(m, m, 0.2, 0.25)
+        eb = schrodinger._kantorovich_rung(m, m, 0.2, 0.25)
         assert eb.shape == (int(m.support().sum()),)
         assert np.ptp(eb) <= 1e-8
 
@@ -333,6 +334,67 @@ def test_kantorovich_rung_starts_a_fine_small_time_solve():
         warnings.simplefilter("ignore", kernels.BandwidthWarning)
         rows = bs.small_time_cost_curve(mu, nu, [5e-4])
     assert rows[0]["n_iter"] <= 600
+
+
+def test_ladder_continues_first_order_in_the_fine_regime():
+    # heat down to T = 5e-4 on 480 cells: every later rung continues the
+    # one before it, first order in ε at its carried ω, in at most 0.6× the
+    # iterations of the zeroth-order ladder at ω = 1 (measured 652 against
+    # 1,187; 545 against 1,186 on 1280 cells).  Below T = 0.005, rounding
+    # keeps the residual of a tol=1e-13 solve near 1e-12, so the tight
+    # references, refined from the oracle rungs, stop at 200 iterations
+    g = bs.Grid.regular([(-8.0, 10.0)], [480])
+    mu = bs.gaussian_measure(g, [-1.0], 1.0)
+    nu = bs.gaussian_measure(g, [1.0], 1.3)
+    T_list = [0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 5e-4]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", kernels.BandwidthWarning)
+        ladder = list(dynamics._solves_along(mu, nu, T_list, 0.0, 1e-9,
+                                             100_000))
+        oracle = list(zeroth_order_ladder(mu, nu, T_list, 0.0, 1e-9,
+                                          100_000))
+        assert all(sol.converged for sol in oracle)
+        # the first rung is the same array start
+        assert np.array_equal(_bits(ladder[0].psi), _bits(oracle[0].psi))
+        assert sum(sol.n_iter for sol in ladder) <= \
+            0.6 * sum(sol.n_iter for sol in oracle)
+        for sol, ref in zip(ladder, oracle):
+            tight = bs.solve(mu, nu, sol.kernel, tol=1e-13, max_iter=200,
+                             init_psi=ref.psi)
+            assert tight.marginal_residual <= 1e-11
+            want = tight.entropic_cost()
+            assert abs(sol.entropic_cost() - want) <= 1e-12 * abs(want)
+
+
+def test_overrelaxed_solution_start_reaches_the_tight_fixed_point():
+    # a base claiming ω = _OMEGA_MAX starts the next rung there; the loop
+    # falls back to plain Sinkhorn (it ends below the start ω, which only
+    # a fallback lowers) and still reaches the fixed point
+    g = bs.Grid.regular([(-8.0, 10.0)], [128])
+    mu = bs.gaussian_measure(g, [-1.0], 1.0)
+    nu = bs.gaussian_measure(g, [1.0], 1.3)
+    base, good = dynamics._solves_along(mu, nu, [0.2, 0.05], 0.0, 1e-9,
+                                        100_000)
+    wild = dataclasses.replace(base, omega=schrodinger._OMEGA_MAX)
+    sol = bs.solve(mu, nu, good.kernel, init_psi=wild)
+    assert sol.converged and sol.omega < schrodinger._OMEGA_MAX
+    want = _cold(mu, nu, 0.05, 0.0, tol=1e-13).entropic_cost()
+    assert abs(sol.entropic_cost() - want) <= 1e-12 * abs(want)
+
+
+def test_solution_start_at_another_time_in_2d():
+    # off the line the dictionary carries ε·b as it is (zeroth order); the
+    # continued solve matches a tight cold one and beats a cold start
+    g = bs.Grid.regular([(-4.0, 4.0), (-3.0, 3.5)], [24, 20])
+    mu = bs.gaussian_measure(g, [-1.0, 0.2], 0.8)
+    nu = bs.gaussian_measure(g, [1.0, -0.3], 0.9)
+    base = bs.solve(mu, nu, bs.GibbsKernel.ou(g, 0.6, 1.0))
+    K = bs.GibbsKernel.ou(g, 0.3, 1.0)
+    sol = bs.solve(mu, nu, K, init_psi=base)
+    cold, tight = bs.solve(mu, nu, K), bs.solve(mu, nu, K, tol=1e-13)
+    assert sol.converged and sol.n_iter < cold.n_iter
+    want = tight.entropic_cost()
+    assert abs(sol.entropic_cost() - want) <= 1e-12 * abs(want)
 
 
 # ---------------------------------------------------------------------------

@@ -207,27 +207,83 @@ def test_solution_start_shares_the_base_operators(gauss_pair, rng, kind):
     mu_p, nu_p = _draw(mu, nu, rng, 0.2)
     assert base.same_supports(mu_p, nu_p)
     warm = run(mu_p, nu_p, base, keep_operators=True)
-    oracle = run(mu_p, nu_p, _nu_potential(base))
     # the perturbed solve ran on the base's anchors (and EOT kernel)
     assert warm.kernel is base.kernel
     for op, op0 in zip(warm._operators, base._operators):
         assert op.n_anchors == 0
         assert all(b is b0 for b, b0 in zip(op._buf, op0._buf))
+    # the oracle: the same solution start, its potential and ω, on fresh
+    # operators once the base has dropped its own
+    base.drop_operators()
+    assert base._operators == ()
+    oracle = run(mu_p, nu_p, base)
     assert warm.converged and warm.n_iter == oracle.n_iter
     for a, b in zip(_potentials(warm), _potentials(oracle)):
         fin = np.isfinite(b)
         assert np.array_equal(np.isfinite(a), fin)
         assert np.max(np.abs(a[fin] - b[fin])) <= \
             1e-12 * max(1.0, np.max(np.abs(b[fin])))
-    # without kept operators the solution starts from its potential alone,
-    # which is the array start bit for bit
+    # a solution without kept operators is that start bit for bit; it is
+    # the array start of its potential where it ended plain (the SP base
+    # here), and not where its start carries a relaxed ω (EOT)
     plain = run(mu, nu)
+    assert (plain.omega == 1.0) == (kind == "sp")
     assert _same_bits(_nu_potential(run(mu_p, nu_p, plain)),
-                      _nu_potential(run(mu_p, nu_p, _nu_potential(plain))))
-    base.drop_operators()
-    assert base._operators == ()
-    assert _same_bits(_nu_potential(run(mu_p, nu_p, base)),
                       _nu_potential(oracle))
+    array = run(mu_p, nu_p, _nu_potential(plain))
+    assert _same_bits(_nu_potential(array), _nu_potential(oracle)) == \
+        (kind == "sp")
+
+
+def test_eot_solution_start_continues_across_epsilon(gauss_pair):
+    # ε 0.5 → 0.2 on the base's marginals: the start goes through the
+    # dictionary (heat at T = ε/4), first order in ε at the carried ω
+    mu, nu = gauss_pair
+    base = bs.eot_quadratic_direct(mu, nu, 0.5)
+    sol = bs.eot_quadratic_direct(mu, nu, 0.2, init_b=base)
+    raw = bs.eot_quadratic_direct(mu, nu, 0.2, init_b=base.b)
+    tight = bs.eot_quadratic_direct(mu, nu, 0.2, tol=1e-13)
+    assert sol.converged and tight.converged
+    assert sol.n_iter < raw.n_iter
+    assert abs(sol.cost - tight.cost) <= 1e-12 * abs(tight.cost)
+
+
+@pytest.mark.parametrize("kind", ["sp", "eot"])
+def test_solution_start_with_other_marginals_at_another_time(gauss_pair, rng,
+                                                             kind):
+    # a base with other marginals (on the same supports) at another time
+    # is not continued: it starts from its potential at ω = 1, which is the
+    # array start bit for bit
+    mu, nu = gauss_pair
+    base = _solver(kind, mu.grid)(mu, nu)         # T = 0.5 or ε = 0.5
+    K = bs.GibbsKernel.ou(mu.grid, 0.3, 1.0)
+
+    def run(m, n, init):
+        if kind == "sp":
+            return bs.solve(m, n, K, init_psi=init)
+        return bs.eot_quadratic_direct(m, n, 0.2, init_b=init)
+
+    mu_p, nu_p = _draw(mu, nu, rng, 0.2)
+    assert base.same_supports(mu_p, nu_p)
+    got, want = run(mu_p, nu_p, base), run(mu_p, nu_p, _nu_potential(base))
+    assert got.n_iter == want.n_iter
+    assert all(_same_bits(a, b)
+               for a, b in zip(_potentials(got), _potentials(want)))
+
+
+def test_carried_omega(monkeypatch):
+    carried = schrodinger._carried_omega
+    # at the base's time the base's ω, whatever its grid
+    for w in (1.0, 1.25, 1.84375, 1.7):
+        assert carried(w, 1.0) == w
+    # 1 - ρ' = ratio·(1 - ρ): ω = 1.5 is √(1 - ρ) = 1/3
+    assert carried(1.5, 0.25) == pytest.approx(2.0 / (1.0 + 1.0 / 6.0))
+    assert carried(1.5, 4.0) == pytest.approx(1.2)
+    assert carried(1.5, 16.0) == 1.0                 # below _OMEGA_MIN
+    assert carried(1.9, 1e-4) == schrodinger._OMEGA_MAX
+    assert carried(2.5, 1.0) == schrodinger._OMEGA_MAX
+    monkeypatch.setattr(schrodinger, "_OMEGA_MAX", 1.0)
+    assert carried(1.5, 0.25) == carried(1.0, 0.01) == 1.0
 
 
 @pytest.mark.parametrize("kind", ["sp", "eot"])
