@@ -1,8 +1,8 @@
 """Discrete Schrödinger bridges on grids, with quantitative stability checks.
 
 The package solves static Schrödinger problems (and their quadratic
-entropic-optimal-transport reformulation) on regular 1D/2D grids by Sinkhorn
-iteration in the log domain, and then verifies a family of quantitative
+entropic-optimal-transport reformulation) on regular 1D/2D grids by
+log-stabilized Sinkhorn iteration, and then verifies a family of quantitative
 estimates on the computed solutions: corrector bounds, stability of plans and
 costs in weighted negative-Sobolev norms, small-time Γ-limits, convergence of
 Schrödinger maps to monotone transport maps, and exponential-Orlicz

@@ -40,7 +40,10 @@ the two supports.  Near a cached anchor v̄ it computes the LSE as a matrix
 product against the exp buffer of v̄ with bounded weights e^{v - v̄}
 (log-absorbed scaling, Schmitzer 2019, arXiv:1610.06519), and re-anchors
 in the log domain by `lse_matvec` otherwise; a shared copy starts from
-another operator's anchor and re-anchors into buffers of its own.  The
+another operator's anchor and re-anchors into buffers of its own.  Its
+`product` takes the weights themselves and returns the sums S of the last
+axis, with LSE = s + log S for the anchor's row shifts s, so that a
+caller holding weights stays in the scaling domain between anchors.  The
 curvature factor
 
     E_{2κ}(t) = ∫_0^t e^{2κs} ds = (e^{2κt} - 1) / (2κ)
@@ -435,11 +438,20 @@ class AnchoredLSE:
     (a non-finite one included) re-anchors; ``n_anchors`` counts the
     anchors taken.
 
+    The one product loop is `product`, on the weights w = e^{v - v̄}
+    themselves: inner axes return to the log domain, and the last axis
+    returns its sums S, with LSE = ``row_shift`` + log S on ``rows``
+    (``row_shift`` the last axis's s_k).  `reduce` hands back that pair,
+    or an anchor's LSE with S = 1, and the call is its s + log S.  A
+    caller that keeps its input as weights against ``vbar`` checks them
+    with `near` and calls `product` directly, with no exp or log of an
+    input or output vector.
+
     The operator holds K's log factors, not K, and keeps its anchor
     alive: one exp buffer per axis, n_rows×n_cols in 1D and a stack of
     them per row of the other axis's box in 2D, with the row shifts and
-    v̄.  `shared` hands that anchor on to a solve of nearby inputs on the
-    same supports.
+    v̄.  `shared` hands that anchor, row shifts included, on to a solve of
+    nearby inputs on the same supports.
     """
 
     def __init__(self, K: LogKernel, rows: np.ndarray, cols: np.ndarray):
@@ -454,9 +466,12 @@ class AnchoredLSE:
         self._buf: list[np.ndarray | None] = [None] * len(K.log_factors)
         self._owns_buf = True     # False while _buf is another operator's
         self._vbar: np.ndarray | None = None
+        # row shifts of the last reduced axis, on ``rows`` (`product`)
+        self.row_shift: np.ndarray | None = None
         # per axis in reduction order: (x̄ with +inf for -inf, None on the
-        # first axis, which weighs by e^{v - v̄}; row shifts)
-        self._axes: list[tuple[np.ndarray | None, np.ndarray]] = []
+        # first axis, which weighs by e^{v - v̄}; row shifts; the axis;
+        # whether it is the last)
+        self._axes: list[tuple] = []
 
     def shared(self) -> "AnchoredLSE":
         """A copy that starts from this operator's anchor.  It reads the
@@ -471,27 +486,52 @@ class AnchoredLSE:
             op._w = np.zeros_like(self._w)
         return op
 
+    @property
+    def vbar(self) -> np.ndarray | None:
+        """The anchor v̄ (None before the first call); an anchor replaces
+        it and never changes it in place."""
+        return self._vbar
+
+    def near(self, w: np.ndarray) -> bool:
+        """Whether the weights w = e^{v - v̄} lie in [e^-τ, e^τ], τ =
+        `ANCHOR_RADIUS` read at call time, so that `product` serves them;
+        False before the first anchor and on NaN."""
+        tau = ANCHOR_RADIUS
+        return (self._vbar is not None
+                and math.exp(-tau) <= np.minimum.reduce(w)
+                and np.maximum.reduce(w) <= math.exp(tau))
+
     def __call__(self, v: np.ndarray) -> np.ndarray:
+        s, S = self.reduce(v)
+        return s + np.log(S)
+
+    def reduce(self, v: np.ndarray):
+        """(s, S) with  LSE_j(K_ij + v_j) = s_i + log S_i  on ``rows``:
+        ``row_shift`` and the `product` of e^{v - v̄} while max|v - v̄| ≤ τ,
+        else the LSE of a new anchor at v and S = 1."""
         d = None if self._vbar is None else v - self._vbar
         if d is None or not np.abs(d).max() <= ANCHOR_RADIUS:  # NaN too
-            return self._anchor(v)
-        w = np.exp(d)
+            return self._anchor(v), 1.0
+        return self.row_shift, self.product(np.exp(d))
+
+    def product(self, w: np.ndarray) -> np.ndarray:
+        """S on ``rows`` with  LSE_j(K_ij + v_j) = row_shift_i + log S_i,
+        for the weights w = e^{v - v̄} on ``cols`` of an input v within τ
+        of the anchor: one matrix product per axis.  Inner axes return to
+        the log domain (each takes its weights e^{x - x̄} from the axis
+        before); the last axis returns its sums S against the exp buffer,
+        whose row shifts are ``row_shift``."""
         if self._w is not None:
             self._w[self._col_pos] = w
             w = self._w
-        return self._on_rows(self._products(w.reshape(self._box)))
-
-    def _products(self, x: np.ndarray) -> np.ndarray:
-        """The near-anchor reduction of the weights x = e^{v - v̄} on the
-        box, one matrix product per axis."""
-        for k, (xbar, shift) in zip(reversed(range(len(self._buf))),
-                                    self._axes):
+        x = w.reshape(self._box)
+        for xbar, shift, k, last in self._axes:
             # e^{x - x̄}; where x = x̄ = -inf this is e^{-inf - inf} = 0
             w = x.swapaxes(k, -1) if xbar is None \
                 else np.exp(x.swapaxes(k, -1) - xbar)
             s = np.matmul(self._buf[k], w[..., None])[..., 0]
-            x = (shift + np.log(s)).swapaxes(k, -1)
-        return x
+            x = (s if last else shift + np.log(s)).swapaxes(k, -1)
+        return self._on_rows(x)
 
     def _on_rows(self, x: np.ndarray) -> np.ndarray:
         out = x.reshape(-1)
@@ -527,8 +567,9 @@ class AnchoredLSE:
             # the first axis takes its weights from v - v̄ directly
             xbar = np.where(np.isneginf(xk), np.inf, xk) if self._axes \
                 else None
-            self._axes.append((xbar, shift))
+            self._axes.append((xbar, shift, k, k == 0))
             x = out.swapaxes(k, -1)
+        self.row_shift = self._on_rows(shift.swapaxes(k, -1))
         return self._on_rows(x)
 
 

@@ -3,9 +3,8 @@
 The Schrödinger problem minimizes H(π | R_{0,T}) over couplings of (μ, ν),
 where R_{0,T} = p_T · (m ⊗ m) is the joint law of the reference process at
 times 0 and T.  The minimizer factorizes as dπ/dR = e^{φ ⊕ ψ} and the pair
-(φ, ψ) solves the Schrödinger system; we iterate over-relaxed log-domain
-Sinkhorn, whose half-steps move each potential by ω times the Sinkhorn
-update
+(φ, ψ) solves the Schrödinger system; we iterate over-relaxed Sinkhorn,
+whose half-steps move each potential by ω times the Sinkhorn update
 
     φ ← φ + ω(log(dμ/dm) - log P_T e^ψ - φ),
     ψ ← ψ + ω(log(dν/dm) - log P_T e^φ - ψ),
@@ -13,13 +12,18 @@ update
 with ω = 1 (plain Sinkhorn) until the residual history shows a steady
 plain rate ρ and Young's factor ω = 2/(1 + √(1 - ρ)) after that.  The loop
 stops on the total-variation marginal residual, then re-centers to the
-symmetric normalization  ∫φ dμ - H(μ|m) = ∫ψ dν - H(ν|m).  Potentials stay
-in the log domain, and inside the loop they live on the supports only: φ
-as one value per cell of supp μ, ψ per cell of supp ν.  Each log P_T e^ψ
-on supp μ is evaluated by `kernels.AnchoredLSE` from supp ν to supp μ, as
-a matrix product against the exp buffer of a recent anchor ψ̄ with the
-weights e^{ψ - ψ̄} bounded by e^τ (log-absorbed scaling), re-anchoring in
-the log domain when ψ moves further; log P_T e^φ mirrors it.  A solve
+symmetric normalization  ∫φ dμ - H(μ|m) = ∫ψ dν - H(ν|m).  Inside the
+loop the potentials live on the supports only: φ as one value per cell of
+supp μ, ψ per cell of supp ν.  Each log P_T e^ψ on supp μ is evaluated by
+`kernels.AnchoredLSE` from supp ν to supp μ, as a matrix product against
+the exp buffer of a recent anchor ψ̄ with the weights e^{ψ - ψ̄} bounded
+by e^τ (log-absorbed scaling), re-anchoring in the log domain when ψ moves
+further; log P_T e^φ mirrors it.  Between anchors each potential is held
+as those weights, in the scaling domain (Peyré & Cuturi, *Computational
+Optimal Transport*, §4.4): a plain half-step is one division of a
+per-anchor constant by the other side's product, and potentials are
+formed in the log domain only at anchors, at the fallback point and on
+return.  A solve
 that starts from a solution with the same supports and kernel continues
 on the operators that solution kept, at its ω; one from a solution of
 the same marginals at another time T (or ε) continues it through the
@@ -362,13 +366,137 @@ def _carried_omega(omega: float, ratio: float) -> float:
     return omega if omega >= _OMEGA_MIN else 1.0
 
 
+# Largest |log C| of the per-anchor constants C = e^{log ρ - v̄ - s} of a
+# scaling half-step (`_Side`).  Its weights W lie in [e^-τ, e^τ] and the
+# sums S in [e^-τ, n·e^τ], so T = C/S lies within e^{±(_SCALE_LOG_MAX + τ +
+# log n)}, r = W/T and r^{1-ω} (1 ≤ ω < 2) within e^{±(_SCALE_LOG_MAX + 2τ
+# + log n)}, and T·r^{1-ω} within e^{±709} for τ = 50 and n < e^79: no
+# half-step overflows.
+_SCALE_LOG_MAX = 200.0
+
+
+class _Side:
+    """One potential f of `_sinkhorn` on its support, against the marginal
+    ρ and the reference masses m there, with its operator ``op``
+    (v ↦ log P_T e^v to the other support, for v = f + log m).
+
+    Between anchors f is held as the weights W = e^{v - v̄} against the
+    anchor v̄ of ``op``.  The other side hands over its reduction as a
+    pair (s, S) with LSE = s + log S: its operator's row shifts and sums,
+    or a log-domain LSE s and S = 1.  The plain Sinkhorn weights are then
+    T = C/S  with  C = e^{log ρ - v̄ - s}  (`aim`), recomputed only when v̄
+    or s changes, and the plan's marginal is ρ·r with r = W/T.  A
+    half-step (`step`) relaxes  W ← W·(T/W)^ω = T·r^{1-ω}, after which
+    the marginal ratio is r^{1-ω}, and reduces W by one product against
+    the anchor's exp buffer.  A C out of e^{±_SCALE_LOG_MAX}, or weights
+    out of the anchor radius (`AnchoredLSE.near`, non-finite ones
+    included), take the log-domain half-step instead: f ← f + ω(f' - f)
+    with f' = log ρ - log m - s - log S, reduced by ``op`` itself, which
+    re-anchors unless v is near v̄.  W, T, r, s and S are never changed in
+    place, so a state is kept by reference."""
+
+    __slots__ = ("op", "log_rho", "rho", "lm", "a", "W", "ref", "f", "T",
+                 "r", "s", "S", "hat", "C", "c_vbar", "c_s", "buf")
+
+    def __init__(self, op: AnchoredLSE, rho: DiscreteMeasure,
+                 log_m: np.ndarray):
+        s = rho.support()
+        self.op, self.rho, self.lm = op, rho.weights[s], log_m[s]
+        self.log_rho = rho.log_weights()[s]
+        self.a = self.log_rho - self.lm           # log dρ/dm
+        self.W, self.ref, self.f = 1.0, None, None
+        self.T = self.r = self.s = self.S = self.hat = self.C = None
+        self.c_vbar = self.c_s = None     # the v̄ and s that C was made for
+        self.buf = np.empty(self.rho.size)
+
+    def aim(self, s: np.ndarray, S) -> None:
+        """Take the plain Sinkhorn target T = C/S for the other side's
+        s + log S (None where C is out of range)."""
+        vbar = self.op.vbar
+        if vbar is not self.c_vbar or s is not self.c_s:
+            self.c_vbar, self.c_s, self.C = vbar, s, None
+            if vbar is not None:
+                log_c = self.log_rho - vbar - s
+                if np.abs(log_c).max() <= _SCALE_LOG_MAX:   # False on NaN
+                    self.C = np.exp(log_c)
+        self.s, self.S, self.hat, self.r = s, S, None, None
+        self.T = None if self.C is None else self.C / S
+
+    def ratio(self) -> np.ndarray:
+        """r = W/T: the plan's marginal over ρ."""
+        if self.r is None:
+            self.r = self.W / self.T
+        return self.r
+
+    def step(self, omega: float):
+        """Relax f toward the target by ω and reduce it: the (s, S) of
+        log P_T e^v on the other support."""
+        op, T = self.op, self.T
+        if T is not None:
+            if omega == 1.0:
+                W, r = T, None
+            else:
+                r = self.ratio() ** (1.0 - omega)
+                W = T * r
+            if op.near(W):
+                self.W, self.r, self.ref, self.f = W, r, op.vbar, None
+                return op.row_shift, op.product(W)
+        # the log domain; at ω = 1 the half-step is taken as is
+        lse = self.s + np.log(self.S)
+        f = self.a - lse
+        if omega != 1.0:
+            f0 = self.potential()
+            f = f0 + omega * (f - f0)
+        v = f + self.lm
+        reduced = op.reduce(v)
+        self.ref, self.f, self.r = op.vbar, f, None
+        self.W = np.exp(v - self.ref)
+        self.hat = np.exp(v + lse)        # the marginal until the next `aim`
+        return reduced
+
+    def potential(self) -> np.ndarray:
+        """f in the log domain."""
+        return self.f if self.f is not None \
+            else (self.ref - self.lm) + np.log(self.W)
+
+    def marginal(self) -> np.ndarray:
+        """ρ̂ of the plan: ρ·r, or e^{v + s + log S} in the log domain."""
+        if self.hat is None:
+            self.hat = self.rho * self.ratio() if self.T is not None \
+                else np.exp(self.potential() + self.lm + self.s
+                            + np.log(self.S))
+        return self.hat
+
+    def residual(self) -> float:
+        """Σ|ρ̂ - ρ| = Σ ρ·|r - 1|; 0 right after a plain half-step."""
+        if self.hat is None and self.T is not None:
+            if self.W is self.T:
+                return 0.0
+            b = self.buf
+            np.subtract(self.ratio(), 1.0, out=b)
+            np.abs(b, out=b)
+            return float(np.dot(self.rho, b))
+        return float(np.abs(self.marginal() - self.rho).sum())
+
+    def keep(self) -> tuple:
+        """(f, ρ̂) in the log domain, for `restore`."""
+        return self.potential(), self.marginal()
+
+    def restore(self, kept: tuple) -> None:
+        """Go back to a kept (f, ρ̂); its W is relative to f + log m
+        itself, so the next half-step must be plain."""
+        self.f, self.hat = kept
+        self.ref, self.W, self.r = self.f + self.lm, 1.0, None
+
+
 def _sinkhorn(K: GibbsKernel, log_m: np.ndarray, mu: DiscreteMeasure,
               nu: DiscreteMeasure, tol: float, max_iter: int,
               init_g: np.ndarray | None = None,
               ops: tuple[AnchoredLSE, AnchoredLSE] | None = None,
               start_omega: float = 1.0):
-    """Over-relaxed log-domain Sinkhorn for plans π = e^{f ⊕ g + K}·(m ⊗ m),
-    K symmetric and m the reference measure.
+    """Over-relaxed Sinkhorn for plans π = e^{f ⊕ g + K}·(m ⊗ m), K
+    symmetric and m the reference measure, in the scaling domain between
+    anchors.
 
     Each iteration takes the Sinkhorn half-step  f' = log μ - log m -
     K.lse(g + log m)  on supp μ and sets  f ← f + ω(f' - f)  there, then
@@ -386,17 +514,20 @@ def _sinkhorn(K: GibbsKernel, log_m: np.ndarray, mu: DiscreteMeasure,
     iteration from ρ to about ω - 1 and keeps the fixed point (Thibault,
     Chizat, Dossal & Papadakis 2021; Lehmann, von Renesse, Sambale &
     Uschmajew 2022).  Under relaxation the same windows read ρ through
-    Young's relation, so an ω taken too low rises further.  If a relaxed
-    residual exceeds `_FALLBACK` times the best since ω last rose, or is
-    NaN, the loop returns to the potentials it had then and goes on with
-    ω = 1; it relaxes again only once the residual is below `_RETRY`
-    times theirs.
+    Young's relation, so an ω taken too low rises further; ω never falls
+    but by the fallback.  If a relaxed residual exceeds `_FALLBACK` times
+    the best since ω last rose, or is NaN, the loop returns to the
+    potentials it had then and goes on with ω = 1; it relaxes again only
+    once the residual is below `_RETRY` times theirs.
 
     Each side evaluates K.lse through its own `AnchoredLSE` from one
-    support to the other, so most half-steps are a matrix product against
-    the exp buffer of a recent anchor; ``ops`` are those two operators
-    (`_start`), None for fresh ones.  ``init_g`` is a start for g on
-    supp ν; None is the cold start g = 0 on every cell.
+    support to the other, and keeps its potential as weights against that
+    operator's anchor (`_Side`): between anchors a half-step is one
+    division, the relaxation, one matrix product against the anchor's exp
+    buffer, and the residual Σρ·|W/T - 1|; potentials are formed in the log
+    domain only at anchors, at the fallback point and on return.  ``ops``
+    are the two operators (`_start`), None for fresh ones.  ``init_g`` is
+    a start for g on supp ν; None is the cold start g = 0 on every cell.
     Returns (f, g, mu_hat, nu_hat, n_iter, history, converged, omega) on
     the grid, where mu_hat and nu_hat are the marginals of the final plan
     that the stopping rule compared with μ and ν, and omega is the ω of
@@ -408,42 +539,34 @@ def _sinkhorn(K: GibbsKernel, log_m: np.ndarray, mu: DiscreteMeasure,
         raise ValueError("max_iter must be at least 1")
     # everything below lives on the supports: f, μ̂ on supp μ; g, ν̂ on supp ν
     s_mu, s_nu = mu.support(), nu.support()
-    lp, lq = log_m[s_mu], log_m[s_nu]
-    a = mu.log_weights()[s_mu] - lp              # log dμ/dm
-    b = nu.log_weights()[s_nu] - lq              # log dν/dm
-    w_mu, w_nu = mu.weights[s_mu], nu.weights[s_nu]
     lse_on_f, lse_on_g = ops or _fresh_operators(K, mu, nu)
+    f, g = _Side(lse_on_f, mu, log_m), _Side(lse_on_g, nu, log_m)
 
     # the cold start is g = 0 on every cell; where m has no mass off supp ν
     # (a full supp ν) that is g = 0 on supp ν, which anchors there
     if init_g is None and np.all(np.isneginf(log_m[~s_nu])):
-        init_g = np.zeros(lq.size)
-    lse_g = K.lse(log_m)[s_mu] if init_g is None else lse_on_g(init_g + lq)
+        init_g = np.zeros(g.lm.size)
+    s, S = (K.lse(log_m)[s_mu], 1.0) if init_g is None \
+        else lse_on_g.reduce(init_g + g.lm)
+    f.aim(s, S)
 
     history = []
     converged = False
     omega, since, retry_below = 1.0, 0, math.inf
     n_done = 0
     for n_done in range(1, max_iter + 1):
-        # at ω = 1 the half-step is taken as is: plain Sinkhorn bit for bit
-        f_new = a - lse_g
-        f = f_new if omega == 1.0 else f + omega * (f_new - f)
-        fp = f + lp
-        lse_f = lse_on_f(fp)
-        g_new = b - lse_f
-        g = g_new if omega == 1.0 else g + omega * (g_new - g)
-        gq = g + lq
-        lse_g = lse_on_g(gq)
-
-        mu_hat = np.exp(fp + lse_g)
-        nu_hat = np.exp(gq + lse_f)
-        res = max(float(np.abs(mu_hat - w_mu).sum()),
-                  float(np.abs(nu_hat - w_nu).sum()))
+        g.aim(*f.step(omega))
+        s, S = g.step(omega)
+        f.aim(s, S)
+        res = max(f.residual(), g.residual())
         if omega != 1.0:
             if res <= _FALLBACK * best:             # False on NaN
                 best = min(best, res)
             else:
-                f, g, lse_g, mu_hat, nu_hat, res = start
+                kept_f, kept_g, s, S, res = start
+                f.aim(s, S)              # before `restore`, which sets ρ̂
+                f.restore(kept_f)
+                g.restore(kept_g)
                 omega, since, retry_below = 1.0, n_done, _RETRY * res
         history.append(res)
         if res <= tol:
@@ -453,10 +576,12 @@ def _sinkhorn(K: GibbsKernel, log_m: np.ndarray, mu: DiscreteMeasure,
                            and res <= retry_below):
             w = start_omega if n_done == 1 else _implied_omega(history, omega)
             if w > omega:
-                start = (f, g, lse_g, mu_hat, nu_hat, res)
+                start = (f.keep(), g.keep(), s, S, res)
                 omega, since, best = w, n_done, res
-    return (_on_grid(f, s_mu, -np.inf), _on_grid(g, s_nu, -np.inf),
-            _on_grid(mu_hat, s_mu, 0.0), _on_grid(nu_hat, s_nu, 0.0),
+    return (_on_grid(f.potential(), s_mu, -np.inf),
+            _on_grid(g.potential(), s_nu, -np.inf),
+            _on_grid(f.marginal(), s_mu, 0.0),
+            _on_grid(g.marginal(), s_nu, 0.0),
             n_done, history, converged, omega)
 
 
@@ -562,7 +687,7 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, kernel: GibbsKernel,
           tol: float = 1e-9, max_iter: int = 100_000,
           init_psi: np.ndarray | SchrodingerSolution | None = None,
           keep_operators: bool = False) -> SchrodingerSolution:
-    """Log-domain Sinkhorn for the Schrödinger system.
+    """Over-relaxed anchored Sinkhorn for the Schrödinger system.
 
     Stops when the larger of the two L1 marginal residuals of the implied
     plan drops to ``tol``.  The returned potentials are re-centered to the

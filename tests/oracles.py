@@ -13,6 +13,11 @@
 * `plan_relative_entropy`: H(π | ρ) of two dense plans; the sum of the two
   relative entropies is the reference of the one-pass symmetric entropy
   (`plan_symmetric_entropy`), and H(π | R) that of the dual costs.
+* `log_domain_sinkhorn`: the anchored Sinkhorn loop with every half-step
+  in the log domain, each potential moved by ω times its update and
+  each reduction an `AnchoredLSE` call; the reference of the loop that
+  keeps its potentials as weights against the anchors between them
+  (`schrodinger._sinkhorn`).
 * `zeroth_order_ladder`: the T-ladder that carries only ε·b from rung to
   rung, each rung an array start at ω = 1; the reference of the ladder
   whose solution starts continue first order in ε at a carried ω
@@ -30,6 +35,7 @@ import warnings
 
 import numpy as np
 
+from bridgestab import schrodinger
 from bridgestab.kernels import (BandwidthWarning, GibbsKernel, _check_ou,
                                 apply_semigroup)
 from bridgestab.measures import MASS_FLOOR, gradient_energy, grad_sq_norm
@@ -180,3 +186,70 @@ def zeroth_order_ladder(mu, nu, T_list, kappa, tol, max_iter):
         sol = solve(mu, nu, kern, tol=tol, max_iter=max_iter, init_psi=init)
         yield sol
         eb = eps * (sol.psi[s] + q)
+
+
+def log_domain_sinkhorn(K, log_m, mu, nu, tol, max_iter, init_g=None,
+                        ops=None, start_omega=1.0):
+    """`schrodinger._sinkhorn` with its half-steps in the log domain: same
+    signature, stopping rule, ω rules, fallback and results.
+
+    Each half-step sets  f' = log μ - log m - K.lse(g + log m)  on supp μ
+    through the operator ``ops[0]`` (an `AnchoredLSE` call: a product near
+    its anchor, a log-domain anchor otherwise) and moves f by ω(f' - f);
+    g mirrors it.  The marginals are μ̂ = e^{f + log m + K.lse(g + log m)}
+    and ν̂ likewise."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    s_mu, s_nu = mu.support(), nu.support()
+    lp, lq = log_m[s_mu], log_m[s_nu]
+    a = mu.log_weights()[s_mu] - lp              # log dμ/dm
+    b = nu.log_weights()[s_nu] - lq              # log dν/dm
+    w_mu, w_nu = mu.weights[s_mu], nu.weights[s_nu]
+    lse_on_f, lse_on_g = ops or schrodinger._fresh_operators(K, mu, nu)
+
+    if init_g is None and np.all(np.isneginf(log_m[~s_nu])):
+        init_g = np.zeros(lq.size)
+    lse_g = K.lse(log_m)[s_mu] if init_g is None else lse_on_g(init_g + lq)
+
+    history = []
+    converged = False
+    omega, since, retry_below = 1.0, 0, math.inf
+    n_done = 0
+    for n_done in range(1, max_iter + 1):
+        f_new = a - lse_g
+        f = f_new if omega == 1.0 else f + omega * (f_new - f)
+        fp = f + lp
+        lse_f = lse_on_f(fp)
+        g_new = b - lse_f
+        g = g_new if omega == 1.0 else g + omega * (g_new - g)
+        gq = g + lq
+        lse_g = lse_on_g(gq)
+
+        mu_hat = np.exp(fp + lse_g)
+        nu_hat = np.exp(gq + lse_f)
+        res = max(float(np.abs(mu_hat - w_mu).sum()),
+                  float(np.abs(nu_hat - w_nu).sum()))
+        if omega != 1.0:
+            if res <= schrodinger._FALLBACK * best:
+                best = min(best, res)
+            else:
+                f, g, lse_g, mu_hat, nu_hat, res = start
+                omega, since = 1.0, n_done
+                retry_below = schrodinger._RETRY * res
+        history.append(res)
+        if res <= tol:
+            converged = True
+            break
+        if n_done == 1 or (n_done - since > 2 * schrodinger._RATE_WINDOW
+                           and res <= retry_below):
+            w = start_omega if n_done == 1 \
+                else schrodinger._implied_omega(history, omega)
+            if w > omega:
+                start = (f, g, lse_g, mu_hat, nu_hat, res)
+                omega, since, best = w, n_done, res
+    on_grid = schrodinger._on_grid
+    return (on_grid(f, s_mu, -np.inf), on_grid(g, s_nu, -np.inf),
+            on_grid(mu_hat, s_mu, 0.0), on_grid(nu_hat, s_nu, 0.0),
+            n_done, history, converged, omega)

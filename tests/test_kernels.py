@@ -569,6 +569,48 @@ def _restricted_lse(K, rows, cols, v):
     return x[r[np.ix_(*ri)]]
 
 
+def test_anchored_product_is_the_restricted_lse(rng):
+    # the near-anchor reduction in the scaling domain: row shifts plus the
+    # log of the sums against the anchor's exp buffers, against the
+    # log-domain reduction over the restricted factors (`lse_matvec`) on
+    # 1D and 2D supports with holes and whole grid lines off; a shared copy
+    # carries the base's row shifts and never writes the base's buffers
+    tau = kernels.ANCHOR_RADIUS
+    for name, K, rows, cols, v in _anchored_cases(rng):
+        op = AnchoredLSE(K, rows, cols)
+        assert not op.near(np.ones(v.size))
+        op(v)
+        bufs, shift = [b.copy() for b in op._buf], op.row_shift.copy()
+        twin = op.shared()
+        assert twin.row_shift is op.row_shift
+        for scale in (1e-6, 1.0, 0.45 * tau, 0.99 * tau):
+            w = v + rng.uniform(-scale, scale, v.size)
+            W = np.exp(w - v)
+            assert op.near(W) and twin.near(W), name
+            S = op.product(W)
+            assert S.shape == (rows.sum(),) and np.all(S > 0), name
+            got = op.row_shift + np.log(S)
+            assert _rel_err(got, _restricted_lse(K, rows, cols, w)) <= 1e-13
+            # the operator's own call is this reduction, bit for bit
+            assert np.array_equal(_bits(op(w)), _bits(got)), name
+            assert np.array_equal(_bits(twin.product(W)), _bits(S)), name
+        bad = np.ones(v.size)
+        for x in (np.exp(1.01 * tau), np.exp(-1.01 * tau), np.nan):
+            bad[5] = x
+            assert not op.near(bad) and not twin.near(bad), name
+        # past the radius the copy anchors into buffers of its own
+        w = v.copy()
+        w[5] += 1.01 * tau
+        twin(w)
+        assert twin.n_anchors == 1 and op.n_anchors == 1, name
+        assert twin.row_shift is not op.row_shift
+        got = twin.row_shift + np.log(twin.product(np.ones(v.size)))
+        assert _rel_err(got, _restricted_lse(K, rows, cols, w)) <= 1e-13
+        assert np.array_equal(_bits(op.row_shift), _bits(shift)), name
+        assert all(np.array_equal(_bits(b), _bits(b0))
+                   for b, b0 in zip(op._buf, bufs)), name
+
+
 def test_forced_reanchor_is_lse_bit_for_bit(rng, monkeypatch):
     # with a negative radius every call re-anchors: the log-domain
     # reduction over the restricted factors (on a full support, the

@@ -630,7 +630,8 @@ def _cost(sol):
 ], ids=["heat-0.05", "heat-0.02", "ou", "eot-0.3", "eot-1.0",
         "partial-nu", "ou-2d"])
 def test_anchored_sinkhorn_matches_log_domain_loop(run, monkeypatch):
-    # the oracle re-anchors on every call, which is the log-domain loop
+    # the oracle re-anchors on every call, so that every half-step takes the
+    # log domain: its potentials are those of the log-domain loop
     # (lse_matvec over the factors restricted to the supports) bit for bit
     calls = []
     real = kernels.lse_matvec
@@ -653,7 +654,7 @@ def test_anchored_sinkhorn_matches_log_domain_loop(run, monkeypatch):
     assert fast_calls < len(calls) - fast_calls
     # relaxed runs carry rounding ~10-30x further than plain ones, so the
     # bound scales with the potentials: 16 ulps of max(1, max|b|), never
-    # looser than 1e-12 (measured up to 7.3 ulps, at heat T = 0.05)
+    # looser than 1e-12 (measured up to 7.2 ulps, at heat T = 0.02)
     for a, b in zip(_potentials(sol), _potentials(ref)):
         fin = np.isfinite(b)
         assert np.array_equal(np.isfinite(a), fin)
@@ -843,6 +844,92 @@ def test_relaxed_sinkhorn_matches_plain_loop(name, monkeypatch):
     for a, b in zip(_potentials(sol), _potentials(plain)):
         assert np.array_equal(np.isneginf(a), np.isneginf(b))
         assert not np.any(np.isnan(a))
+
+
+def _loop_problem(name):
+    """An `_oracle_cases` problem, or the `_sinkhorn` problem (K, log m, μ,
+    ν) of the `_RELAX_CASES` solve ``relax-<case>``."""
+    if not name.startswith("relax-"):
+        return _oracle_cases()[name]
+    got = []
+    real = schrodinger._sinkhorn
+
+    def spy(*args, **kw):
+        got.append(args[:4])
+        return real(*args, **kw)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(schrodinger, "_sinkhorn", spy)
+        _RELAX_CASES[name[len("relax-"):]](max_iter=1)
+    return got[0]
+
+
+def _perturbed(rho, seed):
+    """(1 + 0.1h)ρ for a smooth zero-mean field h: the support of ρ."""
+    h = bs.smooth_zero_mean_field(rho.grid, rho, np.random.default_rng(seed))
+    return bs.perturbed_measure(rho, h, 0.1)
+
+
+# the parity problems whose potentials the two loops round apart by more
+# than 16 ulps: heat at T <= 0.02 (sp-1d-tails is relax-heat-0.02) and at
+# partial or full supports, and EOT at ε = 0.05
+_ROUNDING_BOUND_CASES = {"sp-1d-tails", "sp-1d-full-nu", "relax-heat-0.02",
+                         "relax-heat-0.01", "relax-heat-0.005",
+                         "relax-partial-nu", "relax-eot-0.05"}
+
+
+@pytest.mark.parametrize("start", ["cold", "array", "shared"])
+@pytest.mark.parametrize("name", [*_oracle_cases(),
+                                  *(f"relax-{n}" for n in _RELAX_CASES)])
+def test_scaling_loop_matches_log_domain_loop(name, start):
+    # the loop that keeps its potentials as weights against the anchors,
+    # against the same loop with every half-step in the log domain, from a
+    # cold start, an array start, and a battery's start on the operators
+    # of a base solve (shared copies) at its ω with perturbed marginals
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", bs.BandwidthWarning)
+        K, log_m, mu, nu = problem = _loop_problem(name)
+        init_g, omega, base_ops = None, 1.0, None
+        if start != "cold":
+            base_ops = schrodinger._fresh_operators(K, mu, nu)
+            base = schrodinger._sinkhorn(*problem, 1e-9, 100_000, None,
+                                         base_ops)
+            init_g = base[1][nu.support()]
+            if start == "array":
+                init_g, base_ops = 0.9 * init_g + 0.3, None
+            else:
+                omega = base[7]
+                mu, nu = _perturbed(mu, 1), _perturbed(nu, 2)
+        runs = []
+        for loop in (schrodinger._sinkhorn, oracles.log_domain_sinkhorn):
+            ops = schrodinger._fresh_operators(K, mu, nu) \
+                if base_ops is None else tuple(op.shared() for op in base_ops)
+            out = loop(K, log_m, mu, nu, 1e-9, 100_000, init_g, ops, omega)
+            runs.append((out, [op.n_anchors for op in ops]))
+    (got, anchors), (want, anchors0) = runs
+    assert got[6] and want[6]
+    assert got[4] == want[4] and got[7] == want[7] and anchors == anchors0
+    # 16 ulps of max(1, max|b|), capped at 1e-12, as in
+    # `test_anchored_sinkhorn_matches_log_domain_loop` (measured up to 0.48
+    # of it); the small-T problems below carry the two loops' rounding
+    # apart by up to 50x that bound (heat T = 0.005; 1.02-9.9x on the
+    # others), as the log-domain loop itself drifts from exact arithmetic
+    # of its iteration (by 2.7e-14 after 26 plain iterations of
+    # sp-1d-full-nu, the scaling loop by 6.7e-15), so there the bound is
+    # 1e-12 relative to max(1, |b|) per cell, as against the full-grid
+    # oracle (measured up to 0.35 of it)
+    for a, b in zip(got[:2], want[:2]):
+        fin = np.isfinite(b)
+        assert np.array_equal(np.isfinite(a), fin)
+        err = np.abs(a[fin] - b[fin])
+        if name in _ROUNDING_BOUND_CASES:
+            assert np.max(err / np.maximum(1.0, np.abs(b[fin]))) <= 1e-12
+        else:
+            ulps = np.finfo(float).eps * max(1.0, np.max(np.abs(b[fin])))
+            assert np.max(err) <= min(1e-12, 16.0 * ulps)
+    for a, b in zip(got[2:4], want[2:4]):
+        assert np.array_equal(a > 0, b > 0)
+        assert np.max(np.abs(a - b)) <= 1e-12
 
 
 @pytest.mark.parametrize("omega", [2.5, 1e3])
