@@ -7,9 +7,11 @@ Heat and OU log transition densities on a tensor grid are sums of per-axis
 
 against a reference measure: heat transition densities are taken w.r.t.
 Lebesgue, OU transition densities w.r.t. the stationary Gaussian N(0, I/κ).
-Every use of a kernel goes through one operator, `LogKernel.lse`, which
-computes LSE_j(K_ij + v_j) one axis at a time and never forms the n×n
-matrix.  A kernel has one or two factors, as a grid has one or two axes.
+A kernel is used through two operators, neither of which forms the n×n
+matrix: `LogKernel.lse`, which computes LSE_j(K_ij + v_j) over the grid
+one axis at a time for the semigroup (`apply_semigroup`), and
+`AnchoredLSE` below, the Sinkhorn loop's operator from one support to
+another.  A kernel has one or two factors, as a grid has one or two axes.
 A 1D kernel is reduced in the log domain by `lse_matvec`.  A 2D kernel
 reduces each axis by one matrix product against a shared exp
 factor exp(F_k - r_k), r_k the row maxima of F_k, built once per kernel
@@ -137,13 +139,14 @@ class LogKernel:
     Over cells in flat C order,
     ``K[(i_0, i_1), (j_0, j_1)] = log_factors[0][i_0, j_0]
     + log_factors[1][i_1, j_1]``; a single factor is K itself, and no
-    other count is accepted.  `lse` is the one operator every consumer
-    uses: a single factor is reduced by `lse_matvec`, two by one matrix
-    product per axis against the shared exp factors (`_lse_shared`), which
-    are built on first use and held on the instance.  The Sinkhorn loop
-    goes through `AnchoredLSE`, which anchors by the per-axis `lse_matvec`
-    reduction over factors restricted to two supports.  `log_matrix` is a
-    dense view for the dense plans and the test oracles.
+    other count is accepted.  `lse` serves the semigroup
+    (`apply_semigroup`): a single factor is reduced by `lse_matvec`, two
+    by one matrix product per axis against the shared exp factors
+    (`_lse_shared`), which are built on first use and held on the
+    instance.  The Sinkhorn loop goes through `AnchoredLSE`, which anchors
+    by the per-axis `lse_matvec` reduction over factors restricted to two
+    supports.  `log_matrix` is a dense view for the dense plans and the
+    test oracles.
 
     A stack of k kernels has factors of shape (k, n_a, n_a); `lse` and
     the shared exp factors broadcast over that leading axis, and a stacked

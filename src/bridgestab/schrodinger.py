@@ -304,8 +304,11 @@ def _check_problem(mu: DiscreteMeasure, nu: DiscreteMeasure,
 # capped at _OMEGA_MAX < 2; an _OMEGA_MAX of 1 keeps the loop plain.  A
 # relaxed residual above _FALLBACK times its best sends the loop back to
 # plain Sinkhorn, which may relax again once the residual is below
-# _RETRY times the one it went back to.
+# _RETRY times the one it went back to.  A residual that falls by less
+# than _RATE_STALL (64 ulps) per iteration reads no rate: a residual is a
+# sum rounded to a few ulps, so the fall may be rounding alone.
 _RATE_WINDOW = 5
+_RATE_STALL = 64 * math.ulp(1.0)
 _RATE_AGREE = 0.02
 _OMEGA_GRID = 32
 _OMEGA_MIN = 1.125
@@ -330,12 +333,13 @@ def _plain_rate(r0: float, r1: float, omega: float) -> float | None:
     The residual contracts by λ = (r1/r0)^(1/W) per iteration.  Young's
     relation between the eigenvalues of SOR and of the plain iteration
     gives  ρ = (λ + ω - 1)² / (λ ω²)  (ρ = λ at ω = 1) for λ > ω - 1; at
-    or above the optimal ω every mode contracts by ω - 1 instead.
+    or above the optimal ω every mode contracts by ω - 1 instead.  A λ
+    within _RATE_STALL of 1 is a stall, not a rate.
     """
     if not (r0 > 0.0 and r1 > 0.0):
         return None
     lam = (r1 / r0) ** (1.0 / _RATE_WINDOW)
-    if not omega - 1.0 < lam < 1.0:
+    if not omega - 1.0 < lam < 1.0 - _RATE_STALL:
         return None
     return (lam + omega - 1.0) ** 2 / (lam * omega ** 2)
 
@@ -489,21 +493,21 @@ class _Side:
         self.ref, self.W, self.r = self.f + self.lm, 1.0, None
 
 
-def _sinkhorn(K: GibbsKernel, log_m: np.ndarray, mu: DiscreteMeasure,
-              nu: DiscreteMeasure, tol: float, max_iter: int,
-              init_g: np.ndarray | None = None,
-              ops: tuple[AnchoredLSE, AnchoredLSE] | None = None,
-              start_omega: float = 1.0):
+def _sinkhorn(ops: tuple[AnchoredLSE, AnchoredLSE], log_m: np.ndarray,
+              mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float,
+              max_iter: int, init_g: np.ndarray, start_omega: float):
     """Over-relaxed Sinkhorn for plans π = e^{f ⊕ g + K}·(m ⊗ m), K
     symmetric and m the reference measure, in the scaling domain between
     anchors.
 
     Each iteration takes the Sinkhorn half-step  f' = log μ - log m -
-    K.lse(g + log m)  on supp μ and sets  f ← f + ω(f' - f)  there, then
-    does the mirror update for g on supp ν.  It stops when the larger of
-    the two L1 marginal residuals of the plan of the relaxed (f, g) drops
-    to ``tol``.  f, g, μ̂, ν̂ and the residual are computed on the supports
-    only (f and g are -inf off them); grid vectors are built on return.
+    LSE_K(g + log m)  on supp μ, with LSE_K(v)_i = LSE_j(K_ij + v_j), and
+    sets  f ← f + ω(f' - f)  there, then does the mirror update for g on
+    supp ν; the first half-step reads g = ``init_g``.  It stops when the
+    larger of the two L1 marginal residuals of the plan of the relaxed
+    (f, g) drops to ``tol``.  f, g, μ̂, ν̂ and the residual are computed
+    on the supports only (f and g are -inf off them); grid vectors are
+    built on return.
 
     ω starts at 1, plain Sinkhorn.  A ``start_omega`` above 1 (`_start`)
     takes over after the first iteration, which stays plain since f has no
@@ -520,14 +524,13 @@ def _sinkhorn(K: GibbsKernel, log_m: np.ndarray, mu: DiscreteMeasure,
     potentials it had then and goes on with ω = 1; it relaxes again only
     once the residual is below `_RETRY` times theirs.
 
-    Each side evaluates K.lse through its own `AnchoredLSE` from one
-    support to the other, and keeps its potential as weights against that
-    operator's anchor (`_Side`): between anchors a half-step is one
-    division, the relaxation, one matrix product against the anchor's exp
-    buffer, and the residual Σρ·|W/T - 1|; potentials are formed in the log
-    domain only at anchors, at the fallback point and on return.  ``ops``
-    are the two operators (`_start`), None for fresh ones.  ``init_g`` is
-    a start for g on supp ν; None is the cold start g = 0 on every cell.
+    The loop reaches K only through ``ops``, its `AnchoredLSE` operators
+    supp μ → supp ν and supp ν → supp μ, and keeps each potential as
+    weights against its operator's anchor (`_Side`): between anchors a
+    half-step is one division, the relaxation, one matrix product against
+    the anchor's exp buffer, and the residual Σρ·|W/T - 1|; potentials are
+    formed in the log domain only at anchors, at the fallback point and on
+    return.  `_start` resolves ``ops``, ``init_g`` and ``start_omega``.
     Returns (f, g, mu_hat, nu_hat, n_iter, history, converged, omega) on
     the grid, where mu_hat and nu_hat are the marginals of the final plan
     that the stopping rule compared with μ and ν, and omega is the ω of
@@ -539,16 +542,9 @@ def _sinkhorn(K: GibbsKernel, log_m: np.ndarray, mu: DiscreteMeasure,
         raise ValueError("max_iter must be at least 1")
     # everything below lives on the supports: f, μ̂ on supp μ; g, ν̂ on supp ν
     s_mu, s_nu = mu.support(), nu.support()
-    lse_on_f, lse_on_g = ops or _fresh_operators(K, mu, nu)
+    lse_on_f, lse_on_g = ops
     f, g = _Side(lse_on_f, mu, log_m), _Side(lse_on_g, nu, log_m)
-
-    # the cold start is g = 0 on every cell; where m has no mass off supp ν
-    # (a full supp ν) that is g = 0 on supp ν, which anchors there
-    if init_g is None and np.all(np.isneginf(log_m[~s_nu])):
-        init_g = np.zeros(g.lm.size)
-    s, S = (K.lse(log_m)[s_mu], 1.0) if init_g is None \
-        else lse_on_g.reduce(init_g + g.lm)
-    f.aim(s, S)
+    f.aim(*lse_on_g.reduce(init_g + g.lm))
 
     history = []
     converged = False
@@ -592,16 +588,17 @@ def _on_grid(x: np.ndarray, support: np.ndarray, fill: float) -> np.ndarray:
     return out
 
 
-def _warm_start(init, nu: DiscreteMeasure, name: str) -> np.ndarray | None:
-    """A warm start for the ν-side potential: its values on supp ν.
+def _warm_start(init, nu: DiscreteMeasure, name: str) -> np.ndarray:
+    """The start of the ν-side potential: its values on supp ν; None is
+    the cold start 0 there (u = 1; Peyré & Cuturi, §4.2).
 
     Raises ValueError unless ``init`` has shape (n_cells,) and is finite on
-    supp ν; its values off supp ν are ignored.  None stays None (cold).
+    supp ν; its values off supp ν are ignored.
     """
-    if init is None:
-        return None
-    init = np.asarray(init, dtype=float)
     s_nu = nu.support()
+    if init is None:
+        return np.zeros(np.count_nonzero(s_nu))
+    init = np.asarray(init, dtype=float)
     if init.shape != s_nu.shape or not np.all(np.isfinite(init[s_nu])):
         raise ValueError(f"{name} needs shape (n_cells,) and finite values "
                          "on supp ν")
@@ -617,12 +614,12 @@ def _fresh_operators(K: GibbsKernel, mu: DiscreteMeasure,
 
 def _start(base: SchrodingerSolution | None, init, K: GibbsKernel,
            mu: DiscreteMeasure, nu: DiscreteMeasure, name: str,
-           lift: np.ndarray | None = None):
-    """(g, ω, ops): `_sinkhorn`'s start for g on supp ν (None: cold), its
-    ``start_omega`` and its two operators.  ``init`` is None or a grid
-    vector (`_warm_start`), taken to ψ by adding ``lift`` on supp ν where
-    one is given (EOT's b ↦ ψ, with b = 0 for None); ``base`` is None or
-    the solution that ``init`` was read from.
+           lift: np.ndarray | float = 0.0):
+    """(g, ω, ops): `_sinkhorn`'s start for g on supp ν, its
+    ``start_omega`` and its two operators, for every kind of start.
+    ``init`` is None (cold: 0) or a grid vector (`_warm_start`), taken to
+    ψ by adding ``lift`` on supp ν (EOT's b ↦ ψ); ``base`` is None or the
+    solution that ``init`` was read from.
 
     A base on the supports of μ and ν hands on its kept operators
     (`AnchoredLSE.shared`) when its kernel is K; on other supports the
@@ -647,9 +644,7 @@ def _start(base: SchrodingerSolution | None, init, K: GibbsKernel,
                 if base.T != K.T:
                     g = _continued(base, K)
     if g is None:
-        g = _warm_start(init, nu, name)
-        if lift is not None:
-            g = lift if g is None else g + lift
+        g = _warm_start(init, nu, name) + lift
     return g, omega, ops or _fresh_operators(K, mu, nu)
 
 
@@ -662,8 +657,7 @@ def _solve(cls: type, mu: DiscreteMeasure, nu: DiscreteMeasure,
     ref = kernel.reference
     init_g, start_omega, ops = start
     phi, psi, mu_hat, nu_hat, n_done, history, converged, omega = _sinkhorn(
-        kernel, ref.log_mass(), mu, nu, tol, max_iter, init_g, ops,
-        start_omega)
+        ops, ref.log_mass(), mu, nu, tol, max_iter, init_g, start_omega)
 
     h_mu = relative_entropy(mu, ref)
     h_nu = relative_entropy(nu, ref)
@@ -693,12 +687,13 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, kernel: GibbsKernel,
     plan drops to ``tol``.  The returned potentials are re-centered to the
     symmetric normalization; convergence failure is recorded, not raised.
     ``init_psi`` warm-starts ψ: one value per cell, finite on supp ν (the
-    values off supp ν are ignored), or a solution (`_start`).  A solution
-    of this kernel's family (κ) on the supports of μ and ν is continued
-    when it has this kernel's time or the marginals μ, ν: the loop starts
-    at its ω, carried to T (`_carried_omega`), and at another T from its ψ
-    mapped through the SP↔EOT dictionary, first order in ε on the line
-    (`_continued`); a T-ladder passes each rung's solution to the next.
+    values off supp ν are ignored), or a solution (`_start`); None is ψ = 0
+    on supp ν.  A solution of this kernel's family (κ) on the supports of
+    μ and ν is continued when it has this kernel's time or the marginals
+    μ, ν: the loop starts at its ω, carried to T (`_carried_omega`), and at
+    another T from its ψ mapped through the SP↔EOT dictionary, first order
+    in ε on the line (`_continued`); a T-ladder passes each rung's solution
+    to the next.
     ``keep_operators`` keeps the two Sinkhorn operators on the returned
     solution, for solves that start from it; otherwise their n² buffers
     are freed on return.

@@ -188,16 +188,16 @@ def zeroth_order_ladder(mu, nu, T_list, kappa, tol, max_iter):
         eb = eps * (sol.psi[s] + q)
 
 
-def log_domain_sinkhorn(K, log_m, mu, nu, tol, max_iter, init_g=None,
-                        ops=None, start_omega=1.0):
+def log_domain_sinkhorn(ops, log_m, mu, nu, tol, max_iter, init_g,
+                        start_omega):
     """`schrodinger._sinkhorn` with its half-steps in the log domain: same
     signature, stopping rule, ω rules, fallback and results.
 
     Each half-step sets  f' = log μ - log m - K.lse(g + log m)  on supp μ
-    through the operator ``ops[0]`` (an `AnchoredLSE` call: a product near
+    through the operator ``ops[1]`` (an `AnchoredLSE` call: a product near
     its anchor, a log-domain anchor otherwise) and moves f by ω(f' - f);
-    g mirrors it.  The marginals are μ̂ = e^{f + log m + K.lse(g + log m)}
-    and ν̂ likewise."""
+    g mirrors it through ``ops[0]``, from g = ``init_g`` on supp ν.  The
+    marginals are μ̂ = e^{f + log m + K.lse(g + log m)} and ν̂ likewise."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
@@ -207,11 +207,8 @@ def log_domain_sinkhorn(K, log_m, mu, nu, tol, max_iter, init_g=None,
     a = mu.log_weights()[s_mu] - lp              # log dμ/dm
     b = nu.log_weights()[s_nu] - lq              # log dν/dm
     w_mu, w_nu = mu.weights[s_mu], nu.weights[s_nu]
-    lse_on_f, lse_on_g = ops or schrodinger._fresh_operators(K, mu, nu)
-
-    if init_g is None and np.all(np.isneginf(log_m[~s_nu])):
-        init_g = np.zeros(lq.size)
-    lse_g = K.lse(log_m)[s_mu] if init_g is None else lse_on_g(init_g + lq)
+    lse_on_f, lse_on_g = ops
+    lse_g = lse_on_g(init_g + lq)
 
     history = []
     converged = False

@@ -286,6 +286,52 @@ def test_carried_omega(monkeypatch):
     assert carried(1.5, 0.25) == carried(1.0, 0.01) == 1.0
 
 
+def test_stalled_residual_reads_no_rate():
+    # a residual that falls by rounding alone (1 - λ ≈ 3 ulps) is a stall,
+    # not a plain rate near 1 that would raise ω to the cap; a steady rate
+    # of 0.9 still reads Young's factor 2/(1 + √0.1) ≈ 1.52, rounded down
+    stalled = [1e-9 * (1.0 - 6e-16) ** k for k in range(20)]
+    assert schrodinger._implied_omega(stalled, 1.0) == 1.0
+    steady = [0.9 ** k for k in range(20)]
+    assert schrodinger._implied_omega(steady, 1.0) == 1.5
+
+
+def _cold_start_cases():
+    g1 = bs.Grid.regular([(-8.0, 10.0)], [320])
+    box = bs.uniform_measure(g1, -1.5, 0.5)
+    g2 = bs.Grid.regular([(-5.0, 5.0), (-5.0, 5.0)], [24, 24])
+    g_eot = bs.Grid.regular([(-4.0, 4.0)], [160])
+    return {
+        "sp-1d-full-nu": (box, bs.gaussian_measure(g1, [1.0], 3.0),
+                          bs.GibbsKernel.heat(g1, 0.05)),
+        "sp-1d-boxes": (box, bs.uniform_measure(g1, 0.2, 2.5),
+                        bs.GibbsKernel.heat(g1, 0.05)),
+        "sp-2d-gauss": (bs.gaussian_measure(g2, [-1.0, 0.0], 0.85),
+                        bs.gaussian_measure(g2, [1.0, 0.0], 0.85),
+                        bs.GibbsKernel.ou(g2, 1.0, 1.0)),
+        "eot-1d": (bs.uniform_measure(g_eot, -1.0, 1.5),
+                   bs.gaussian_measure(g_eot, [0.5], 0.8), 0.3),
+    }
+
+
+@pytest.mark.parametrize("name", list(_cold_start_cases()))
+def test_cold_start_is_the_zero_start(name):
+    # without a start, ψ (EOT: b) starts at 0 on supp ν, whatever the
+    # supports: bit for bit the solve from an array of zeros
+    mu, nu, kernel = _cold_start_cases()[name]
+    zeros = np.zeros(nu.grid.n_cells)
+    if name.startswith("eot"):
+        cold = bs.eot_quadratic_direct(mu, nu, kernel)
+        warm = bs.eot_quadratic_direct(mu, nu, kernel, init_b=zeros)
+    else:
+        assert nu.support().all() == name.endswith("full-nu")
+        cold = bs.solve(mu, nu, kernel)
+        warm = bs.solve(mu, nu, kernel, init_psi=zeros)
+    assert cold.converged and cold.n_iter == warm.n_iter
+    assert all(_same_bits(a, b)
+               for a, b in zip(_potentials(cold), _potentials(warm)))
+
+
 @pytest.mark.parametrize("kind", ["sp", "eot"])
 def test_solution_start_on_other_supports_is_cold(gauss_pair, rng, kind):
     mu, nu = gauss_pair
@@ -662,19 +708,17 @@ def test_anchored_sinkhorn_matches_log_domain_loop(run, monkeypatch):
         assert np.max(np.abs(a[fin] - b[fin])) <= min(1e-12, 16.0 * ulps)
 
 
-def _full_grid_sinkhorn(K, log_m, mu, nu, tol, max_iter, init_g=None):
+def _full_grid_sinkhorn(K, log_m, mu, nu, tol, max_iter, init_g):
     """`schrodinger._sinkhorn` on full-grid vectors (test oracle): every
     half-step is `K.lse` of a grid vector that is -inf off the support, and
-    μ̂, ν̂ and the residual are taken over all cells.  Same signature and
-    results; ``init_g`` is compact on supp ν, as `_warm_start` returns it."""
+    μ̂, ν̂ and the residual are taken over all cells.  Same results; it
+    takes the kernel K for the two operators, and ``init_g`` compact on
+    supp ν, as `_warm_start` returns it."""
     log_mu, log_nu = mu.log_weights(), nu.log_weights()
     s_mu, s_nu = mu.support(), nu.support()
     n = mu.grid.n_cells
-    if init_g is None:
-        g = np.zeros(n)
-    else:
-        g = np.full(n, -np.inf)
-        g[s_nu] = init_g
+    g = np.full(n, -np.inf)
+    g[s_nu] = init_g
     lse_g = K.lse(g + log_m)
     history, converged = [], False
     mu_hat, nu_hat = np.zeros(n), np.zeros(n)
@@ -756,7 +800,7 @@ def _oracle_cases():
         "sp-1d-tails": _sp_problem(*gauss1, bs.GibbsKernel.heat(g1, 0.02)),
         "sp-1d-boxes": _sp_problem(*box1, bs.GibbsKernel.heat(g1, 0.05)),
         "sp-1d-ou": _sp_problem(*box1[::-1], bs.GibbsKernel.ou(g1, 0.1, 1.0)),
-        # a full supp ν: the cold start anchors the ν side at g = 0
+        # a full supp ν: the supp ν → supp μ operator reads every cell
         "sp-1d-full-nu": _sp_problem(
             box1[0], bs.gaussian_measure(g1, [1.0], 3.0),
             bs.GibbsKernel.heat(g1, 0.05)),
@@ -774,19 +818,23 @@ def _oracle_cases():
 @pytest.mark.parametrize("name", list(_oracle_cases()))
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_sinkhorn_on_supports_matches_full_grid_oracle(name, warm):
-    problem = _oracle_cases()[name]
-    nu = problem[3]
-    init_g = None
+    K, log_m, mu, nu = problem = _oracle_cases()[name]
+
+    def loop(init_g):
+        ops = schrodinger._fresh_operators(K, mu, nu)
+        return schrodinger._sinkhorn(ops, log_m, mu, nu, 1e-9, 100_000,
+                                     init_g, 1.0)
+
+    init_g = schrodinger._warm_start(None, nu, "init_g")
     if warm:
         # the potential of a nearby problem: g of the cold solve, shifted
-        g = schrodinger._sinkhorn(*problem, 1e-9, 100_000)[1]
+        g = loop(init_g)[1]
         init_g = schrodinger._warm_start(0.9 * g + 0.3, nu, "init_g")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", bs.BandwidthWarning)
-        got = schrodinger._sinkhorn(*problem, 1e-9, 100_000, init_g)
+        got = loop(init_g)
         want = _full_grid_sinkhorn(*problem, 1e-9, 100_000, init_g)
     f, g, mu_hat, nu_hat, n_iter, history, converged, omega = got
-    mu = problem[2]
     assert not mu.support().all() or not nu.support().all()
     assert converged and want[6]
     assert n_iter == want[4] and omega == want[7]
@@ -847,19 +895,20 @@ def test_relaxed_sinkhorn_matches_plain_loop(name, monkeypatch):
 
 
 def _loop_problem(name):
-    """An `_oracle_cases` problem, or the `_sinkhorn` problem (K, log m, μ,
-    ν) of the `_RELAX_CASES` solve ``relax-<case>``."""
+    """An `_oracle_cases` problem, or the problem (K, log m, μ, ν) that
+    `_solve` hands to `_sinkhorn` in the `_RELAX_CASES` solve
+    ``relax-<case>``."""
     if not name.startswith("relax-"):
         return _oracle_cases()[name]
     got = []
-    real = schrodinger._sinkhorn
+    real = schrodinger._solve
 
-    def spy(*args, **kw):
-        got.append(args[:4])
-        return real(*args, **kw)
+    def spy(cls, mu, nu, kernel, *args, **kw):
+        got.append((kernel, kernel.reference.log_mass(), mu, nu))
+        return real(cls, mu, nu, kernel, *args, **kw)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(schrodinger, "_sinkhorn", spy)
+        m.setattr(schrodinger, "_solve", spy)
         _RELAX_CASES[name[len("relax-"):]](max_iter=1)
     return got[0]
 
@@ -888,12 +937,13 @@ def test_scaling_loop_matches_log_domain_loop(name, start):
     # of a base solve (shared copies) at its ω with perturbed marginals
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", bs.BandwidthWarning)
-        K, log_m, mu, nu = problem = _loop_problem(name)
-        init_g, omega, base_ops = None, 1.0, None
+        K, log_m, mu, nu = _loop_problem(name)
+        init_g = schrodinger._warm_start(None, nu, "init_g")
+        omega, base_ops = 1.0, None
         if start != "cold":
             base_ops = schrodinger._fresh_operators(K, mu, nu)
-            base = schrodinger._sinkhorn(*problem, 1e-9, 100_000, None,
-                                         base_ops)
+            base = schrodinger._sinkhorn(base_ops, log_m, mu, nu, 1e-9,
+                                         100_000, init_g, 1.0)
             init_g = base[1][nu.support()]
             if start == "array":
                 init_g, base_ops = 0.9 * init_g + 0.3, None
@@ -904,7 +954,7 @@ def test_scaling_loop_matches_log_domain_loop(name, start):
         for loop in (schrodinger._sinkhorn, oracles.log_domain_sinkhorn):
             ops = schrodinger._fresh_operators(K, mu, nu) \
                 if base_ops is None else tuple(op.shared() for op in base_ops)
-            out = loop(K, log_m, mu, nu, 1e-9, 100_000, init_g, ops, omega)
+            out = loop(ops, log_m, mu, nu, 1e-9, 100_000, init_g, omega)
             runs.append((out, [op.n_anchors for op in ops]))
     (got, anchors), (want, anchors0) = runs
     assert got[6] and want[6]
