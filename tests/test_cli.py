@@ -1,7 +1,10 @@
 """End-to-end runs of the command-line batteries and their exit-code contract."""
 
 import csv
+import ctypes
 import json
+import platform
+import sys
 import warnings
 from pathlib import Path
 
@@ -281,6 +284,48 @@ def test_relaxed_reports_are_byte_identical_and_carry_no_omega(
     a, b = ((out / "report.jsonl").read_bytes() for out in outs)
     assert a == b
     assert b"omega" not in a
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap thresholds are glibc's")
+def test_repeated_runs_fault_in_no_fresh_pages(tmp_path):
+    # each rung of the heat ladder allocates n² buffers (n = 320: 800 KiB)
+    # and frees them; once the CLI has fixed glibc's thresholds, later runs
+    # in the process take those pages from the heap instead of mapping
+    # fresh zero pages (~2,000 minor faults over three runs without them)
+    resource = pytest.importorskip("resource")
+    cfg = _smalltime_cfg(tmp_path / "out")
+    assert cli.run(cfg, tmp_path / "warm-up") == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for i in range(3):
+        assert cli.run(cfg, tmp_path / f"run{i}") == 0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 100, faults
+
+
+def _no_libc(name):
+    raise OSError(f"no library {name}")
+
+
+@pytest.mark.parametrize("patch", [
+    (sys, "platform", "darwin"),
+    (ctypes, "CDLL", _no_libc),
+    (ctypes, "CDLL", lambda name: object()),  # a C library without mallopt
+], ids=["not-linux", "no-libc", "no-mallopt"])
+def test_runs_without_mallopt_write_the_same_reports(tmp_path, monkeypatch,
+                                                     patch):
+    cfg = _smalltime_cfg(tmp_path / "out")
+    assert cli.run(cfg, tmp_path / "with") == 0
+    keep = cli._keep_freed_blocks
+    with monkeypatch.context() as m:
+        m.setattr(*patch)
+        keep.cache_clear()
+        try:
+            assert cli.run(cfg, tmp_path / "without") == 0
+        finally:
+            keep.cache_clear()
+    assert ((tmp_path / "without" / "report.jsonl").read_bytes()
+            == (tmp_path / "with" / "report.jsonl").read_bytes())
 
 
 _WARM_ARGS = {"solve": "init_psi", "eot_quadratic_direct": "init_b"}
