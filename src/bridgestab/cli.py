@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import datetime
-import functools
 import hashlib
 import json
 import math
@@ -842,7 +841,6 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD = 32 << 20
 
 
-@functools.cache
 def _keep_freed_blocks() -> None:
     """Serve n² arrays below 32 MiB from the heap and keep them there.
 
@@ -854,12 +852,15 @@ def _keep_freed_blocks() -> None:
     battery-1d / smalltime-1d / bridge-2d benchmark pass (seed 1, 20 passes
     in each of four processes after a warm-up, 2 vCPUs, glibc 2.36) read
     2,204–2,314 / 987–1,183 / 4 or 500–532 with glibc's defaults, and
-    1 / 1–2 / 4 with these thresholds.  Fixing both turns off glibc's
-    dynamic rule, so they are set to the values it would reach anyway, and
-    the trim threshold only where the mmap threshold was taken (a 32-bit
-    glibc caps it lower).  Freed memory then stays mapped until the process
-    exits.  Without glibc `mallopt` (other platforms, other C libraries)
-    nothing changes.
+    1 / 1–2 / 4 with these thresholds.  The time saved is in a process that
+    calls `run` again: a one-shot `bridgestab` command saves no measurable
+    time (its ladder configs fault in 3,370 → 2,370 pages, run time within
+    noise).  Fixing both thresholds turns off glibc's dynamic rule,
+    so they are set to the values it would reach anyway, and the trim
+    threshold only where the mmap threshold was taken (a 32-bit glibc caps
+    it lower).  Up to 64 MiB of freed heap then stays mapped until the
+    process exits.  Setting them again is harmless.  Without glibc
+    `mallopt` (other platforms, other C libraries) nothing changes.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -877,8 +878,8 @@ def run(cfg: dict, out_dir: Path | None = None,
         seed_override: int | None = None) -> int:
     """Validate, execute, and write artifacts; returns the exit code.
 
-    The first call in a process keeps freed n² buffers in glibc's heap
-    (`_keep_freed_blocks`), so later solves reuse their pages.
+    On glibc, fixes the heap's mmap and trim thresholds for the rest of the
+    process (`_keep_freed_blocks`), so freed n² buffers are reused.
     """
     _keep_freed_blocks()
     if seed_override is not None and isinstance(cfg, dict):

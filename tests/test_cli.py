@@ -3,10 +3,13 @@
 import csv
 import ctypes
 import json
+import os
 import platform
+import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -303,29 +306,70 @@ def test_repeated_runs_fault_in_no_fresh_pages(tmp_path):
     assert faults < 100, faults
 
 
+class _Mallopt:
+    """Stands in for a C library's mallopt: records each call, returns `ok`."""
+
+    def __init__(self, ok):
+        self.ok, self.calls = ok, []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return self.ok
+
+
 def _no_libc(name):
     raise OSError(f"no library {name}")
 
 
-@pytest.mark.parametrize("patch", [
-    (sys, "platform", "darwin"),
-    (ctypes, "CDLL", _no_libc),
-    (ctypes, "CDLL", lambda name: object()),  # a C library without mallopt
-], ids=["not-linux", "no-libc", "no-mallopt"])
-def test_runs_without_mallopt_write_the_same_reports(tmp_path, monkeypatch,
-                                                     patch):
-    cfg = _smalltime_cfg(tmp_path / "out")
-    assert cli.run(cfg, tmp_path / "with") == 0
-    keep = cli._keep_freed_blocks
+_CAPS = [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+@pytest.mark.parametrize("plat, libc, ok, calls", [
+    ("linux", "spy", 1, _CAPS),
+    ("linux", "spy", 0, _CAPS[:1]),  # a refused mmap cap leaves trims alone
+    ("darwin", "spy", 1, []),
+    ("linux", "none", 1, []),
+    ("linux", "no-mallopt", 1, []),
+], ids=["glibc", "cap-refused", "not-linux", "no-libc", "no-mallopt"])
+def test_keep_freed_blocks_calls_mallopt_only_where_there_is_one(
+        monkeypatch, plat, libc, ok, calls):
+    spy = _Mallopt(ok)
+    cdll = {"spy": lambda name: SimpleNamespace(mallopt=spy),
+            "none": _no_libc,
+            "no-mallopt": lambda name: object()}[libc]
     with monkeypatch.context() as m:
-        m.setattr(*patch)
-        keep.cache_clear()
-        try:
-            assert cli.run(cfg, tmp_path / "without") == 0
-        finally:
-            keep.cache_clear()
-    assert ((tmp_path / "without" / "report.jsonl").read_bytes()
-            == (tmp_path / "with" / "report.jsonl").read_bytes())
+        m.setattr(sys, "platform", plat)
+        m.setattr(ctypes, "CDLL", cdll)
+        assert cli._keep_freed_blocks() is None
+    assert spy.calls == calls
+
+
+_RUN_WITHOUT_THRESHOLDS = r"""
+import sys
+from bridgestab import cli
+cli._keep_freed_blocks = lambda: None
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_reports_match_without_the_heap_thresholds(tmp_path):
+    # glibc keeps fixed thresholds for the life of a process, so the run on
+    # its default allocator is a fresh interpreter that never sets them
+    path = write_cfg(tmp_path, _smalltime_cfg(tmp_path / "out"))
+    assert cli.main(["--config", str(path), "--out",
+                     str(tmp_path / "with")]) == 0
+    src = Path(cli.__file__).resolve().parent.parent
+    pythonpath = os.pathsep.join(filter(None, [
+        str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_WITHOUT_THRESHOLDS, "--config",
+         str(path), "--out", str(tmp_path / "without")],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("report.jsonl", "smalltime.csv"):
+        assert ((tmp_path / "without" / name).read_bytes()
+                == (tmp_path / "with" / name).read_bytes()), name
 
 
 _WARM_ARGS = {"solve": "init_psi", "eot_quadratic_direct": "init_b"}
