@@ -45,9 +45,7 @@ from .schrodinger import (
     require_converged,
     plan_symmetric_entropy,
     eot_quadratic_direct,
-    eot_via_sp,
     eot_cost_from_sp,
-    sp_time_from_epsilon,
 )
 from .sobolev import (
     h_minus_one_norm,
@@ -95,8 +93,7 @@ __all__ = [
     "apply_semigroup",
     "InfeasibleProblem", "NotConverged", "Plan", "SchrodingerSolution",
     "EOTSolution", "solve", "require_converged", "plan_symmetric_entropy",
-    "eot_quadratic_direct", "eot_via_sp", "eot_cost_from_sp",
-    "sp_time_from_epsilon",
+    "eot_quadratic_direct", "eot_cost_from_sp",
     "h_minus_one_norm", "WeightedPoissonProblem", "wasserstein2_1d",
     "w2_h_minus_one_comparison",
     "InequalityReport", "make_report", "make_equality_report",

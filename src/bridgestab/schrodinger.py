@@ -33,7 +33,10 @@ Quadratic EOT,  S^ε = inf ∫|x-y|² dπ + ε H(π | μ⊗ν),  is this problem
 the heat kernel at T = ε/4, as e^{-|x-y|²/ε} = (πε)^{d/2}·p_T: with m the
 cell volumes, S^ε = ε(C_T - H(μ|m) - H(ν|m)) - (dε/2)·log(πε).  For an OU
 reference at curvature κ the two problems are equivalent through the time
-change ε = (4/κ) sinh(κT) (`eot_cost_from_sp`, `eot_via_sp`).
+change ε = (4/κ) sinh(κT), that is T = arcsinh(εκ/4)/κ.  That map is stated
+once (`_eot_scale`, T ↦ ε): an `EOTSolution` reads its ε off its kernel's
+time, and `eot_cost_from_sp(sol)` gives S^ε of any solution at the ε of
+its own kernel, so no solution is paired with an ε it was not solved at.
 
 Values come from the potentials, C_T = ∫φ dμ + ∫ψ dν, a dual value that
 is second-order accurate in the stopping residual.  The realized marginals
@@ -72,11 +75,6 @@ class Plan:
 
     grid: Grid
     log_weights: np.ndarray
-
-    def weights(self) -> np.ndarray:
-        out = np.zeros_like(self.log_weights)
-        np.exp(self.log_weights, where=np.isfinite(self.log_weights), out=out)
-        return out
 
 
 # Entries per block of `_symmetric_terms`.  Its two work buffers of 64 KB
@@ -650,10 +648,10 @@ def _start(base: SchrodingerSolution | None, init, K: GibbsKernel,
 
 def _solve(cls: type, mu: DiscreteMeasure, nu: DiscreteMeasure,
            kernel: GibbsKernel, tol: float, max_iter: int, start: tuple,
-           keep_operators: bool, **fields) -> SchrodingerSolution:
-    """The ``cls`` solution (with ``fields``) of `_sinkhorn` from the start
-    (init_g, ω, ops) of `_start`, re-centered to the symmetric
-    normalization; it keeps the operators with ``keep_operators``."""
+           keep_operators: bool) -> SchrodingerSolution:
+    """The ``cls`` solution of `_sinkhorn` from the start (init_g, ω, ops)
+    of `_start`, re-centered to the symmetric normalization; it keeps the
+    operators with ``keep_operators``."""
     ref = kernel.reference
     init_g, start_omega, ops = start
     phi, psi, mu_hat, nu_hat, n_done, history, converged, omega = _sinkhorn(
@@ -671,7 +669,7 @@ def _solve(cls: type, mu: DiscreteMeasure, nu: DiscreteMeasure,
     sol = cls(mu=mu, nu=nu, kernel=kernel, phi=phi, psi=psi, mu_hat=mu_hat,
               nu_hat=nu_hat, n_iter=n_done, marginal_residual=history[-1],
               residual_history=np.asarray(history), converged=converged,
-              h_mu=h_mu, h_nu=h_nu, omega=omega, shift=c, **fields)
+              h_mu=h_mu, h_nu=h_nu, omega=omega, shift=c)
     if keep_operators:
         sol._operators = ops
     return sol
@@ -717,22 +715,25 @@ def require_converged(sol) -> None:
 # quadratic entropic optimal transport
 # ---------------------------------------------------------------------------
 
-@dataclass
 class EOTSolution(SchrodingerSolution):
     """Quadratic EOT at ε: the solution of the heat kernel at T = ε/4, with
     its value S^ε and its potentials a, b against μ⊗ν, the plan being
     e^{a ⊕ b - |x-y|²/ε}·(μ ⊗ ν).  a and b are taken in the gauge the loop
     stopped in, where the operators it keeps were anchored."""
 
-    epsilon: float
-
     # its own entry, which perfbench's tracer wraps by name
     log_plan = SchrodingerSolution.log_plan
 
     @property
+    def epsilon(self) -> float:
+        """ε = 4T, read off the kernel: the ε it was solved at, bit for
+        bit, as the kernel was built at T = ε/4."""
+        return _eot_scale(self.T, 0.0)[0]
+
+    @property
     def cost(self) -> float:
         """S^ε, from C_T (`eot_cost_from_sp`)."""
-        return eot_cost_from_sp(self, self.epsilon)
+        return eot_cost_from_sp(self)
 
     @property
     def a(self) -> np.ndarray:
@@ -788,23 +789,12 @@ def eot_quadratic_direct(mu: DiscreteMeasure, nu: DiscreteMeasure,
     start = _start(base, init_b if base is None else base.b, kernel, mu, nu,
                    "init_b", lift)
     return _solve(EOTSolution, mu, nu, kernel, tol, max_iter, start,
-                  keep_operators, epsilon=float(epsilon))
+                  keep_operators)
 
 
 # ---------------------------------------------------------------------------
 # the SP ↔ EOT dictionary
 # ---------------------------------------------------------------------------
-
-def sp_time_from_epsilon(epsilon: float, kappa: float) -> float:
-    """Invert ε = (4/κ)·sinh(κT):  T = arcsinh(εκ/4)/κ  (→ ε/4 as κ→0)."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
-    if kappa == 0.0:
-        return epsilon / 4.0
-    return float(math.asinh(epsilon * kappa / 4.0) / kappa)
-
 
 def _eot_scale(T: float, kappa: float) -> tuple[float, float]:
     """(ε, k) of the SP↔EOT dictionary at time T: the kernel's log factor
@@ -887,15 +877,16 @@ def _continued(base: SchrodingerSolution, K: GibbsKernel) -> np.ndarray:
     return eps / eps2 * (base.psi[s] + q) - q2
 
 
-def eot_cost_from_sp(sol: SchrodingerSolution, epsilon: float) -> float:
-    """S^ε from a Schrödinger solution at T = arcsinh(εκ/4)/κ, or at
-    T = ε/4 for the heat kernel (κ = 0, m the cell volumes):
+def eot_cost_from_sp(sol: SchrodingerSolution) -> float:
+    """S^ε of a Schrödinger solution at the ε of its kernel
+    (`_eot_scale`: ε = 4 sinh(κT)/κ, 4T for heat; m the cell volumes):
 
     heat:  S^ε = ε(C_T - H(μ|m) - H(ν|m)) - (dε/2)·log(πε),
     OU:    S^ε = ε(C_T - H(μ|m) - H(ν|m)) - (dε/2)·log(1 - e^{-2κT})
                  + (1 - e^{-κT})·(M2(μ) + M2(ν)).
     """
     kappa, T, d = sol.kernel.kappa, sol.T, sol.mu.grid.ndim
+    epsilon = _eot_scale(T, kappa)[0]
     core = epsilon * (sol.entropic_cost() - sol.h_mu - sol.h_nu)
     if kappa == 0.0:
         return core - 0.5 * d * epsilon * math.log(math.pi * epsilon)
@@ -903,15 +894,3 @@ def eot_cost_from_sp(sol: SchrodingerSolution, epsilon: float) -> float:
     mom_term = (-math.expm1(-kappa * T)) * (second_moment(sol.mu)
                                             + second_moment(sol.nu))
     return core + log_term + mom_term
-
-
-def eot_via_sp(mu: DiscreteMeasure, nu: DiscreteMeasure, epsilon: float,
-               kappa: float, tol: float = 1e-9, max_iter: int = 100_000
-               ) -> tuple[float, SchrodingerSolution]:
-    """Solve the OU Schrödinger problem and translate its value to S^ε."""
-    if kappa <= 0:
-        raise ValueError("the dictionary needs kappa > 0")
-    T = sp_time_from_epsilon(epsilon, kappa)
-    kernel = GibbsKernel.ou(mu.grid, T, kappa)
-    sol = solve(mu, nu, kernel, tol=tol, max_iter=max_iter)
-    return eot_cost_from_sp(sol, epsilon), sol

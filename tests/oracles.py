@@ -10,9 +10,15 @@
   exactly.
 * `wasserstein2_exact_small`: W2 by a dense transport LP on small
   supports, the reference of the quantile W2 (`wasserstein2_1d`).
+* `plan_weights`: the weights e^{log π} of a dense plan, 0 off its
+  support.
 * `plan_relative_entropy`: H(π | ρ) of two dense plans; the sum of the two
   relative entropies is the reference of the one-pass symmetric entropy
   (`plan_symmetric_entropy`), and H(π | R) that of the dual costs.
+* The SP↔EOT dictionary from ε: `sp_time_from_epsilon` inverts
+  ε = 4 sinh(κT)/κ, `eot_via_sp` solves the OU problem at that T, and
+  `eot_cost_at` is S^ε of a solution at a given ε, the reference of
+  `eot_cost_from_sp`, which reads ε off the solution's kernel.
 * `log_domain_sinkhorn`: the anchored Sinkhorn loop with every half-step
   in the log domain, each potential moved by ω times its update and
   each reduction an `AnchoredLSE` call; the reference of the loop that
@@ -38,8 +44,10 @@ import numpy as np
 from bridgestab import schrodinger
 from bridgestab.kernels import (BandwidthWarning, GibbsKernel, _check_ou,
                                 apply_semigroup)
-from bridgestab.measures import MASS_FLOOR, gradient_energy, grad_sq_norm
-from bridgestab.schrodinger import _eot_scale, _kantorovich_rung, solve
+from bridgestab.measures import (MASS_FLOOR, gradient_energy, grad_sq_norm,
+                                 second_moment)
+from bridgestab.schrodinger import (_eot_scale, _kantorovich_rung,
+                                    eot_cost_from_sp, solve)
 
 LP_MAX_ATOMS = 64
 
@@ -155,6 +163,13 @@ def alpha_per_time(sol, t: float) -> float:
     return float(w @ grad_sq_norm(lp, sol.mu.grid, w > MASS_FLOOR))
 
 
+def plan_weights(plan) -> np.ndarray:
+    """π = e^{log π} of a dense plan, 0 where log π = -inf."""
+    out = np.zeros_like(plan.log_weights)
+    np.exp(plan.log_weights, where=np.isfinite(plan.log_weights), out=out)
+    return out
+
+
 def plan_relative_entropy(pi, rho) -> float:
     """H(π | ρ) for two plans on the same grid pair."""
     a, b = pi.log_weights, rho.log_weights
@@ -163,6 +178,47 @@ def plan_relative_entropy(pi, rho) -> float:
         return math.inf
     w = np.exp(a[pa])
     return float(np.sum(w * (a[pa] - b[pa])))
+
+
+def sp_time_from_epsilon(epsilon: float, kappa: float) -> float:
+    """Invert ε = (4/κ)·sinh(κT):  T = arcsinh(εκ/4)/κ  (→ ε/4 as κ→0)."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if kappa < 0:
+        raise ValueError("kappa must be >= 0")
+    if kappa == 0.0:
+        return epsilon / 4.0
+    return float(math.asinh(epsilon * kappa / 4.0) / kappa)
+
+
+def eot_via_sp(mu, nu, epsilon: float, kappa: float, tol: float = 1e-9,
+               max_iter: int = 100_000):
+    """(S^ε, solution) of the OU Schrödinger problem at the T of ε
+    (`sp_time_from_epsilon`), its value translated by `eot_cost_from_sp`."""
+    if kappa <= 0:
+        raise ValueError("the dictionary needs kappa > 0")
+    T = sp_time_from_epsilon(epsilon, kappa)
+    sol = solve(mu, nu, GibbsKernel.ou(mu.grid, T, kappa), tol=tol,
+                max_iter=max_iter)
+    return eot_cost_from_sp(sol), sol
+
+
+def eot_cost_at(sol, epsilon: float) -> float:
+    """S^ε of a Schrödinger solution at a given ε (κ = 0: T = ε/4; κ > 0:
+    T = arcsinh(εκ/4)/κ; m the cell volumes):
+
+    heat:  S^ε = ε(C_T - H(μ|m) - H(ν|m)) - (dε/2)·log(πε),
+    OU:    S^ε = ε(C_T - H(μ|m) - H(ν|m)) - (dε/2)·log(1 - e^{-2κT})
+                 + (1 - e^{-κT})·(M2(μ) + M2(ν)).
+    """
+    kappa, T, d = sol.kernel.kappa, sol.T, sol.mu.grid.ndim
+    core = epsilon * (sol.entropic_cost() - sol.h_mu - sol.h_nu)
+    if kappa == 0.0:
+        return core - 0.5 * d * epsilon * math.log(math.pi * epsilon)
+    log_term = -0.5 * d * epsilon * math.log(-math.expm1(-2.0 * kappa * T))
+    mom_term = (-math.expm1(-kappa * T)) * (second_moment(sol.mu)
+                                            + second_moment(sol.nu))
+    return core + log_term + mom_term
 
 
 def zeroth_order_ladder(mu, nu, T_list, kappa, tol, max_iter):

@@ -55,13 +55,13 @@ def test_criterion_02_eot_dictionary():
         assert direct.converged
         costs = []
         for kappa in (0.5, 1.0, 2.0):
-            via, sol = bs.eot_via_sp(mu, nu, eps, kappa)
+            via, sol = oracles.eot_via_sp(mu, nu, eps, kappa)
             costs.append(via)
             rel = abs(via - direct.cost) / abs(direct.cost)
             assert rel <= 1e-6, (eps, kappa, rel)
             worst_cost = max(worst_cost, rel)
-            tv = float(np.abs(direct.log_plan().weights()
-                              - sol.log_plan().weights()).sum())
+            tv = float(np.abs(oracles.plan_weights(direct.log_plan())
+                              - oracles.plan_weights(sol.log_plan())).sum())
             assert tv <= 1e-6, (eps, kappa, tv)
             worst_tv = max(worst_tv, tv)
         spread = (max(costs) - min(costs)) / abs(costs[0])

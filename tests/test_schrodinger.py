@@ -25,7 +25,7 @@ def test_atom_pair_plan_and_cost():
     ref = bs.ReferenceMeasure.gaussian(g, kappa=1.0)
     sol = bs.solve(atom, atom, ker)
 
-    w = sol.log_plan().weights()
+    w = oracles.plan_weights(sol.log_plan())
     assert abs(w.sum() - 1.0) < 1e-12
     assert np.max(np.abs(w.sum(axis=1) - atom.weights)) < 1e-12
     assert np.max(np.abs(w.sum(axis=0) - atom.weights)) < 1e-12
@@ -70,7 +70,7 @@ def _dense_eot_primal(eot) -> float:
     plan = eot.log_plan()
     log_r = bs.Plan(eot.mu.grid, eot.mu.log_weights()[:, None]
                     + eot.nu.log_weights()[None, :])
-    return (float(np.sum(plan.weights() * d2))
+    return (float(np.sum(oracles.plan_weights(plan) * d2))
             + eot.epsilon * oracles.plan_relative_entropy(plan, log_r))
 
 
@@ -95,7 +95,7 @@ def test_cost_dominates_marginal_entropies(ou_sol):
 
 def test_plan_mass_and_marginals(ou_sol, gauss_pair):
     mu, nu = gauss_pair
-    assert abs(ou_sol.log_plan().weights().sum() - 1.0) < 1e-12
+    assert abs(oracles.plan_weights(ou_sol.log_plan()).sum() - 1.0) < 1e-12
     m_mu, m_nu = ou_sol.mu_hat, ou_sol.nu_hat
     assert np.abs(m_mu - mu.weights).sum() <= 2.0 * ou_sol.marginal_residual + 1e-12
     # the nu marginal is matched exactly by the final psi update
@@ -454,7 +454,7 @@ def test_eot_plan_is_heat_bridge_plan(grid, epsilon):
         eot = bs.eot_quadratic_direct(mu, nu, epsilon, tol=1e-12)
     assert eot.converged
     assert eot.kernel.kappa == 0.0 and eot.T == epsilon / 4.0
-    w = eot.log_plan().weights()
+    w = oracles.plan_weights(eot.log_plan())
     assert np.abs(w.sum(axis=1) - mu.weights).sum() <= 1e-12
     assert np.abs(w.sum(axis=0) - nu.weights).sum() <= 1e-12
     assert abs(_dense_eot_primal(eot) - eot.cost) <= 1e-12 * abs(eot.cost)
@@ -473,9 +473,55 @@ def test_eot_cost_from_heat_solution_is_the_eot_cost(grid):
     T = 0.2
     sol = bs.solve(mu, nu, bs.GibbsKernel.heat(grid, T), tol=1e-12)
     eot = bs.eot_quadratic_direct(mu, nu, 4.0 * T, tol=1e-12)
-    cost = bs.eot_cost_from_sp(sol, 4.0 * T)
+    cost = bs.eot_cost_from_sp(sol)
     assert abs(cost - eot.cost) <= 1e-12 * abs(eot.cost)
     assert abs(cost - _dense_eot_primal(eot)) <= 1e-12 * abs(eot.cost)
+
+
+# ε of configs/eot-stability.yaml, battery-1d's range 0.45–0.55 (its ends,
+# a mesh and random draws) and a log-spaced sweep from 1e-4 to 10
+_EPSILONS = [0.5, *np.linspace(0.45, 0.55, 11),
+             *np.random.default_rng(5).uniform(0.45, 0.55, 16),
+             *np.logspace(-4.0, 1.0, 26)]
+
+
+def test_eot_epsilon_is_read_off_the_kernel():
+    # an EOTSolution keeps no ε of its own: 4T of its kernel, built at
+    # T = ε/4, is the ε it was solved at bit for bit, and its cost is the
+    # two-argument formula at that ε, bit for bit
+    g = bs.Grid.regular([(-3.0, 3.0)], [24])
+    mu = bs.gaussian_measure(g, [-0.4], 0.9)
+    nu = bs.uniform_measure(g, -1.0, 1.5)
+    for eps in map(float, _EPSILONS):
+        with warnings.catch_warnings():
+            # the small ε of the sweep are finer than the grid
+            warnings.simplefilter("ignore", bs.BandwidthWarning)
+            eot = bs.eot_quadratic_direct(mu, nu, eps, max_iter=3)
+        assert eot.epsilon == eps, eps
+        assert eot.cost == oracles.eot_cost_at(eot, eps), eps
+
+
+@_GRIDS
+def test_eot_cost_from_sp_reads_epsilon_off_the_kernel(grid):
+    # heat: S^ε of a solution at T is the two-argument formula at ε = 4T,
+    # bit for bit; OU: at the T of ε, it reads ε back through
+    # ε = 4 sinh(κT)/κ to rounding
+    mu = bs.gaussian_measure(grid, [-0.4] * grid.ndim, 0.9)
+    nu = bs.uniform_measure(grid, [-1.0] * grid.ndim, [1.5] * grid.ndim)
+    with warnings.catch_warnings():
+        # at T = 0.05 the 2D grid is coarser than the kernel's bandwidth
+        warnings.simplefilter("ignore", bs.BandwidthWarning)
+        for T in (0.05, 0.2, 1.3):
+            sol = bs.solve(mu, nu, bs.GibbsKernel.heat(grid, T), max_iter=50)
+            assert bs.eot_cost_from_sp(sol) == oracles.eot_cost_at(sol, 4 * T)
+        for eps, kappa in ((0.2, 0.5), (0.5, 1.0), (2.0, 2.0)):
+            T = oracles.sp_time_from_epsilon(eps, kappa)
+            assert abs(schrodinger._eot_scale(T, kappa)[0] - eps) \
+                <= 4 * math.ulp(eps)
+            sol = bs.solve(mu, nu, bs.GibbsKernel.ou(grid, T, kappa),
+                           max_iter=50)
+            want = oracles.eot_cost_at(sol, eps)
+            assert abs(bs.eot_cost_from_sp(sol) - want) <= 1e-14 * abs(want)
 
 
 @_GRIDS
@@ -490,7 +536,7 @@ def test_stored_marginals_are_the_plan_marginals(grid, kind):
            else bs.GibbsKernel.ou(grid, 0.3, 1.0))
     sol = bs.solve(mu, nu, ker)
     assert sol.converged
-    w = sol.log_plan().weights()
+    w = oracles.plan_weights(sol.log_plan())
     assert np.max(np.abs(sol.mu_hat - w.sum(axis=1))) <= 1e-14
     assert np.max(np.abs(sol.nu_hat - w.sum(axis=0))) <= 1e-14
     assert np.all(sol.nu_hat[~nu.support()] == 0.0)
@@ -556,7 +602,7 @@ def test_eot_cost_fine_grid_reference():
     for g in (coarse, fine):
         mu = bs.gaussian_measure(g, [0.0], 1.0)
         nu = bs.gaussian_measure(g, [1.0], 1.5)
-        cost, _ = bs.eot_via_sp(mu, nu, eps, kappa)
+        cost, _ = oracles.eot_via_sp(mu, nu, eps, kappa)
         costs.append(cost)
     assert abs(costs[0] - costs[1]) <= 0.01 * abs(costs[1])
 
@@ -568,7 +614,7 @@ def test_eot_atom_cost_zero():
     atom = bs.DiscreteMeasure.from_weights(g, w)
     direct = bs.eot_quadratic_direct(atom, atom, epsilon=0.5)
     assert abs(direct.cost) < 1e-10
-    via_sp, _ = bs.eot_via_sp(atom, atom, epsilon=0.5, kappa=1.0)
+    via_sp, _ = oracles.eot_via_sp(atom, atom, epsilon=0.5, kappa=1.0)
     assert abs(via_sp) < 1e-8
 
 
@@ -591,34 +637,36 @@ def test_eot_dictionary_agreement(gauss_pair):
     mu, nu = gauss_pair
     eps = 0.5
     direct = bs.eot_quadratic_direct(mu, nu, epsilon=eps)
-    via, sol = bs.eot_via_sp(mu, nu, epsilon=eps, kappa=1.0)
+    via, sol = oracles.eot_via_sp(mu, nu, epsilon=eps, kappa=1.0)
     assert abs(via - direct.cost) <= 1e-6 * abs(direct.cost)
     # the two routes build the same coupling
-    pi_direct = direct.log_plan().weights()
-    pi_sp = sol.log_plan().weights()
+    pi_direct = oracles.plan_weights(direct.log_plan())
+    pi_sp = oracles.plan_weights(sol.log_plan())
     assert np.abs(pi_direct - pi_sp).sum() <= 1e-6
 
 
 def test_eot_kappa_independence(gauss_pair):
     mu, nu = gauss_pair
     eps = 0.5
-    costs = [bs.eot_via_sp(mu, nu, eps, kappa)[0] for kappa in (0.5, 1.0, 2.0)]
+    costs = [oracles.eot_via_sp(mu, nu, eps, kappa)[0]
+             for kappa in (0.5, 1.0, 2.0)]
     spread = max(costs) - min(costs)
     assert spread <= 1e-5 * abs(costs[0])
 
 
 def test_sp_time_from_epsilon():
     # sinh(kappa T) = eps kappa / 4; at kappa=1, eps=4 sinh 1 the time is 1
-    assert abs(bs.sp_time_from_epsilon(4.0 * math.sinh(1.0), 1.0) - 1.0) < 1e-12
+    T = oracles.sp_time_from_epsilon(4.0 * math.sinh(1.0), 1.0)
+    assert abs(T - 1.0) < 1e-12
     rng = np.random.default_rng(3)
     for _ in range(50):
         eps = rng.uniform(0.01, 10.0)
         kappa = rng.uniform(0.1, 4.0)
-        T = bs.sp_time_from_epsilon(eps, kappa)
+        T = oracles.sp_time_from_epsilon(eps, kappa)
         assert abs(math.sinh(kappa * T) - eps * kappa / 4.0) < 1e-12
     # kappa -> 0 recovers T = eps / 4
-    assert bs.sp_time_from_epsilon(0.8, 0.0) == 0.2
-    assert abs(bs.sp_time_from_epsilon(0.8, 1e-6) - 0.2) < 1e-6
+    assert oracles.sp_time_from_epsilon(0.8, 0.0) == 0.2
+    assert abs(oracles.sp_time_from_epsilon(0.8, 1e-6) - 0.2) < 1e-6
 
 
 def test_solution_exposes_entropies(ou_sol, gauss_pair, grid128):
