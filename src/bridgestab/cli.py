@@ -475,7 +475,9 @@ SCENARIOS = {
 
 
 def _is_num(x, kinds=(int, float)) -> bool:
-    return isinstance(x, kinds) and not isinstance(x, bool)
+    """A finite int or float (not a bool): no field takes inf or NaN."""
+    return (isinstance(x, kinds) and not isinstance(x, bool)
+            and (not isinstance(x, float) or math.isfinite(x)))
 
 
 def _positive(v) -> bool:

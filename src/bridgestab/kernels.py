@@ -7,12 +7,12 @@ Heat and OU log transition densities on a tensor grid are sums of per-axis
 
 against a reference measure: heat transition densities are taken w.r.t.
 Lebesgue, OU transition densities w.r.t. the stationary Gaussian N(0, I/κ).
-A kernel is used through two operators, neither of which forms the n×n
-matrix: `LogKernel.lse`, which computes LSE_j(K_ij + v_j) over the grid
-one axis at a time for the semigroup (`apply_semigroup`), and
-`AnchoredLSE` below, the Sinkhorn loop's operator from one support to
-another.  A kernel has one or two factors, as a grid has one or two axes.
-A 1D kernel is reduced in the log domain by `lse_matvec`.  A 2D kernel
+A kernel (`GibbsKernel`) is used through two operators, neither of which
+forms the n×n matrix: `GibbsKernel.lse`, which computes LSE_j(K_ij + v_j)
+over the grid one axis at a time for the semigroup (`apply_semigroup`),
+and `AnchoredLSE` below, the Sinkhorn loop's operator from one support to
+another.  A kernel has one factor per grid axis, so one or two.  A 1D
+kernel is reduced in the log domain by `lse_matvec`.  A 2D kernel
 reduces each axis by one matrix product against a shared exp
 factor exp(F_k - r_k), r_k the row maxima of F_k, built once per kernel
 (Solomon et al. 2015, *Convolutional Wasserstein Distances*), with the
@@ -32,8 +32,9 @@ T.  No output bit moves, since a raised entry is either flushed to 0 later
 or added to a row sum far too large to change.
 
 A kernel can also be a stack of kernels, one per time of a sequence
-(`GibbsKernel.at_time`), with a leading axis on every factor; each of its
-rows is bit-identical to the kernel built at that time alone.
+(`GibbsKernel.at_time`), with a leading axis on every factor (a 1D stack
+is reduced by one `lse_matvec` call); each of its rows is bit-identical
+to the kernel built at that time alone.
 
 The one exception to the log domain is `AnchoredLSE`, the operator
 behind the Sinkhorn loop.  It maps a compact vector on one support to the
@@ -73,8 +74,8 @@ OU_MAX_KAPPA_T = 350.0
 
 
 def _check_ou(T: float, kappa: float) -> None:
-    if T <= 0 or kappa <= 0:
-        raise ValueError("OU kernel needs T > 0 and kappa > 0")
+    if not (0 < T < math.inf and 0 < kappa < math.inf):  # NaN fails too
+        raise ValueError("OU kernel needs finite T > 0 and kappa > 0")
     if kappa * T > OU_MAX_KAPPA_T:
         raise ValueError(f"OU kernel needs kappa*T <= {OU_MAX_KAPPA_T:g}, "
                          f"got {kappa * T:g}")
@@ -108,17 +109,6 @@ def _squared_distances(x: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _outer_sum(factors: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Dense Σ_k factors[k][i_k, j_k] over cells in flat C order; a single
-    factor is returned as is."""
-    out = factors[0]
-    for f in factors[1:]:
-        n, m = out.shape[0], f.shape[0]
-        out = (out[:, None, :, None] + f[None, :, None, :]).reshape(n * m,
-                                                                    n * m)
-    return out
-
-
 def _per_time(T, f) -> np.ndarray:
     """f(t) at a time T, or at each time of a sequence T, shaped to
     broadcast against one n×n log factor or a stack of them (one kernel per
@@ -133,48 +123,44 @@ def _times(T) -> float | tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class LogKernel:
-    """Log Gibbs factor K on a tensor grid, one square log factor per axis.
+class GibbsKernel:
+    """Log transition density on a tensor grid against ``reference``,
+    one square log factor per grid axis.
 
-    Over cells in flat C order,
-    ``K[(i_0, i_1), (j_0, j_1)] = log_factors[0][i_0, j_0]
-    + log_factors[1][i_1, j_1]``; a single factor is K itself, and no
-    other count is accepted.  `lse` serves the semigroup
-    (`apply_semigroup`): a single factor is reduced by `lse_matvec`, two
-    by one matrix product per axis against the shared exp factors
-    (`_lse_shared`), which are built on first use and held on the
-    instance.  The Sinkhorn loop goes through `AnchoredLSE`, which anchors
-    by the per-axis `lse_matvec` reduction over factors restricted to two
-    supports.  `log_matrix` is a dense view for the dense plans and the
-    test oracles.
+    Over cells in flat C order, ``log p_T[(i_0, i_1), (j_0, j_1)] =
+    log_factors[0][i_0, j_0] + log_factors[1][i_1, j_1]``; every factor is
+    exactly symmetric by construction.  κ = 0 is the heat kernel, κ > 0
+    the OU kernel.  ``underresolved`` is set when the bandwidth sqrt(2T)
+    falls below twice the largest cell width.  ``reference`` depends on the
+    family and the grid only: it is built on first use, and a kernel from
+    `at_time` shares its parent's.  `lse` serves the semigroup, the
+    Sinkhorn loop goes through `AnchoredLSE`, and only
+    `SchrodingerSolution.log_plan` forms the dense n×n matrix.
 
-    A stack of k kernels has factors of shape (k, n_a, n_a); `lse` and
-    the shared exp factors broadcast over that leading axis, and a stacked
-    1D factor is reduced one kernel per `lse_matvec` call.
+    A stack built at a sequence of k times has ``T`` the tuple of times,
+    ``underresolved`` set from the smallest and factors of shape
+    (k, n_a, n_a); `lse` and the shared exp factors broadcast over it.
     """
 
     log_factors: tuple[np.ndarray, ...]
+    grid: Grid
+    T: float | tuple[float, ...]
+    kappa: float = 0.0
+    underresolved: bool = False
 
     def __post_init__(self):
-        if len(self.log_factors) not in (1, 2):
-            raise ValueError("a kernel has one or two log factors")
-        for f in self.log_factors:
-            if f.ndim not in (2, 3) or f.shape[-1] != f.shape[-2]:
-                raise ValueError("log factors must be square matrices or "
-                                 "stacks of them")
-        if len({f.shape[:-2] for f in self.log_factors}) != 1:
-            raise ValueError("log factors must stack the same kernels")
+        # per grid axis of n_k cells, one factor: (stack axis) + (n_k, n_k)
+        F = self.log_factors
+        stack = F[0].shape[:-2][:1] if F else ()
+        want = [stack + (n, n) for n in self.grid.shape]
+        if [f.shape for f in F] != want:
+            raise ValueError(f"log factors of shapes {[f.shape for f in F]} "
+                             f"do not match the grid: {want} required")
 
     @property
     def shape(self) -> tuple[int, ...]:
         """Number of cells along each factor's axis."""
         return tuple(f.shape[-1] for f in self.log_factors)
-
-    @property
-    def log_matrix(self) -> np.ndarray:
-        """Dense K over cells; with one factor this is the factor itself
-        (no copy), otherwise it is built on each access."""
-        return _outer_sum(self.log_factors)
 
     @cached_property
     def _exp_factors(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -204,39 +190,13 @@ class LogKernel:
         x = v.reshape(self.shape)
         F = self.log_factors[0]
         if len(self.log_factors) == 1:
-            return lse_matvec(F, x) if F.ndim == 2 \
-                else np.array([lse_matvec(Fk, x) for Fk in F])
+            return lse_matvec(F, x)
         d = len(self.shape)
         for k in reversed(range(d)):
             # grid axes counted from the end: a stack axis comes first
             x = _lse_shared(self.log_factors[k], *self._exp_factors[k],
                             x.swapaxes(k - d, -1)).swapaxes(k - d, -1)
         return x.reshape(F.shape[:-2] + (-1,))
-
-
-@dataclass(frozen=True)
-class GibbsKernel(LogKernel):
-    """Log transition density on a grid, one factor per axis.
-
-    ``log_matrix[i, j] = log p_T(x_i, x_j)`` against ``reference``; every
-    factor is exactly symmetric by construction.  ``underresolved`` is set
-    when the kernel bandwidth sqrt(2T) falls below twice the largest cell
-    width.  κ = 0 is the heat kernel, κ > 0 the OU kernel.  A stack built
-    at a sequence of times has ``T`` the tuple of times and
-    ``underresolved`` set from the smallest.  ``reference`` depends on the
-    family and the grid only: it is built on first use, and a kernel from
-    `at_time` shares its parent's.
-    """
-
-    grid: Grid
-    T: float | tuple[float, ...]
-    kappa: float = 0.0
-    underresolved: bool = False
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.shape != self.grid.shape:
-            raise ValueError("log factor shapes do not match the grid")
 
     @cached_property
     def reference(self) -> ReferenceMeasure:
@@ -259,8 +219,8 @@ class GibbsKernel(LogKernel):
     def heat(grid: Grid, T) -> "GibbsKernel":
         """Heat kernel at time T against the Lebesgue reference; a sequence
         of times gives the stack of their kernels."""
-        if np.any(np.asarray(T) <= 0):
-            raise ValueError("kernel needs T > 0")
+        if not np.all(np.isfinite(T) & np.greater(T, 0)):
+            raise ValueError("kernel needs finite T > 0")
         c = _per_time(T, lambda t: -0.5 * math.log(4.0 * math.pi * t))
         q = _per_time(T, lambda t: 4.0 * t)
         factors = []
@@ -354,7 +314,7 @@ _LOG_SUM_FLOOR = -100.0
 def _lse_shared(F: np.ndarray, E: np.ndarray, r: np.ndarray,
                 x: np.ndarray) -> np.ndarray:
     """`lse_matvec(F, x)` for a batch x, by one matrix product against the
-    shared factor E = exp(F - r) of `LogKernel._exp_factors`:
+    shared factor E = exp(F - r) of `GibbsKernel._exp_factors`:
 
         out[b, i] = r_i + M_b + log Σ_j E[i, j] e^{x_bj - M_b},
 
@@ -445,7 +405,7 @@ class AnchoredLSE:
     themselves: inner axes return to the log domain, and the last axis
     returns its sums S, with LSE = ``row_shift`` + log S on ``rows``
     (``row_shift`` the last axis's s_k).  `reduce` hands back that pair,
-    or an anchor's LSE with S = 1, and the call is its s + log S.  A
+    or an anchor's LSE with S = 1, so that LSE = s + log S either way.  A
     caller that keeps its input as weights against ``vbar`` checks them
     with `near` and calls `product` directly, with no exp or log of an
     input or output vector.
@@ -457,7 +417,7 @@ class AnchoredLSE:
     nearby inputs on the same supports.
     """
 
-    def __init__(self, K: LogKernel, rows: np.ndarray, cols: np.ndarray):
+    def __init__(self, K: GibbsKernel, rows: np.ndarray, cols: np.ndarray):
         self._factors = K.log_factors
         self.n_anchors = 0
         self._rows, _, self._row_pos = _support_box(rows.reshape(K.shape))
@@ -503,10 +463,6 @@ class AnchoredLSE:
         return (self._vbar is not None
                 and math.exp(-tau) <= np.minimum.reduce(w)
                 and np.maximum.reduce(w) <= math.exp(tau))
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        s, S = self.reduce(v)
-        return s + np.log(S)
 
     def reduce(self, v: np.ndarray):
         """(s, S) with  LSE_j(K_ij + v_j) = s_i + log S_i  on ``rows``:

@@ -41,8 +41,8 @@ its own kernel, so no solution is paired with an ε it was not solved at.
 Values come from the potentials, C_T = ∫φ dμ + ∫ψ dν, a dual value that
 is second-order accurate in the stopping residual.  The realized marginals
 μ̂, ν̂ of the plan are those the loop computes for its stopping rule.  The
-dense n×n plan is built only by `log_plan`, for the symmetric entropy of
-two plans and the test oracles.
+dense n×n plan, and with it the dense kernel, is built only by `log_plan`,
+for the symmetric entropy of two plans and the test oracles.
 """
 
 from __future__ import annotations
@@ -259,10 +259,14 @@ class SchrodingerSolution:
             self._slices[side].setdefault(si, row)
 
     def log_plan(self) -> Plan:
-        """log π = φ ⊕ ψ + log p_T + log m ⊗ log m (dense)."""
+        """log π = φ ⊕ ψ + log p_T + log m ⊗ log m (dense), the one place
+        that forms the kernel's n×n matrix: a 1D kernel's factor, or in 2D
+        the broadcast sum of its two factors, summed before it is added."""
         u = self.reference.log_mass()
         lw = np.add.outer(self.phi + u, self.psi + u)
-        lw += self.kernel.log_matrix
+        F = self.kernel.log_factors
+        lw += F[0] if len(F) == 1 else (
+            F[0][:, None, :, None] + F[1][None, :, None, :]).reshape(lw.shape)
         return Plan(self.mu.grid, lw)
 
 

@@ -1,8 +1,13 @@
 """Reference paths that the fast paths of `bridgestab` must match.
 
 * Pointwise transition densities (`heat_kernel`, `ou_kernel`) and the
-  Wang lower bound on the OU log density: the references of the dense and
-  separable kernels (`GibbsKernel.log_matrix`, `LogKernel.lse`).
+  Wang lower bound on the OU log density: the references of the kernel's
+  per-axis log factors and of `GibbsKernel.lse`.
+* `log_matrix`: the dense n×n log kernel summed from the per-axis factors,
+  the reference of every operator that never forms it (`GibbsKernel.lse`,
+  `AnchoredLSE`) and the kernel term of `SchrodingerSolution.log_plan`.
+* `anchored`: the LSE values of an `AnchoredLSE` operator, s + log S of
+  its `reduce`.
 * `row_mass_defect`: how far a kernel's rows are from unit mass against
   its reference measure, the quadrature bound that `apply_semigroup` of a
   constant must respect.
@@ -21,7 +26,7 @@
   `eot_cost_from_sp`, which reads ε off the solution's kernel.
 * `log_domain_sinkhorn`: the anchored Sinkhorn loop with every half-step
   in the log domain, each potential moved by ω times its update and
-  each reduction an `AnchoredLSE` call; the reference of the loop that
+  each reduction an `anchored` value; the reference of the loop that
   keeps its potentials as weights against the anchors between them
   (`schrodinger._sinkhorn`).
 * `zeroth_order_ladder`: the T-ladder that carries only ε·b from rung to
@@ -85,6 +90,25 @@ def wang_lower_bound(x, y, T: float, kappa: float) -> float:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     r2 = float(np.sum((x - y) ** 2))
     return -kappa * r2 / (2.0 * -math.expm1(-kappa * T))
+
+
+def log_matrix(K) -> np.ndarray:
+    """Dense log kernel over cells in flat C order,
+    Σ_k K.log_factors[k][i_k, j_k]; a 1D kernel's factor is returned as is."""
+    out = K.log_factors[0]
+    for f in K.log_factors[1:]:
+        n, m = out.shape[0], f.shape[0]
+        out = (out[:, None, :, None] + f[None, :, None, :]).reshape(n * m,
+                                                                    n * m)
+    return out
+
+
+def anchored(op, v) -> np.ndarray:
+    """LSE_j(K_ij + v_j) on the rows of the `AnchoredLSE` operator ``op``,
+    for v on its columns: s + log S of ``op.reduce(v)``, which anchors at v
+    when v is out of the anchor radius."""
+    s, S = op.reduce(v)
+    return s + np.log(S)
 
 
 def row_mass_defect(kernel) -> float:
@@ -250,8 +274,8 @@ def log_domain_sinkhorn(ops, log_m, mu, nu, tol, max_iter, init_g,
     signature, stopping rule, ω rules, fallback and results.
 
     Each half-step sets  f' = log μ - log m - K.lse(g + log m)  on supp μ
-    through the operator ``ops[1]`` (an `AnchoredLSE` call: a product near
-    its anchor, a log-domain anchor otherwise) and moves f by ω(f' - f);
+    through the operator ``ops[1]`` (`anchored`: a product near its
+    anchor, a log-domain anchor otherwise) and moves f by ω(f' - f);
     g mirrors it through ``ops[0]``, from g = ``init_g`` on supp ν.  The
     marginals are μ̂ = e^{f + log m + K.lse(g + log m)} and ν̂ likewise."""
     if tol <= 0:
@@ -264,7 +288,7 @@ def log_domain_sinkhorn(ops, log_m, mu, nu, tol, max_iter, init_g,
     b = nu.log_weights()[s_nu] - lq              # log dν/dm
     w_mu, w_nu = mu.weights[s_mu], nu.weights[s_nu]
     lse_on_f, lse_on_g = ops
-    lse_g = lse_on_g(init_g + lq)
+    lse_g = anchored(lse_on_g, init_g + lq)
 
     history = []
     converged = False
@@ -274,11 +298,11 @@ def log_domain_sinkhorn(ops, log_m, mu, nu, tol, max_iter, init_g,
         f_new = a - lse_g
         f = f_new if omega == 1.0 else f + omega * (f_new - f)
         fp = f + lp
-        lse_f = lse_on_f(fp)
+        lse_f = anchored(lse_on_f, fp)
         g_new = b - lse_f
         g = g_new if omega == 1.0 else g + omega * (g_new - g)
         gq = g + lq
-        lse_g = lse_on_g(gq)
+        lse_g = anchored(lse_on_g, gq)
 
         mu_hat = np.exp(fp + lse_g)
         nu_hat = np.exp(gq + lse_f)

@@ -3,6 +3,7 @@
 import csv
 import ctypes
 import json
+import math
 import os
 import platform
 import subprocess
@@ -774,6 +775,15 @@ _DATA_ERRORS = [
     # a bare fractional 1D shape used to run on int(shape) cells
     ("solve", {"grid.shape": 32.5},
      "grid.shape: list of integers >= 2 required"),
+    # infinite numbers passed every numeric rule: a heat kernel at T = inf
+    # or EOT at ε = inf wrote NaN reports and exited 3, and an infinite
+    # bound ended in a traceback; NaN, which fails every comparison, stays
+    # refused
+    ("solve", {"kernel": {"kind": "heat", "T": math.inf}}, "kernel.T"),
+    ("solve", {"kernel.T": math.nan}, "kernel.T: positive number required"),
+    ("eot-stability", {"kernel.epsilon": math.inf}, "kernel.epsilon"),
+    ("solve", {"grid.bounds": [-math.inf, 6.0]}, "grid.bounds"),
+    ("stability", {"marginals.mu.sigma": math.inf}, "marginals.mu.sigma"),
 ]
 
 
@@ -862,6 +872,17 @@ def test_readme_scenario_table_matches_list_scenarios(capsys):
     listed = dict(ln.split(None, 1)
                   for ln in capsys.readouterr().out.splitlines())
     assert table == listed
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's `## Library` python block, run as written: it uses the
+    # public API and asserts the SP↔EOT dictionary on its own solution
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    # it prints whether the corrector report passed, and its slack
+    assert capsys.readouterr().out.startswith("True ")
 
 
 # ---------------------------------------------------------------------------
@@ -1062,3 +1083,4 @@ def test_broken_premise_exits_2_naming_the_quantity(tmp_path, capsys, cfg,
             "tolerance") in err
     assert "Traceback" not in err
     assert not out.exists()
+
