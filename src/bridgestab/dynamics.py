@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GibbsKernel
+from .kernels import GibbsKernel, _shared_geometry
 from .measures import (MASS_FLOOR, DiscreteMeasure, Grid, grad_sq_norm,
                        masked_gradient)
 from .reports import InequalityReport, make_equality_report, make_report
@@ -178,11 +178,23 @@ def _solves_along(mu: DiscreteMeasure, nu: DiscreteMeasure, T_list,
     continues: first order in ε through the dictionary, at that solution's
     ω carried to the new T.  Raises NotConverged at the first T that does
     not converge.
+
+    A ladder of more than one rung holds the grid's kernel geometry
+    (`kernels._shared_geometry`) until it has built its last rung, so each
+    rung's kernel build pays only for its T, and later rungs share the
+    first rung's reference measure (`GibbsKernel.at_time`).
     """
+    T_list = list(T_list)
+    geometry = _shared_geometry(mu.grid, kappa) if len(T_list) > 1 else None
     sol = None
-    for T in T_list:
-        kern = GibbsKernel.heat(mu.grid, T) if kappa == 0.0 \
-            else GibbsKernel.ou(mu.grid, T, kappa)
+    for i, T in enumerate(T_list):
+        if sol is None:
+            kern = GibbsKernel.heat(mu.grid, T) if kappa == 0.0 \
+                else GibbsKernel.ou(mu.grid, T, kappa)
+        else:
+            kern = sol.kernel.at_time(T)
+        if i == len(T_list) - 1:
+            geometry = None      # its n² arrays go before the last solve
         start = _kantorovich_start(mu, nu, kern) if sol is None else sol
         sol = solve(mu, nu, kern, tol=tol, max_iter=max_iter,
                     init_psi=start)

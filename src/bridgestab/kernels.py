@@ -34,7 +34,10 @@ or added to a row sum far too large to change.
 A kernel can also be a stack of kernels, one per time of a sequence
 (`GibbsKernel.at_time`), with a leading axis on every factor (a 1D stack
 is reduced by one `lse_matvec` call); each of its rows is bit-identical
-to the kernel built at that time alone.
+to the kernel built at that time alone.  A caller that builds kernels at
+several times on one grid (a T-ladder) holds the grid's geometry, the
+T-free n×n array of each axis (`_shared_geometry`), and every build
+meanwhile pays only for its time, again bit-identical to a build alone.
 
 The one exception to the log domain is `AnchoredLSE`, the operator
 behind the Sinkhorn loop.  It maps a compact vector on one support to the
@@ -60,6 +63,7 @@ from __future__ import annotations
 import copy
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -107,6 +111,42 @@ def _squared_distances(x: np.ndarray) -> np.ndarray:
     d2 -= xx
     np.maximum(d2, 0.0, out=d2)
     return d2
+
+
+class _Geometry:
+    """The one n×n array per grid axis that a factor is built from at every
+    time: |x_i - x_j|² (`_squared_distances`) for heat, x_i·x_j for OU."""
+
+    __slots__ = ("arrays", "__weakref__")
+
+    def __init__(self, grid: Grid, heat: bool):
+        self.arrays = tuple(_squared_distances(x) if heat
+                            else np.multiply.outer(x, x) for x in grid.axes)
+
+
+# where a grid keeps its weak reference to a `_Geometry`, per family
+_GEOMETRY_KEY = {True: "_heat_geometry", False: "_ou_geometry"}
+
+
+def _live_geometry(grid: Grid, heat: bool) -> _Geometry | None:
+    """The `_Geometry` of this grid and family (heat or OU) that a caller
+    of `_shared_geometry` still holds, else None."""
+    ref = grid.__dict__.get(_GEOMETRY_KEY[heat])
+    return None if ref is None else ref()
+
+
+def _shared_geometry(grid: Grid, kappa: float) -> _Geometry:
+    """The geometry of the grid for the family κ, for a caller that builds
+    kernels at several times.  While the caller holds it, `GibbsKernel.heat`
+    and `GibbsKernel.ou` on this grid build their factors from it, with the
+    arithmetic of a build alone, so every bit matches; the grid keeps only
+    a weak reference, so the arrays go when the caller drops it."""
+    heat = kappa == 0.0
+    geo = _live_geometry(grid, heat)
+    if geo is None:
+        geo = _Geometry(grid, heat)
+        grid.__dict__[_GEOMETRY_KEY[heat]] = weakref.ref(geo)
+    return geo
 
 
 def _per_time(T, f) -> np.ndarray:
@@ -223,9 +263,11 @@ class GibbsKernel:
             raise ValueError("kernel needs finite T > 0")
         c = _per_time(T, lambda t: -0.5 * math.log(4.0 * math.pi * t))
         q = _per_time(T, lambda t: 4.0 * t)
+        held = _live_geometry(grid, True)
         factors = []
-        for x in grid.axes:
-            F = _squared_distances(x) / q
+        for k, x in enumerate(grid.axes):
+            F = (_squared_distances(x) if held is None
+                 else held.arrays[k]) / q
             factors.append(np.subtract(c, F, out=F))
         return GibbsKernel(tuple(factors), grid, _times(T), 0.0,
                            GibbsKernel._bandwidth_flag(grid, np.min(T)))
@@ -240,11 +282,13 @@ class GibbsKernel:
         c = _per_time(T, lambda t: -0.5 * math.log(-math.expm1(-k2 * t)))
         w = _per_time(T, lambda t: kappa / (2.0 * math.expm1(k2 * t)))
         e = _per_time(T, lambda t: 2.0 * math.exp(kappa * t))
+        held = _live_geometry(grid, False)
         factors = []
-        for x in grid.axes:
+        for k, x in enumerate(grid.axes):
             # c - w·(x_i² + x_j² - e·x_i·x_j) on n×n arrays
             sq = x ** 2
-            F = np.multiply.outer(x, x) * e
+            F = (np.multiply.outer(x, x) if held is None
+                 else held.arrays[k]) * e
             np.subtract(np.add.outer(sq, sq), F, out=F)
             F *= w
             factors.append(np.subtract(c, F, out=F))
@@ -402,8 +446,9 @@ class AnchoredLSE:
     anchors taken.
 
     The one product loop is `product`, on the weights w = e^{v - v̄}
-    themselves: inner axes return to the log domain, and the last axis
-    returns its sums S, with LSE = ``row_shift`` + log S on ``rows``
+    themselves (on a 1D operator, one matrix-vector product): inner axes
+    return to the log domain, and the last axis returns its sums S, with
+    LSE = ``row_shift`` + log S on ``rows``
     (``row_shift`` the last axis's s_k).  `reduce` hands back that pair,
     or an anchor's LSE with S = 1, so that LSE = s + log S either way.  A
     caller that keeps its input as weights against ``vbar`` checks them
@@ -476,13 +521,16 @@ class AnchoredLSE:
     def product(self, w: np.ndarray) -> np.ndarray:
         """S on ``rows`` with  LSE_j(K_ij + v_j) = row_shift_i + log S_i,
         for the weights w = e^{v - v̄} on ``cols`` of an input v within τ
-        of the anchor: one matrix product per axis.  Inner axes return to
-        the log domain (each takes its weights e^{x - x̄} from the axis
-        before); the last axis returns its sums S against the exp buffer,
-        whose row shifts are ``row_shift``."""
+        of the anchor: one matrix product per axis, and on a 1D operator a
+        single matrix-vector product.  Inner axes return to the log domain
+        (each takes its weights e^{x - x̄} from the axis before); the last
+        axis returns its sums S against the exp buffer, whose row shifts
+        are ``row_shift``."""
         if self._w is not None:
             self._w[self._col_pos] = w
             w = self._w
+        if len(self._buf) == 1:
+            return self._on_rows(self._buf[0] @ w)
         x = w.reshape(self._box)
         for xbar, shift, k, last in self._axes:
             # e^{x - x̄}; where x = x̄ = -inf this is e^{-inf - inf} = 0

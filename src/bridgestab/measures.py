@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -32,6 +33,11 @@ class Grid:
     ``axes[k]`` holds the strictly increasing cell midpoints along axis k and
     ``axis_weights[k]`` the per-cell widths used for quadrature.  Cells are
     enumerated flat in C order (last axis fastest).
+
+    Both are read-only: a grid copies the arrays it does not own.  So the
+    arrays derived from them (`points`, `cell_volumes` and the memos of
+    `_per_grid`) are computed once per grid and cannot go stale; they are
+    returned read-only, and a caller copies one before writing to it.
     """
 
     axes: tuple[np.ndarray, ...]
@@ -40,6 +46,9 @@ class Grid:
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 2:
             raise ValueError("only 1D and 2D grids are supported")
+        object.__setattr__(self, "axes", tuple(map(_owned, self.axes)))
+        object.__setattr__(self, "axis_weights",
+                           tuple(map(_owned, self.axis_weights)))
         for x, w in zip(self.axes, self.axis_weights):
             if x.ndim != 1 or x.size < 2:
                 raise ValueError("each axis needs at least two midpoints")
@@ -64,8 +73,8 @@ class Grid:
             if not (hi > lo and n >= 2):
                 raise ValueError("need hi > lo and at least 2 cells")
             h = (hi - lo) / n
-            axes.append(lo + h * (np.arange(n) + 0.5))
-            weights.append(np.full(n, h))
+            axes.append(_read_only(lo + h * (np.arange(n) + 0.5)))
+            weights.append(_read_only(np.full(n, h)))
         return Grid(tuple(axes), tuple(weights))
 
     @staticmethod
@@ -86,33 +95,80 @@ class Grid:
     def ndim(self) -> int:
         return len(self.axes)
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(x.size for x in self.axes)
 
-    @property
+    @cached_property
     def n_cells(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def points(self) -> np.ndarray:
-        """(n_cells, ndim) midpoint coordinates in flat C order."""
+        """(n_cells, ndim) midpoint coordinates in flat C order
+        (read-only)."""
+        return self._points
+
+    @cached_property
+    def _points(self) -> np.ndarray:
         mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return _read_only(np.stack([m.ravel() for m in mesh], axis=1))
 
     def cell_volumes(self) -> np.ndarray:
-        """(n_cells,) quadrature volumes (product of axis widths)."""
+        """(n_cells,) quadrature volumes (product of axis widths;
+        read-only)."""
+        return self._cell_volumes
+
+    @cached_property
+    def _cell_volumes(self) -> np.ndarray:
         vol = self.axis_weights[0]
         for w in self.axis_weights[1:]:
             vol = np.multiply.outer(vol, w)
-        return vol.ravel()
+        return _read_only(vol.ravel())
 
     def max_cell_width(self) -> float:
         return max(float(w.max()) for w in self.axis_weights)
 
     def same_as(self, other: "Grid") -> bool:
-        return self.shape == other.shape and all(
+        return self is other or self.shape == other.shape and all(
             np.array_equal(a, b) for a, b in zip(self.axes, other.axes)
         )
+
+    def __reduce__(self):
+        # copies and pickles go through the constructor: read-only axes,
+        # and none of the memos or weak references kept on this grid
+        return Grid, (self.axes, self.axis_weights)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _owned(a) -> np.ndarray:
+    """``a`` itself if it is a read-only array over memory that nothing
+    writes to (its own, or a read-only array's), else a read-only copy."""
+    if not (isinstance(a, np.ndarray) and not a.flags.writeable
+            and (a.base is None or isinstance(a.base, np.ndarray)
+                 and not a.base.flags.writeable)):
+        a = np.array(a)
+    return _read_only(a)
+
+
+def _per_grid(fn):
+    """fn(grid), computed once per grid and kept on it: the arrays it
+    returns (one, or a tuple of them) are made read-only."""
+    key = f"_{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def memo(grid: Grid):
+        out = grid.__dict__.get(key)
+        if out is None:
+            out = fn(grid)
+            for a in out if isinstance(out, tuple) else (out,):
+                _read_only(a)
+            grid.__dict__[key] = out
+        return out
+    return memo
 
 
 def _check_same_grid(a, b):
@@ -142,6 +198,8 @@ class ReferenceMeasure:
             raise ValueError("cell_mass must be flat with one entry per cell")
         if np.any(self.cell_mass < 0) or not np.all(np.isfinite(self.cell_mass)):
             raise ValueError("reference masses must be finite and >= 0")
+        # read-only, so that the memo of `log_mass` cannot go stale
+        object.__setattr__(self, "cell_mass", _owned(self.cell_mass))
 
     @staticmethod
     def lebesgue(grid: Grid) -> "ReferenceMeasure":
@@ -157,14 +215,23 @@ class ReferenceMeasure:
         logdens = 0.5 * d * math.log(kappa / (2.0 * math.pi)) \
             - 0.5 * kappa * np.sum(pts ** 2, axis=1)
         mass = np.exp(logdens) * grid.cell_volumes()
-        return ReferenceMeasure(grid, mass)
+        return ReferenceMeasure(grid, _read_only(mass))
 
     def log_mass(self) -> np.ndarray:
-        """log cell masses, -inf where the mass underflows to zero."""
+        """log cell masses, -inf where the mass underflows to zero
+        (computed once, read-only)."""
+        return self._log_mass
+
+    def __reduce__(self):
+        # through the constructor, as `Grid` (read-only masses, no memo)
+        return ReferenceMeasure, (self.grid, self.cell_mass)
+
+    @cached_property
+    def _log_mass(self) -> np.ndarray:
         out = np.full(self.cell_mass.shape, -np.inf)
         pos = self.cell_mass > 0
         out[pos] = np.log(self.cell_mass[pos])
-        return out
+        return _read_only(out)
 
 
 @dataclass(frozen=True)

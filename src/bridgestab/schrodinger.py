@@ -304,9 +304,11 @@ def _check_problem(mu: DiscreteMeasure, nu: DiscreteMeasure,
 # rounding noise in the residuals cannot change it), used from
 # _OMEGA_MIN on (a faster plain loop has few iterations left to save) and
 # capped at _OMEGA_MAX < 2; an _OMEGA_MAX of 1 keeps the loop plain.  A
-# relaxed residual above _FALLBACK times its best sends the loop back to
-# plain Sinkhorn, which may relax again once the residual is below
-# _RETRY times the one it went back to.  A residual that falls by less
+# relaxed residual above _FALLBACK times its best, or one that has set no
+# new best for _STALL_WINDOW iterations (a relaxed loop can hover above
+# its best without ever rising that far), sends the loop back to plain
+# Sinkhorn, which may relax again once the residual is below _RETRY
+# times the one it went back to.  A residual that falls by less
 # than _RATE_STALL (64 ulps) per iteration reads no rate: a residual is a
 # sum rounded to a few ulps, so the fall may be rounding alone.
 _RATE_WINDOW = 5
@@ -316,6 +318,7 @@ _OMEGA_GRID = 32
 _OMEGA_MIN = 1.125
 _OMEGA_MAX = 1.96875
 _FALLBACK = 100.0
+_STALL_WINDOW = 100
 _RETRY = 0.3
 
 
@@ -522,9 +525,10 @@ def _sinkhorn(ops: tuple[AnchoredLSE, AnchoredLSE], log_m: np.ndarray,
     Uschmajew 2022).  Under relaxation the same windows read ρ through
     Young's relation, so an ω taken too low rises further; ω never falls
     but by the fallback.  If a relaxed residual exceeds `_FALLBACK` times
-    the best since ω last rose, or is NaN, the loop returns to the
-    potentials it had then and goes on with ω = 1; it relaxes again only
-    once the residual is below `_RETRY` times theirs.
+    the best since ω last rose, or is NaN, or has set no new best for
+    `_STALL_WINDOW` iterations, the loop returns to the potentials it had
+    when ω rose and goes on with ω = 1; it relaxes again only once the
+    residual is below `_RETRY` times theirs.
 
     The loop reaches K only through ``ops``, its `AnchoredLSE` operators
     supp μ → supp ν and supp ν → supp μ, and keeps each potential as
@@ -558,9 +562,10 @@ def _sinkhorn(ops: tuple[AnchoredLSE, AnchoredLSE], log_m: np.ndarray,
         f.aim(s, S)
         res = max(f.residual(), g.residual())
         if omega != 1.0:
-            if res <= _FALLBACK * best:             # False on NaN
-                best = min(best, res)
-            else:
+            if res < best:
+                best, best_at = res, n_done
+            elif not res <= _FALLBACK * best \
+                    or n_done - best_at >= _STALL_WINDOW:   # NaN falls back
                 kept_f, kept_g, s, S, res = start
                 f.aim(s, S)              # before `restore`, which sets ρ̂
                 f.restore(kept_f)
@@ -575,7 +580,7 @@ def _sinkhorn(ops: tuple[AnchoredLSE, AnchoredLSE], log_m: np.ndarray,
             w = start_omega if n_done == 1 else _implied_omega(history, omega)
             if w > omega:
                 start = (f.keep(), g.keep(), s, S, res)
-                omega, since, best = w, n_done, res
+                omega, since, best, best_at = w, n_done, res, n_done
     return (_on_grid(f.potential(), s_mu, -np.inf),
             _on_grid(g.potential(), s_nu, -np.inf),
             _on_grid(f.marginal(), s_mu, 0.0),
@@ -652,17 +657,24 @@ def _start(base: SchrodingerSolution | None, init, K: GibbsKernel,
 
 def _solve(cls: type, mu: DiscreteMeasure, nu: DiscreteMeasure,
            kernel: GibbsKernel, tol: float, max_iter: int, start: tuple,
-           keep_operators: bool) -> SchrodingerSolution:
+           keep_operators: bool,
+           base: SchrodingerSolution | None) -> SchrodingerSolution:
     """The ``cls`` solution of `_sinkhorn` from the start (init_g, ω, ops)
     of `_start`, re-centered to the symmetric normalization; it keeps the
-    operators with ``keep_operators``."""
+    operators with ``keep_operators``.  H(μ|m) and H(ν|m) are ``base``'s
+    when it has the same μ, ν and reference measure (a T-ladder's rungs
+    share theirs)."""
     ref = kernel.reference
     init_g, start_omega, ops = start
     phi, psi, mu_hat, nu_hat, n_done, history, converged, omega = _sinkhorn(
         ops, ref.log_mass(), mu, nu, tol, max_iter, init_g, start_omega)
 
-    h_mu = relative_entropy(mu, ref)
-    h_nu = relative_entropy(nu, ref)
+    if base is not None and base.mu is mu and base.nu is nu \
+            and base.reference is ref:
+        h_mu, h_nu = base.h_mu, base.h_nu
+    else:
+        h_mu = relative_entropy(mu, ref)
+        h_nu = relative_entropy(nu, ref)
 
     # symmetric normalization: shift so both sides of the gauge agree
     a, b = _integrals(phi, psi, mu, nu)
@@ -705,7 +717,7 @@ def solve(mu: DiscreteMeasure, nu: DiscreteMeasure, kernel: GibbsKernel,
     start = _start(base, init_psi if base is None else base.psi, kernel,
                    mu, nu, "init_psi")
     return _solve(SchrodingerSolution, mu, nu, kernel, tol, max_iter, start,
-                  keep_operators)
+                  keep_operators, base)
 
 
 def require_converged(sol) -> None:
@@ -793,7 +805,7 @@ def eot_quadratic_direct(mu: DiscreteMeasure, nu: DiscreteMeasure,
     start = _start(base, init_b if base is None else base.b, kernel, mu, nu,
                    "init_b", lift)
     return _solve(EOTSolution, mu, nu, kernel, tol, max_iter, start,
-                  keep_operators)
+                  keep_operators, base)
 
 
 # ---------------------------------------------------------------------------

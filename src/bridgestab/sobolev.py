@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .measures import (MASS_FLOOR, DiscreteMeasure, Grid, SignedMeasure,
-                       difference)
+                       _per_grid, difference)
 from .reports import make_report
 
 
@@ -40,8 +40,10 @@ from .reports import make_report
 # weighted Laplacian and the H^{-1} norm
 # ---------------------------------------------------------------------------
 
+@_per_grid
 def grid_edges(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Axis-adjacent cell pairs (ia, ib) with per-edge 1/Δx² factors."""
+    """Axis-adjacent cell pairs (ia, ib) with per-edge 1/Δx² factors,
+    computed once per grid (read-only)."""
     idx = np.arange(grid.n_cells).reshape(grid.shape)
     all_a, all_b, all_inv = [], [], []
     for ax in range(grid.ndim):

@@ -8,6 +8,9 @@
   `AnchoredLSE`) and the kernel term of `SchrodingerSolution.log_plan`.
 * `anchored`: the LSE values of an `AnchoredLSE` operator, s + log S of
   its `reduce`.
+* `axis_loop_product`: `AnchoredLSE.product` by its per-axis loop, one
+  batched matrix product per axis; the reference of the single
+  matrix-vector product that serves a 1D operator.
 * `row_mass_defect`: how far a kernel's rows are from unit mass against
   its reference measure, the quadrature bound that `apply_semigroup` of a
   constant must respect.
@@ -33,6 +36,10 @@
   rung, each rung an array start at ω = 1; the reference of the ladder
   whose solution starts continue first order in ε at a carried ω
   (`dynamics._solves_along`).
+* `fresh_ladder`: `dynamics._solves_along` with every rung's kernel built
+  alone, its factors from the grid and its own reference measure; the
+  reference of the ladder that builds its rungs from one held geometry
+  and shares the first rung's reference.
 * Bridge time slices, one time at a time: each slice applies a kernel built
   for that time alone (`GibbsKernel.at_time(s)` then `apply_semigroup`),
   and each α(t) takes its own slices, density weights and gradient.  The
@@ -109,6 +116,25 @@ def anchored(op, v) -> np.ndarray:
     when v is out of the anchor radius."""
     s, S = op.reduce(v)
     return s + np.log(S)
+
+
+def axis_loop_product(op, w) -> np.ndarray:
+    """S on the rows of the anchored `AnchoredLSE` operator ``op`` for the
+    weights w = e^{v - v̄} on its columns, by the per-axis loop of
+    `AnchoredLSE.product` (one batched matrix product per axis, inner axes
+    back in the log domain); in 1D the one axis is the last."""
+    if op._col_pos is not None:
+        full = np.zeros(math.prod(op._box))
+        full[op._col_pos] = w
+        w = full
+    x = w.reshape(op._box)
+    for xbar, shift, k, last in op._axes:
+        w = x.swapaxes(k, -1) if xbar is None \
+            else np.exp(x.swapaxes(k, -1) - xbar)
+        s = np.matmul(op._buf[k], w[..., None])[..., 0]
+        x = (s if last else shift + np.log(s)).swapaxes(k, -1)
+    out = x.reshape(-1)
+    return out if op._row_pos is None else out[op._row_pos]
 
 
 def row_mass_defect(kernel) -> float:
@@ -268,6 +294,24 @@ def zeroth_order_ladder(mu, nu, T_list, kappa, tol, max_iter):
         eb = eps * (sol.psi[s] + q)
 
 
+def fresh_ladder(mu, nu, T_list, kappa, tol, max_iter):
+    """Converged solutions at each T of ``T_list`` as `dynamics._solves_along`
+    gives them, with every rung's kernel built alone by `GibbsKernel.heat`
+    or `GibbsKernel.ou` (no geometry held, a reference measure of its own):
+    the first rung from the Kantorovich start, each later one from the
+    solution before it."""
+    sol = None
+    for T in T_list:
+        kern = GibbsKernel.heat(mu.grid, T) if kappa == 0.0 \
+            else GibbsKernel.ou(mu.grid, T, kappa)
+        start = schrodinger._kantorovich_start(mu, nu, kern) if sol is None \
+            else sol
+        sol = solve(mu, nu, kern, tol=tol, max_iter=max_iter,
+                    init_psi=start)
+        schrodinger.require_converged(sol)
+        yield sol
+
+
 def log_domain_sinkhorn(ops, log_m, mu, nu, tol, max_iter, init_g,
                         start_omega):
     """`schrodinger._sinkhorn` with its half-steps in the log domain: same
@@ -309,9 +353,10 @@ def log_domain_sinkhorn(ops, log_m, mu, nu, tol, max_iter, init_g,
         res = max(float(np.abs(mu_hat - w_mu).sum()),
                   float(np.abs(nu_hat - w_nu).sum()))
         if omega != 1.0:
-            if res <= schrodinger._FALLBACK * best:
-                best = min(best, res)
-            else:
+            if res < best:
+                best, best_at = res, n_done
+            elif not res <= schrodinger._FALLBACK * best \
+                    or n_done - best_at >= schrodinger._STALL_WINDOW:
                 f, g, lse_g, mu_hat, nu_hat, res = start
                 omega, since = 1.0, n_done
                 retry_below = schrodinger._RETRY * res
@@ -325,7 +370,7 @@ def log_domain_sinkhorn(ops, log_m, mu, nu, tol, max_iter, init_g,
                 else schrodinger._implied_omega(history, omega)
             if w > omega:
                 start = (f, g, lse_g, mu_hat, nu_hat, res)
-                omega, since, best = w, n_done, res
+                omega, since, best, best_at = w, n_done, res, n_done
     on_grid = schrodinger._on_grid
     return (on_grid(f, s_mu, -np.inf), on_grid(g, s_nu, -np.inf),
             on_grid(mu_hat, s_mu, 0.0), on_grid(nu_hat, s_nu, 0.0),

@@ -9,7 +9,7 @@ import pytest
 
 import bridgestab as bs
 from bridgestab import diagnostics, dynamics, kernels, measures, schrodinger
-from oracles import (alpha_per_time, log_slices_per_time,
+from oracles import (alpha_per_time, fresh_ladder, log_slices_per_time,
                      zeroth_order_ladder)
 
 
@@ -364,6 +364,31 @@ def test_ladder_continues_first_order_in_the_fine_regime():
             assert tight.marginal_residual <= 1e-11
             want = tight.entropic_cost()
             assert abs(sol.entropic_cost() - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0], ids=["heat", "ou"])
+def test_ladder_on_held_geometry_is_the_fresh_ladder_bit_for_bit(kappa):
+    # the ladder builds its rungs from one held geometry and shares the
+    # first rung's reference measure and entropies; it must give the
+    # potentials, iterations and costs of a ladder on kernels built alone,
+    # and drop the geometry when it ends
+    g = bs.Grid.regular([(-8.0, 10.0)], [320])
+    mu = bs.gaussian_measure(g, [-1.0], 1.0)
+    nu = bs.gaussian_measure(g, [1.0], 1.3)
+    T_list = [0.2, 0.05, 0.02]
+    ladder = list(dynamics._solves_along(mu, nu, T_list, kappa, 1e-9,
+                                         100_000))
+    assert kernels._live_geometry(g, kappa == 0.0) is None
+    fresh = list(fresh_ladder(mu, nu, T_list, kappa, 1e-9, 100_000))
+    assert all(sol.reference is ladder[0].reference for sol in ladder)
+    for sol, ref in zip(ladder, fresh):
+        assert sol.n_iter == ref.n_iter and sol.omega == ref.omega
+        for a, b in ((sol.phi, ref.phi), (sol.psi, ref.psi),
+                     (sol.kernel.log_factors[0], ref.kernel.log_factors[0])):
+            assert np.array_equal(_bits(a), _bits(b))
+        assert (sol.h_mu, sol.h_nu) == (ref.h_mu, ref.h_nu)
+        assert sol.entropic_cost() == ref.entropic_cost()
+        assert sol.schrodinger_cost() == ref.schrodinger_cost()
 
 
 def test_overrelaxed_solution_start_reaches_the_tight_fixed_point():

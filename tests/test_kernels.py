@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import warnings
 
 import mpmath
@@ -229,6 +230,50 @@ def test_at_time_rescales():
     assert heat.kappa == 0.0
     assert np.array_equal(heat.log_factors[0],
                           bs.GibbsKernel.heat(g, T=0.3).log_factors[0])
+
+
+def _geometry_grids():
+    """A regular 1D grid, a non-uniform one (`Grid.from_axes`) and a
+    non-uniform 2D one."""
+    x = np.linspace(-6.0, 6.0, 97)
+    x = x + 0.3 * np.sin(x)
+    y = np.cumsum(np.linspace(0.1, 0.3, 23)) - 2.0
+    return (bs.Grid.regular([(-8.0, 10.0)], [320]), bs.Grid.from_axes([x]),
+            bs.Grid.from_axes([x[::4], y]))
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.7], ids=["heat", "ou"])
+def test_ladder_geometry_builds_the_kernels_built_alone(kappa):
+    # while a caller holds the grid's geometry, `heat`/`ou` build every
+    # time's factors from it, bit for bit as a build alone (single times
+    # and a stack); the grid holds it weakly, so it goes with the caller
+    def build(g, T):
+        return bs.GibbsKernel.heat(g, T) if kappa == 0.0 \
+            else bs.GibbsKernel.ou(g, T, kappa)
+
+    times = [0.4, 0.05, 0.01]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BandwidthWarning)
+        for g in _geometry_grids():
+            assert kernels._live_geometry(g, kappa == 0.0) is None
+            alone = [build(g, T) for T in times] + [build(g, times)]
+            geo = kernels._shared_geometry(g, kappa)
+            assert kernels._shared_geometry(g, kappa) is geo
+            assert kernels._live_geometry(g, kappa != 0.0) is None
+            for K, T in zip(alone, times + [times]):
+                got = build(g, T)
+                for a, b in zip(got.log_factors, K.log_factors):
+                    assert np.array_equal(_bits(a), _bits(b))
+            # the builds read the held arrays
+            geo.arrays = tuple(np.zeros_like(a) for a in geo.arrays)
+            assert not np.array_equal(build(g, 0.05).log_factors[0],
+                                      alone[1].log_factors[0])
+            del geo
+            assert kernels._live_geometry(g, kappa == 0.0) is None
+            assert np.array_equal(build(g, 0.05).log_factors[0],
+                                  alone[1].log_factors[0])
+            # the dead weak reference does not travel with the grid
+            assert pickle.loads(pickle.dumps(g)).same_as(g)
 
 
 def _old_dense_log_matrix(grid, kind, T, kappa=0.0):
@@ -643,6 +688,39 @@ def test_anchored_product_is_the_restricted_lse(rng):
         assert np.array_equal(_bits(op.row_shift), _bits(shift)), name
         assert all(np.array_equal(_bits(b), _bits(b0))
                    for b, b0 in zip(op._buf, bufs)), name
+
+
+def test_1d_product_is_the_axis_loop_bit_for_bit(rng):
+    # a 1D operator serves `product` by one matrix-vector product; it must
+    # give the per-axis loop's sums bit for bit, on full 1D supports, on
+    # 1D supports with holes (index projections) and on the 2D cases,
+    # where the loop serves it (box positions set)
+    g = bs.Grid.regular([(-8.0, 10.0)], [320])
+    x = g.axes[0]
+    full = np.ones(x.size, dtype=bool)
+    cases = list(_anchored_cases(rng))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BandwidthWarning)
+        for K in (bs.GibbsKernel.heat(g, 0.02),
+                  bs.GibbsKernel.ou(g, 0.3, 1.0)):
+            v = 25.0 * x - 0.5 * x ** 2 + rng.normal(0.0, 1.0, x.size)
+            cases.append(("full-1d", K, full, full, v))
+            rows, cols = rng.random(x.size) > 0.3, rng.random(x.size) > 0.2
+            cases.append(("holes-1d", K, rows, cols, v[cols]))
+    tau = kernels.ANCHOR_RADIUS
+    for name, K, rows, cols, v in cases:
+        op = AnchoredLSE(K, rows, cols)
+        oracles.anchored(op, v)
+        if name == "holes-1d":
+            assert not isinstance(op._cols[0], slice)
+        if name == "heat-2d":
+            assert op._col_pos is not None and op._row_pos is not None
+        for twin in (op, op.shared()):
+            for scale in (1e-6, 1.0, 0.45 * tau):
+                W = np.exp(rng.uniform(-scale, scale, v.size))
+                assert np.array_equal(
+                    _bits(twin.product(W)),
+                    _bits(oracles.axis_loop_product(twin, W))), name
 
 
 def test_forced_reanchor_is_lse_bit_for_bit(rng, monkeypatch):

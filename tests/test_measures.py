@@ -1,6 +1,8 @@
 """Grids, discrete measures, entropies, Fisher information, moments, CSV I/O."""
 
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -12,6 +14,7 @@ from scipy.stats import norm
 
 import bridgestab as bs
 import oracles
+from bridgestab import sobolev
 from bridgestab.measures import (MASS_FLOOR, fisher_information,
                                  grad_sq_norm, gradient_energy,
                                  masked_gradient)
@@ -29,6 +32,42 @@ def test_grid_regular_layout():
         assert np.all(np.diff(ax) > 0)
     assert math.isclose(g.axes[0][0], 0.125)
     assert math.isclose(g.axes[1][-1], 2.0 - 0.25)
+
+
+def test_grid_arrays_are_read_only_and_computed_once():
+    # the grid owns read-only copies of its axes, so the arrays derived
+    # from them are memoized on it and cannot go stale; a caller copies
+    # one before writing to it
+    x = np.array([-1.0, -0.4, 0.1, 0.9, 2.0])
+    g = bs.Grid.from_axes([x])
+    x[0] = -5.0
+    assert g.axes[0][0] == -1.0
+    with pytest.raises(ValueError):
+        g.axes[0][0] = 0.0
+    with pytest.raises(ValueError):
+        g.points()[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        g.axis_weights[0][0] = 1.0
+    with pytest.raises(ValueError):
+        g.cell_volumes()[0] = 1.0
+    ref = bs.ReferenceMeasure.gaussian(g, 1.0)
+    with pytest.raises(ValueError):
+        ref.log_mass()[0] = 0.0
+    assert g.points() is g.points()
+    assert g.cell_volumes() is g.cell_volumes()
+    assert ref.log_mass() is ref.log_mass()
+    edges = sobolev.grid_edges(g)
+    assert edges is sobolev.grid_edges(g)
+    assert not any(a.flags.writeable for a in edges)
+    assert type(g.n_cells) is int and g.n_cells == 5 and g.shape == (5,)
+    assert g.same_as(g) and g.same_as(bs.Grid.from_axes([g.axes[0]]))
+    # copies and pickles are rebuilt read-only, without the memos
+    for back in (pickle.loads(pickle.dumps(ref)), copy.deepcopy(ref)):
+        assert back.grid.same_as(g) and back.grid is not g
+        assert np.array_equal(back.log_mass(), ref.log_mass())
+        assert not any(a.flags.writeable for a in (
+            *back.grid.axes, *back.grid.axis_weights, back.cell_mass))
+        assert "_points" not in back.grid.__dict__
 
 
 def test_reference_lebesgue_mass_is_cell_volume():

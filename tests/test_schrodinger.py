@@ -791,9 +791,10 @@ def _full_grid_sinkhorn(K, log_m, mu, nu, tol, max_iter, init_g):
         res = max(float(np.abs(mu_hat - mu.weights).sum()),
                   float(np.abs(nu_hat - nu.weights).sum()))
         if omega != 1.0:
-            if res <= schrodinger._FALLBACK * best:
-                best = min(best, res)
-            else:
+            if res < best:
+                best, best_at = res, n_done
+            elif not res <= schrodinger._FALLBACK * best \
+                    or n_done - best_at >= schrodinger._STALL_WINDOW:
                 f, g, lse_g, mu_hat, nu_hat, res = start
                 omega, since = 1.0, n_done
                 retry_below = schrodinger._RETRY * res
@@ -806,7 +807,7 @@ def _full_grid_sinkhorn(K, log_m, mu, nu, tol, max_iter, init_g):
             w = schrodinger._implied_omega(history, omega)
             if w > omega:
                 start = (f, g, lse_g, mu_hat.copy(), nu_hat.copy(), res)
-                omega, since, best = w, n_done, res
+                omega, since, best, best_at = w, n_done, res, n_done
     return f, g, mu_hat, nu_hat, n_done, history, converged, omega
 
 
@@ -1055,6 +1056,31 @@ def test_overshooting_omega_falls_back_to_plain(omega, monkeypatch):
     for pot, m in ((cut.phi, cut.mu), (cut.psi, cut.nu)):
         assert np.all(np.isfinite(pot[m.support()]))
 
+
+
+def test_stalled_relaxed_solve_falls_back_to_plain(monkeypatch):
+    # a cold heat solve whose relaxed residual hovers at 2-5× its best
+    # (8.6e-6 at iteration 316, ω = 1.8125) without ever rising 100× above
+    # it: with no new best for _STALL_WINDOW iterations the loop goes back
+    # to its kept point at ω = 1 and converges (plain Sinkhorn alone takes
+    # 2,529 iterations); without that rule it never does
+    g = bs.Grid.regular((-8.0, 10.0), 320)
+    mu = bs.gaussian_mixture_measure(g, [(0.3, [-4.0], 0.6),
+                                         (0.7, [0.0], 0.6)])
+    nu = bs.gaussian_mixture_measure(g, [(0.6, [2.0], 0.5),
+                                         (0.4, [6.0], 0.7)])
+    K = bs.GibbsKernel.heat(g, 0.01)
+    sol = bs.solve(mu, nu, K, tol=1e-9)
+    assert sol.converged and sol.n_iter < 1000
+    with monkeypatch.context() as m:
+        m.setattr(schrodinger, "_OMEGA_MAX", 1.0)
+        plain = bs.solve(mu, nu, K, tol=1e-9)
+    assert plain.converged and plain.n_iter > 2000
+    want = plain.entropic_cost()
+    assert abs(sol.entropic_cost() - want) <= 1e-12 * abs(want)
+    monkeypatch.setattr(schrodinger, "_STALL_WINDOW", math.inf)
+    stuck = bs.solve(mu, nu, K, tol=1e-9, max_iter=4 * sol.n_iter)
+    assert not stuck.converged and stuck.omega > 1.0
 
 
 def test_log_slices_are_the_semigroup_at_t(ou_sol):
